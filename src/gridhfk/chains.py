@@ -27,7 +27,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import BoundarySquareNonzero, NonUnitPivot
+from .errors import BoundarySquareNonzero, NonUnitPivot, RectangleCornerMissing
 from .gridkit import (
     CENTER,
     SCALE,
@@ -239,26 +239,6 @@ class SparseComplex:
 
 # --------------------------------------------------------------------------
 # signs
-
-
-def _rect_sign(x: Gen, y: Gen) -> int:
-    """Sign of a planar rectangle contribution from ``x`` to ``y``.
-
-    Computed from the two departing points (lower-left ``(a, b)`` and
-    upper-right ``(c, d)``) and dominance counts of ``x`` against two of its
-    horizontal slices.  The parity correction triggers on the number of
-    points of ``x`` below the rectangle, where the departing corner itself
-    (at the bottom-left) does not count as "below".
-    """
-    moved = sorted(set(x) - set(y))
-    (a, b), (c, d) = moved
-    slice_d = [p for p in x if p[1] <= d]
-    slice_bd = [p for p in x if b < p[1] <= d]
-    below = sum(1 for p in x if a < p[0] <= c and p[1] <= b)
-    e = dominance_count(x, tuple(slice_d))
-    if below % 2:
-        e += dominance_count(x, tuple(slice_bd)) + 1
-    return -1 if e % 2 else 1
 
 
 class _SpinSection:
@@ -572,40 +552,24 @@ def _bigon_targets(frame: _OvalFrame, p: Point) -> list[tuple[Point, str, int]]:
     return out
 
 
-def _bigon_sign(x: Gen, kind: str, key: int) -> int:
-    """Sign of a flip: parity of internal dominance plus a positional count.
-
-    Ovals are ordered vertical-by-column then horizontal-by-row; the count
-    is over ovals strictly before the flipped one whose point of ``x`` sits
-    on the positive wall (right wall of a vertical oval, top wall of a
-    horizontal one).  Each oval carries exactly one point of ``x``.
-    """
-    e = dominance_count(x, x)
-    if kind in ("top", "bottom"):  # flipping across vertical oval `key`
-        for p in x:
-            if p[0] // SCALE < key and p[0] % SCALE == 7:
-                e += 1
-    else:  # across horizontal oval `key`: all vertical ovals come first
-        for p in x:
-            if p[0] % SCALE == 7:
-                e += 1
-            if p[1] // SCALE < key and p[1] % SCALE == 6:
-                e += 1
-    return -1 if e % 2 else 1
-
-
 class LongMoves:
     """On-demand rows of the full-height oval complex's differential.
 
     Enumerates the moves leaving one generator — cap flips and empty
     rectangles — without touching the rest of the complex, so path
-    strategies can pull single rows lazily.
+    strategies can pull single rows lazily.  What depends on one point
+    (its flips) or one pair of points (whether their rectangle misses every
+    puncture) is computed once and kept on the instance.
     """
 
     def __init__(self, config: OvalConfig, signed: bool = True):
         self.frame = _OvalFrame(config)
         self.point_set = {p for pts in config.points.values() for p in pts}
         self.signed = signed
+        #: point -> its flips as (new point, across a vertical oval?)
+        self._flips: dict[Point, list[tuple[Point, bool]]] = {}
+        #: rising pair -> the new corners (nw, se), or None when punctured
+        self._corners: dict[tuple[Point, Point], tuple[Point, Point] | None] = {}
 
     def gradings(self, x: Gen) -> tuple[int, int]:
         """(a2, maslov) of a generator whose points lie on this frame."""
@@ -613,40 +577,111 @@ class LongMoves:
         a2 = sum(frame.a2_of[p] for p in x) + frame.const2
         return a2, maslov(x, frame.o_punct, 0)
 
+    def _new_flips(self, p: Point) -> list[tuple[Point, bool]]:
+        flips = [
+            (q, kind in ("top", "bottom"))
+            for q, kind, _ in _bigon_targets(self.frame, p)
+        ]
+        self._flips[p] = flips
+        return flips
+
+    def _new_corners(self, p: Point, q: Point) -> tuple[Point, Point] | None:
+        """Corners of the rectangle from ``p`` up to ``q``; None if punctured."""
+        (x1, y1), (x2, y2) = p, q
+        corners = None
+        if not any(x1 < u < x2 and y1 < v < y2 for u, v in self.frame.punctures):
+            corners = (x1, y2), (x2, y1)
+            if not (corners[0] in self.point_set and corners[1] in self.point_set):
+                raise RectangleCornerMissing(
+                    f"rectangle from {p} to {q}: corner missing from config"
+                )
+        self._corners[p, q] = corners
+        return corners
+
     def row(self, x: Gen) -> dict[Gen, int]:
-        """All boundary entries leaving ``x``, keyed by target generator."""
-        frame = self.frame
+        """All boundary entries leaving ``x``, keyed by target generator.
+
+        Each point of ``x`` sits on its own vertical oval, so ``x`` is sorted
+        by x-coordinate, a point of ``x`` is southwest of another exactly
+        when it comes earlier and lies lower, and every move keeps each new
+        point in the column of the point it replaces: targets need no sort.
+
+        Signs.  A flip of ``x[i]`` across its vertical oval has sign parity
+        ``I(x, x)`` plus the number of earlier points on a right wall; a flip
+        across its horizontal oval adds instead every right-wall point and
+        the top-wall points of lower rows.  A rectangle from ``x[i]`` to
+        ``x[j]`` (lower-left ``(a, b)``, upper-right ``(c, d)``) has parity
+        ``I(x, x[y <= d])``, plus ``I(x, x[b < y <= d]) + 1`` when an odd
+        number of points of ``x`` lie between the two columns below ``b``.
+        ``I`` counts southwest pairs.  Only parities matter, so one pass per
+        row records them as bitmasks over the horizontal ovals, and each sign
+        is then a few bit counts.
+        """
+        k = len(x)
+        ys = [p[1] for p in x]
         signed = self.signed
-        xs = set(x)
+        if signed:
+            # bit r stands for the point of x on horizontal oval r; `odd`
+            # marks the points with an odd number of points southwest of
+            # them, `tops` the points on a top wall
+            seen = odd = tops = right_walls = 0
+            for y, p in zip(ys, x):
+                bit = 1 << (y // SCALE)
+                if (seen & (bit - 1)).bit_count() % 2:
+                    odd |= bit
+                seen |= bit
+                if y % SCALE == 6:
+                    tops |= bit
+                if p[0] % SCALE == 7:
+                    right_walls += 1
+            total = odd.bit_count()  # has the parity of I(x, x)
+            rights = 0  # right-wall points before x[i]
+        cached_corners = self._corners
         out: dict[Gen, int] = {}
-        for idx, p in enumerate(x):
-            for q, kind, key in _bigon_targets(frame, p):
-                y = list(x)
-                y[idx] = q
-                target = tuple(sorted(y))
-                out[target] = _bigon_sign(x, kind, key) if signed else 1
-        for i in range(len(x)):
-            for j in range(i + 1, len(x)):
-                p, q = x[i], x[j]  # sorted: p left of q
-                if (p[0] - q[0]) * (p[1] - q[1]) <= 0:
-                    continue  # only rising pairs bound a rectangle from x
-                x1, x2 = p[0], q[0]
-                y1, y2 = p[1], q[1]
-                if any(
-                    x1 < u < x2 and y1 < v < y2 for u, v in frame.punctures
-                ):
+        for i, p in enumerate(x):
+            flips = self._flips.get(p)
+            if flips is None:
+                flips = self._new_flips(p)
+            for q, vertical in flips:
+                sign = 1
+                if signed:
+                    if vertical:
+                        e = total + rights
+                    else:
+                        lower_tops = tops & ((1 << (ys[i] // SCALE)) - 1)
+                        e = total + right_walls + lower_tops.bit_count()
+                    if e % 2:
+                        sign = -1
+                out[x[:i] + (q,) + x[i + 1 :]] = sign
+            if signed and p[0] % SCALE == 7:
+                rights += 1
+        for i in range(k - 1):
+            b = ys[i]
+            lowest_above = None  # lowest point passed so far above x[i]
+            below = 0  # points passed so far below x[i]
+            for j in range(i + 1, k):
+                d = ys[j]
+                if d < b:
+                    below += 1
                     continue
-                if any(
-                    x1 < u < x2 and y1 < v < y2 for u, v in xs if (u, v) not in (p, q)
-                ):
+                if lowest_above is not None and d > lowest_above:
+                    continue  # the rectangle contains that point of x
+                lowest_above = d
+                corners = cached_corners.get((x[i], x[j]), False)
+                if corners is False:
+                    corners = self._new_corners(x[i], x[j])
+                if corners is None:
                     continue
-                nw, se = (x1, y2), (x2, y1)
-                if nw not in self.point_set or se not in self.point_set:
-                    raise AssertionError("rectangle corner missing from config")
-                y = list(x)
-                y[i], y[j] = nw, se
-                target = tuple(sorted(y))
-                out[target] = _rect_sign(x, target) if signed else 1
+                sign = 1
+                if signed:
+                    upto_d = odd & ((2 << (d // SCALE)) - 1)
+                    e = upto_d.bit_count()
+                    if below % 2:
+                        e += (upto_d >> (b // SCALE + 1)).bit_count() + 1
+                    if e % 2:
+                        sign = -1
+                nw, se = corners
+                out[x[:i] + (nw,) + x[i + 1 : j] + (se,) + x[j + 1 :]] = sign
         return out
 
 

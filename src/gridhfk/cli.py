@@ -138,6 +138,20 @@ def _table_euler(table: HFKTable) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
+def symmetry_violation(table: HFKTable) -> tuple[int, int] | None:
+    """A grading (a, m) where the table breaks H(a, m) = H(-a, m - 2a).
+
+    Knot Floer homology has this symmetry for every knot, in rank and in
+    torsion, so any mismatch marks a wrong table.  Returns None when every
+    group matches its partner.
+    """
+    zero = (0, ())
+    for a, m in table.groups:
+        if table.groups[a, m] != table.groups.get((-a, m - 2 * a), zero):
+            return a, m
+    return None
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Parse, simplify, compute, verify; raises on any failed check."""
     cfg.validate()
@@ -191,6 +205,16 @@ def run(cfg: RunConfig) -> RunResult:
             f"polynomial: {euler!r} vs {delta!r}"
         )
     checks.append("Euler characteristic against determinant: ok")
+
+    broken = symmetry_violation(table)
+    if broken is not None:
+        a, m = broken
+        raise CrosscheckFailed(
+            f"table breaks the symmetry H(a, m) = H(-a, m - 2a): "
+            f"H({a}, {m}) = {table.groups[a, m]} but "
+            f"H({-a}, {m - 2 * a}) = {table.groups.get((-a, m - 2 * a), (0, ()))}"
+        )
+    checks.append("symmetry H(a, m) = H(-a, m - 2a): ok")
 
     if crosscheck:
         reference = hfk_cells(g, ring).table

@@ -3,30 +3,37 @@
 Two independent ways to probe a differential entry without building the
 whole complex:
 
-* `find_domain` solves — exactly, over the rationals — for the 2-chain in
-  the oval arrangement whose corner behaviour matches a hypothetical
-  contribution from one generator to another.  The solution is unique when
-  it exists; a missing, negative, or fractional solution certifies that
-  the differential entry is zero.  This is a one-sided test: a domain may
-  exist while the signed count of contributions still cancels.
+* `find_domain` solves — exactly, in integers over one common
+  denominator — for the 2-chain in the oval arrangement whose corner
+  behaviour matches a hypothetical contribution from one generator to
+  another.  The solution is unique when it exists; a missing, negative,
+  or fractional solution certifies that the differential entry is zero.
+  This is a one-sided test: a domain may exist while the signed count of
+  contributions still cancels.
 
 * `PathEngine` computes rows of the reduced (short-configuration)
   differential by expanding the pair-cancellation recursion lazily: each
   cancelled generator's reduced row is pulled on demand — following the
-  retraction schedule's ordering — and cached, so only generators actually
-  reachable from the queried row are ever visited.
+  retraction schedule's ordering — and cached for the current Alexander
+  slice, so only generators actually reachable from the queried row are
+  ever visited.
 
-Everything is exact integer/rational arithmetic.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 
 from .chains import Gen, LongMoves, SparseComplex, oval_generators
-from .errors import ScheduleAssertionFailed
-from .gridkit import GridDiagram, Point
+from .errors import (
+    CancelledTargetReached,
+    DomainSystemSingular,
+    MissingDomain,
+    ScheduleAssertionFailed,
+)
+from .gridkit import SCALE, GridDiagram, Point
 from .ovalgeo import Arrangement, retraction_schedule, select_best_config
 
 Domain = dict[int, int]
@@ -37,11 +44,11 @@ class DomainSolver:
 
     Unknowns are the multiplicities of the pieces, with punctured pieces
     and the unbounded piece pinned to zero.  Row reduction of the corner
-    constraint matrix is done a single time with the applied row operations
-    recorded; each query then costs one sparse matrix-vector product.  The
-    pinned system has a trivial kernel (each oval's interior is excluded by
-    its two punctures, and the constant chain by the unbounded piece), so
-    solutions are unique — asserted at construction.
+    constraint matrix is done a single time, over the integers, with the
+    applied row operations recorded; each query then sums a few integer
+    columns.  The pinned system has a trivial kernel (each oval's interior
+    is excluded by its two punctures, and the constant chain by the
+    unbounded piece), so solutions are unique — checked at construction.
     """
 
     def __init__(self, arr: Arrangement):
@@ -55,18 +62,16 @@ class DomainSolver:
         nrows = len(crossings)
         ncols = len(self.free)
 
-        matrix = [[Fraction(0)] * ncols for _ in range(nrows)]
+        matrix = [[0] * ncols for _ in range(nrows)]
         for i, p in enumerate(crossings):
             ne, nw, sw, se = arr.corner_pieces(p)
             for piece, s in ((ne, 1), (sw, 1), (nw, -1), (se, -1)):
                 j = col_of.get(piece)
                 if j is not None:
                     matrix[i][j] += s
-        # reduce [matrix | identity]; the identity columns record the row
-        # operations, giving the transform applied to any right-hand side
-        ops = [
-            [Fraction(int(i == r)) for r in range(nrows)] for i in range(nrows)
-        ]
+        # fraction-free reduction of [matrix | identity]; the identity
+        # columns record the row operations applied to any right-hand side
+        ops = [[int(i == r) for r in range(nrows)] for i in range(nrows)]
         pivots: list[int] = []
         r = 0
         for c in range(ncols):
@@ -75,25 +80,37 @@ class DomainSolver:
                 continue
             matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
             ops[r], ops[pivot] = ops[pivot], ops[r]
-            inv = 1 / matrix[r][c]
-            matrix[r] = [v * inv for v in matrix[r]]
-            ops[r] = [v * inv for v in ops[r]]
+            top = matrix[r][c]
             for i in range(nrows):
-                if i != r and matrix[i][c]:
-                    f = matrix[i][c]
-                    matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-                    ops[i] = [a - f * b for a, b in zip(ops[i], ops[r])]
+                f = matrix[i][c]
+                if i == r or not f:
+                    continue
+                row = [top * a - f * b for a, b in zip(matrix[i], matrix[r])]
+                op = [top * a - f * b for a, b in zip(ops[i], ops[r])]
+                common = gcd(*row, *op)
+                matrix[i] = [a // common for a in row]
+                ops[i] = [a // common for a in op]
             pivots.append(c)
             r += 1
         if len(pivots) != ncols:
-            raise AssertionError(
+            raise DomainSystemSingular(
                 "domain system has a kernel: corner constraints do not pin "
                 "the multiplicities"
             )
+        # row i < rank now reads matrix[i][pivots[i]] * u = ops[i] . rhs;
+        # scale those rows to one positive common denominator
+        diag = [matrix[i][c] for i, c in enumerate(pivots)]
+        denominator = lcm(*diag)
+        for i, m in enumerate(diag):
+            ops[i] = [(denominator // m) * a for a in ops[i]]
         self.rank = ncols
         self.pivots = pivots
-        self.ops = ops
         self.nrows = nrows
+        #: the common denominator of the row-reduction transform
+        self.denominator = denominator
+        #: the integer transform, column by column: the transformed
+        #: right-hand side of a unit corner index at crossing j is ops[j]
+        self.ops = [list(col) for col in zip(*ops)]
 
     def solve(self, targets: dict[Point, int]) -> Domain | None:
         """The unique domain with the given corner indices, if one exists.
@@ -102,20 +119,22 @@ class DomainSolver:
         (omitted crossings require zero).  Returns None when the system is
         inconsistent or the solution fails nonnegativity or integrality.
         """
-        cols = [(self.row_of[p], s) for p, s in targets.items() if s]
-        transformed = [
-            sum(s * row[j] for j, s in cols) for row in self.ops
-        ]
-        for i in range(self.rank, self.nrows):
-            if transformed[i]:
-                return None
+        transformed = [0] * self.nrows
+        for p, s in targets.items():
+            if s:
+                column = self.ops[self.row_of[p]]
+                transformed = [a + s * b for a, b in zip(transformed, column)]
+        rank = self.rank
+        if any(transformed[rank:]):
+            return None
+        denominator = self.denominator
         domain: Domain = {}
-        for i in range(self.rank):
+        for i in range(rank):
             val = transformed[i]
-            if val < 0 or val.denominator != 1:
+            if val < 0 or val % denominator:
                 return None
             if val:
-                domain[self.free[self.pivots[i]]] = int(val)
+                domain[self.free[self.pivots[i]]] = val // denominator
         return domain
 
 
@@ -154,12 +173,7 @@ class PathEngine:
     invertible block yields the same complement in any order.
     """
 
-    def __init__(
-        self,
-        g: GridDiagram,
-        omit: tuple[int, int] | None = None,
-        prefilter: bool = True,
-    ):
+    def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
         if omit is None:
             omit = select_best_config(g).omit
         self.grid = g
@@ -168,14 +182,24 @@ class PathEngine:
         self.short_cfg = short_cfg
         self.moves = LongMoves(long_cfg)
         self.event_count = len(events)
-        #: dying point -> (event index, replacement point)
-        self._flip: dict[Point, tuple[int, Point]] = {}
+        #: point -> the event killing it; survivors get the event count,
+        #: which comes after every event
+        self._event_of: dict[Point, int] = dict.fromkeys(
+            long_cfg.all_points(), self.event_count
+        )
+        #: event -> (position of its vertical oval in a generator, its
+        #: Maslov-raising point)
+        slot_of = {c: i for i, c in enumerate(long_cfg.kept_cols())}
+        self._raising: list[tuple[int, Point]] = []
         for t, ev in enumerate(events):
-            self._flip[ev.p1] = (t, ev.p2)
-            self._flip[ev.p2] = (t, ev.p1)
-        self._sources: dict[Point, bool] = {ev.p1: True for ev in events}
-        self.prefilter = prefilter
-        self._arr = Arrangement(short_cfg) if prefilter else None
+            column = ev.p1[0] // SCALE
+            if ev.p2[0] // SCALE != column:
+                raise ScheduleAssertionFailed(
+                    f"event {t} pairs points of two vertical ovals"
+                )
+            self._event_of[ev.p1] = self._event_of[ev.p2] = t
+            self._raising.append((slot_of[column], ev.p1))
+        self._arr = Arrangement(short_cfg)
         #: reduced row of each cancelled source at its elimination step
         self._rows: dict[Gen, dict[Gen, int]] = {}
 
@@ -186,19 +210,16 @@ class PathEngine:
 
         A generator dies at the first event killing one of its points; the
         pair's source is the generator holding the Maslov-raising point.
+        Both points of an event lie on one vertical oval, which fixes the
+        position of the dying point in ``v`` and keeps the source sorted.
         """
-        best = None
-        for p in v:
-            hit = self._flip.get(p)
-            if hit is not None and (best is None or hit[0] < best[1][0]):
-                best = (p, hit)
-        if best is None:
+        t = min(map(self._event_of.__getitem__, v))
+        if t == self.event_count:
             return None
-        p, (t, q) = best
-        if self._sources.get(p, False):
+        slot, source_point = self._raising[t]
+        if v[slot] == source_point:
             return (t, v)
-        source = tuple(sorted(q if point == p else point for point in v))
-        return (t, source)
+        return (t, v[:slot] + (source_point,) + v[slot + 1 :])
 
     # -- the cancellation recursion
 
@@ -211,10 +232,11 @@ class PathEngine:
         die no earlier than the pair that created them, so a single heap
         pass suffices.
         """
-        work = dict(self.moves.row(u))
+        death = self._death
+        work = self.moves.row(u)
         heap: list[tuple] = []
         for v in work:
-            key = self._death(v)
+            key = death(v)
             if key is not None and key < limit:
                 heappush(heap, (key, v))
         while heap:
@@ -238,13 +260,13 @@ class PathEngine:
                 new = old + factor * cw
                 if new:
                     if not old:
-                        key = self._death(w)
+                        key = death(w)
                         if key is not None and key < limit:
                             heappush(heap, (key, w))
                     work[w] = new
                 else:
                     work.pop(w, None)
-        return {w: c for w, c in work.items() if c}
+        return work
 
     def _source_row(self, source: Gen, key) -> dict[Gen, int]:
         row = self._rows.get(source)
@@ -256,32 +278,46 @@ class PathEngine:
     # -- public API
 
     def short_row(self, x: Gen) -> dict[Gen, int]:
-        """The row of the short differential at a short-config generator."""
+        """The row of the short differential at a short-config generator.
+
+        Every nonzero entry must join ``x`` to a surviving generator through
+        a domain of the short arrangement; either failure raises.
+        """
         row = self._reduced_row(x, (self.event_count,))
         for y in row:
             if self._death(y) is not None:
-                raise AssertionError("short row reaches a cancelled generator")
-        if self.prefilter:
-            for y, c in row.items():
-                if find_domain(self._arr, x, y) is None:
-                    raise AssertionError(
-                        f"nonzero entry {c} from {x} to {y} has no domain"
-                    )
+                raise CancelledTargetReached(
+                    f"short row of {x} reaches the cancelled generator {y}"
+                )
+        for y, c in row.items():
+            if find_domain(self._arr, x, y) is None:
+                raise MissingDomain(
+                    f"nonzero entry {c} from {x} to {y} has no domain"
+                )
         return row
 
     def short_entry(self, x: Gen, y: Gen) -> int:
         """One entry, gated by the domain prefilter."""
-        if self.prefilter and find_domain(self._arr, x, y) is None:
+        if find_domain(self._arr, x, y) is None:
             return 0
         return self._reduced_row(x, (self.event_count,)).get(y, 0)
 
     def short_complex(self, ring: str = "Z", keep_a2=None) -> SparseComplex:
-        """The short complex with its differential counted along paths."""
+        """The short complex with its differential counted along paths.
+
+        The differential and every retraction event preserve a2, so rows are
+        pulled one Alexander slice at a time and the row cache is emptied
+        between slices: peak memory follows the largest slice.
+        """
         cx = SparseComplex(ring)
-        gens = oval_generators(self.short_cfg, keep_a2)
-        for x, a2 in gens:
+        slices: dict[int, list[Gen]] = {}
+        for x, a2 in oval_generators(self.short_cfg, keep_a2):
             cx.add_generator(x, a2, self.moves.gradings(x)[1])
-        for x, _ in gens:
-            for y, coeff in self.short_row(x).items():
-                cx.add_entry(x, y, coeff)
+            slices.setdefault(a2, []).append(x)
+        for gens in slices.values():
+            self._rows.clear()
+            for x in gens:
+                for y, coeff in self.short_row(x).items():
+                    cx.add_entry(x, y, coeff)
+        self._rows.clear()
         return cx

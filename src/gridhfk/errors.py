@@ -75,3 +75,19 @@ class InconsistentTensor(GridHfkError):
 
 class UnderdeterminedSkip(GridHfkError):
     """Skipped homology slices cannot be reconstructed from the Euler data."""
+
+
+class RectangleCornerMissing(GridHfkError):
+    """An empty rectangle's new corners are not crossings of the configuration."""
+
+
+class DomainSystemSingular(GridHfkError):
+    """The corner constraints leave some domain multiplicity undetermined."""
+
+
+class CancelledTargetReached(GridHfkError):
+    """A short-differential row has an entry on a cancelled generator."""
+
+
+class MissingDomain(GridHfkError):
+    """A nonzero short-differential entry joins two generators no domain joins."""

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gridhfk import cli
 from gridhfk.cli import (
     RunConfig,
     emit_report,
@@ -12,8 +13,10 @@ from gridhfk.cli import (
     parse_braid_word,
     parse_machine,
     run,
+    symmetry_violation,
 )
 from gridhfk.gridkit import format_grid_text, parse_braid
+from gridhfk.reducer import PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
 from conftest import BRAIDS
@@ -99,6 +102,36 @@ class TestDerivedInvariantModes:
         result = run(RunConfig(braid=(1, 1, 1), mode="torsion"))
         assert result.torsion_free is True
         assert "torsion-free: yes" in emit_report(result)
+
+
+class TestSymmetryCheck:
+    # trefoil, and the same groups with the top one moved up two Maslov
+    # degrees: the Euler characteristic is unchanged, the symmetry is not
+    SYMMETRIC = {(2, 0): (1, ()), (0, -1): (1, ()), (-2, -2): (1, ())}
+    SHIFTED = {(2, 2): (1, ()), (0, -1): (1, ()), (-2, -2): (1, ())}
+
+    def test_helper(self):
+        assert symmetry_violation(make_table(self.SYMMETRIC, "Z")) is None
+        assert symmetry_violation(make_table(self.SHIFTED, "Z")) in ((1, 2), (-1, -2))
+
+    def test_helper_compares_torsion(self):
+        table = make_table({(0, 0): (1, ()), (2, 1): (1, (2,)), (-2, -1): (1, ())}, "Z")
+        assert symmetry_violation(table) in ((1, 1), (-1, -1))
+
+    def test_reported_on_success(self):
+        for mode in ("hfk", "torsion"):
+            result = run(RunConfig(braid=(1, 1, 1), mode=mode))
+            assert any("symmetry" in c for c in result.checks)
+
+    @pytest.mark.parametrize("mode", ["hfk", "torsion"])
+    def test_asymmetric_table_fails_the_run(self, mode, monkeypatch, capsys):
+        def wrong(g, ring, skip="none"):
+            return PipelineReport(make_table(self.SHIFTED, ring), None, "ovals-paths", g.n)
+
+        monkeypatch.setattr(cli, "hfk_paths", wrong)
+        argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "off"]
+        assert main(argv + ["--mode", mode]) == 1
+        assert "symmetry" in capsys.readouterr().err
 
 
 class TestMachineFormat:

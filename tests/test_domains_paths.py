@@ -1,11 +1,15 @@
 """Domain solver and path-counted short differentials."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import BRAIDS, random_grid
 
+from gridhfk import domains_paths
 from gridhfk.chains import long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
+from gridhfk.errors import MissingDomain
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -28,6 +32,52 @@ UNKNOT2 = GridDiagram((1, 0), (0, 1))
 # most small grids retract to a complex with no differential at all, which
 # would leave the path machinery untested.
 NONZERO_SHORT = GridDiagram((4, 1, 2, 3, 0), (2, 4, 3, 0, 1))
+
+
+def rational_solver(arr):
+    """Exact rational row reduction of the corner system, solved per query."""
+    crossings = sorted(arr.config.all_points())
+    pinned = set(arr.puncture_pieces().values()) | {arr.unbounded_piece()}
+    free = [k for k in range(arr.piece_count) if k not in pinned]
+    col_of = {k: j for j, k in enumerate(free)}
+    rows = []
+    for p in crossings:
+        row = [Fraction(0)] * len(free)
+        for piece, s in zip(arr.corner_pieces(p), (1, -1, 1, -1)):
+            if piece in col_of:
+                row[col_of[piece]] += s
+        rows.append(row)
+
+    def solve(targets):
+        aug = [
+            row + [Fraction(targets.get(p, 0))] for row, p in zip(rows, crossings)
+        ]
+        r = 0
+        pivots = []
+        for c in range(len(free)):
+            pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+            if pivot is None:
+                continue
+            aug[r], aug[pivot] = aug[pivot], aug[r]
+            aug[r] = [v / aug[r][c] for v in aug[r]]
+            for i in range(len(aug)):
+                if i != r and aug[i][c]:
+                    f = aug[i][c]
+                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            pivots.append(c)
+            r += 1
+        if any(aug[i][-1] for i in range(r, len(aug))):
+            return None
+        domain = {}
+        for i, c in enumerate(pivots):
+            val = aug[i][-1]
+            if val < 0 or val.denominator != 1:
+                return None
+            if val:
+                domain[free[c]] = int(val)
+        return domain
+
+    return solve
 
 
 def faithful_short(g, omit):
@@ -103,6 +153,29 @@ class TestFindDomain:
                         checked += 1
             assert checked
 
+    def test_integer_solver_matches_rational_reduction(self, rng):
+        found = 0
+        for n, style in ((3, "long"), (4, "short"), (4, "long"), (5, "short")):
+            g = random_grid(n, rng)
+            config = build_config(g, select_best_config(g).omit, style)
+            arr = Arrangement(config)
+            solver = DomainSolver(arr)
+            reference = rational_solver(arr)
+            gens = [x for x, _ in oval_generators(config)]
+            for _ in range(60):
+                x, y = rng.choice(gens), rng.choice(gens)
+                targets = dict.fromkeys(set(x) - set(y), 1)
+                targets.update(dict.fromkeys(set(y) - set(x), -1))
+                domain = solver.solve(targets)
+                assert domain == reference(targets), (g, style, x, y)
+                found += domain is not None
+            # single unit corner indices: mostly inconsistent or negative.
+            # (The transform has come out integral, denominator 1, on every
+            # configuration tried, so fractional solutions are not exercised.)
+            for p in rng.sample(config.all_points(), 10):
+                assert solver.solve({p: 1}) == reference({p: 1})
+        assert found
+
     def test_solver_uniqueness_assertion_holds(self, rng):
         for n in (2, 3, 4):
             g = random_grid(n, rng)
@@ -136,7 +209,12 @@ class TestPathEngine:
     def test_matches_faithful_on_trefoil(self):
         cx, eng = self.assert_matches_faithful(parse_braid(BRAIDS["trefoil"]))
         assert cx.entry_count == 0
-        # laziness: only a fraction of the cancelled generators was explored
+        # short_complex empties its row cache; pulling the rows one by one
+        # keeps it, and shows only a fraction of the cancelled generators
+        # was explored
+        assert not eng._rows
+        for x in cx.rows:
+            eng.short_row(x)
         assert 0 < len(eng._rows) < 1000
 
     def test_matches_faithful_on_nonzero_short(self):
@@ -193,9 +271,24 @@ class TestPathEngine:
         assert discarded
 
     def test_prefilter_runs_inside_short_row(self):
-        eng = PathEngine(NONZERO_SHORT, prefilter=True)
+        eng = PathEngine(NONZERO_SHORT)
         for x, _ in oval_generators(eng.short_cfg):
             eng.short_row(x)  # raises if a nonzero entry lacks a domain
+
+    def test_entry_without_domain_is_a_typed_failure(self, monkeypatch):
+        eng = PathEngine(NONZERO_SHORT)
+        x = next(x for x in eng.short_complex().rows if eng.short_row(x))
+        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
+        with pytest.raises(MissingDomain):
+            eng.short_row(x)
+
+    def test_slices_are_assembled_apart(self):
+        # clearing the row cache between Alexander slices changes no entry
+        eng = PathEngine(NONZERO_SHORT)
+        pcx = eng.short_complex()
+        assert not eng._rows
+        for x in pcx.rows:
+            assert eng.short_row(x) == pcx.rows[x]
 
     def test_homology_agrees_with_cell_pipeline(self):
         for g in (UNKNOT2, NONZERO_SHORT, parse_braid(BRAIDS["trefoil"])):
