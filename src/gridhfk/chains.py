@@ -4,7 +4,11 @@ Two complexes are built from the same diagram:
 
 * the **cell complex** (`mos_complex`): generators are the ``n!`` ways to
   place one point on each vertical and horizontal grid line, and the
-  boundary counts empty rectangles on the torus;
+  boundary counts empty rectangles on the torus.  It is built from arrays
+  over all permutations at once (gradings as dominance counts, emptiness
+  from one marking table per grid and comparisons on the columns inside
+  each rectangle), with signs read from a per-size table of spin lifts
+  (`_spin_lifts`) built once per process;
 * the **oval complex** (`long_complex`): generators place one point on each
   intersection of a vertical with a horizontal oval, and the boundary counts
   empty bigons (cap flips) and empty planar rectangles.
@@ -23,11 +27,19 @@ reduction machinery needs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
 
-from .errors import BoundarySquareNonzero, NonUnitPivot, RectangleCornerMissing
+from .errors import (
+    BoundarySquareNonzero,
+    DuplicateGenerator,
+    GradingViolation,
+    NonUnitPivot,
+    RectangleCornerMissing,
+    SignAssignmentFailed,
+)
 from .gridkit import (
     CENTER,
     SCALE,
@@ -121,7 +133,7 @@ class SparseComplex:
 
     def add_generator(self, gen: Gen, a2: int, m: int) -> None:
         if gen in self.grading:
-            raise AssertionError(f"duplicate generator {gen}")
+            raise DuplicateGenerator(f"duplicate generator {gen}")
         self.grading[gen] = (a2, m)
         self.rows[gen] = {}
         self.cols[gen] = {}
@@ -169,7 +181,7 @@ class SparseComplex:
         for x, row in self.rows.items():
             for y, c in row.items():
                 if c not in (1, -1):
-                    raise AssertionError(f"non-unit entry {c} at {x} -> {y}")
+                    raise SignAssignmentFailed(f"non-unit entry {c} at {x} -> {y}")
 
     def grading_violation(self):
         """Return an edge that fails (a2 preserved, maslov drops by 1)."""
@@ -180,6 +192,15 @@ class SparseComplex:
                 if b2 != a2 or k != m - 1:
                     return (x, y)
         return None
+
+    def check_grading(self) -> None:
+        bad = self.grading_violation()
+        if bad is not None:
+            x, y = bad
+            raise GradingViolation(
+                f"edge {x} -> {y} goes from grading {self.grading[x]} "
+                f"to {self.grading[y]}"
+            )
 
     def d_squared_violation(self):
         """Return ``(x, z, coeff)`` witnessing a nonzero entry of the square."""
@@ -241,165 +262,271 @@ class SparseComplex:
 # signs
 
 
-class _SpinSection:
-    """Signs for torus rectangles via a double cover of the permutations.
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of ``range(n)`` in lexicographic order, with codes.
 
-    Each permutation is lifted to an element of the Clifford algebra on
-    ``n`` anticommuting generators (``g_i * g_i = -1``), by peeling off the
-    first descent: ``lift(p) = lift(p with first descent resolved) *
-    (g_k - g_{k+1})``.  Swapping positions ``i < j`` of a permutation
-    multiplies its lift by ``(g_i - g_j)`` up to a scalar ``+-2^k``; the
-    sign of that scalar is the edge sign.  Multiplying the two edge signs
-    around any square of transpositions gives ``-1``, which is exactly the
-    anticommutation the boundary needs to square to zero.
-
-    Elements are dicts mapping basis monomials (bitmasks of generator
-    indices, factors in increasing order) to integer coefficients.
+    A permutation's code reads its entries as base-``n`` digits, so codes
+    increase with the lexicographic rank and ``np.searchsorted(codes, c)``
+    turns a code back into a rank.  Both arrays are read-only.
     """
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    codes = perms @ _digit_weights(n)
+    perms.flags.writeable = codes.flags.writeable = False
+    return perms, codes
 
-    def __init__(self, n: int):
-        self.n = n
-        self._memo: dict[tuple[int, ...], dict[int, int]] = {
-            tuple(range(n)): {0: 1}
-        }
 
-    @staticmethod
-    def _times_gamma(elem: dict[int, int], t: int, out: dict[int, int], flip: int) -> None:
-        """Accumulate ``elem * g_t`` (times ``flip``) into ``out``."""
+def _digit_weights(n: int) -> np.ndarray:
+    return n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _swap_ranks(n: int, ranks: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Ranks of the permutations ``ranks`` with positions ``i`` and ``j`` swapped."""
+    perms, codes = _permutations(n)
+    w = _digit_weights(n)
+    a, b = perms[ranks, i], perms[ranks, j]
+    return np.searchsorted(codes, codes[ranks] + (b - a) * (w[i] - w[j]))
+
+
+def _inversions(perms: np.ndarray) -> np.ndarray:
+    n = perms.shape[1]
+    inv = np.zeros(len(perms), dtype=np.int64)
+    for k in range(n):
+        for l in range(k + 1, n):
+            inv += perms[:, k] > perms[:, l]
+    return inv
+
+
+def _lift_dtypes(n: int) -> tuple[type, type]:
+    """Storage and working integer types of the spin lifts.
+
+    The largest lift coefficient through ``n = 8`` is 4096, so ``int16``
+    stores every lift and ``int32`` holds every product the sign checks
+    form (at most ``2 * 4096 * 4096``).
+    """
+    return (np.int16, np.int32) if n <= 8 else (np.int64, np.int64)
+
+
+@lru_cache(maxsize=None)
+def _gamma_action(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Right multiplication by each Clifford generator ``g_t``, on coefficient arrays.
+
+    An element is an array over the ``2^n`` basis monomials (bitmasks of
+    generator indices, factors in increasing order).  For each ``t`` this
+    returns ``(src, sign)`` with ``(elem * g_t)[..., m] ==
+    sign[m] * elem[..., src[m]]``: moving ``g_t`` left past the factors
+    above ``t`` gives one minus sign each, and ``g_t * g_t = -1``.
+    """
+    work = _lift_dtypes(n)[1]
+    out = []
+    for t in range(n):
         bit = 1 << t
         above = ~((bit << 1) - 1)
-        for mask, coeff in elem.items():
-            passes = (mask & above).bit_count()
-            if mask & bit:
-                sign = -flip if passes % 2 == 0 else flip
-                key = mask & ~bit
-            else:
-                sign = flip if passes % 2 == 0 else -flip
-                key = mask | bit
-            val = out.get(key, 0) + sign * coeff
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-
-    def _times_diff(self, elem: dict[int, int], i: int, j: int) -> dict[int, int]:
-        """Return ``elem * (g_i - g_j)``."""
-        out: dict[int, int] = {}
-        self._times_gamma(elem, i, out, 1)
-        self._times_gamma(elem, j, out, -1)
-        return out
-
-    def lift(self, perm: tuple[int, ...]) -> dict[int, int]:
-        memo = self._memo
-        stack = []
-        cur = perm
-        while cur not in memo:
-            stack.append(cur)
-            k = next(k for k in range(self.n - 1) if cur[k] > cur[k + 1])
-            nxt = list(cur)
-            nxt[k], nxt[k + 1] = nxt[k + 1], nxt[k]
-            cur = tuple(nxt)
-        for p in reversed(stack):
-            k = next(k for k in range(self.n - 1) if p[k] > p[k + 1])
-            memo[p] = self._times_diff(memo[p[:k] + (p[k + 1], p[k]) + p[k + 2:]], k, k + 1)
-        return memo[perm]
-
-    def edge_sign(self, perm: tuple[int, ...], i: int, j: int) -> int:
-        """Sign of the move swapping the entries at positions ``i < j``."""
-        prod = self._times_diff(self.lift(perm), i, j)
-        swapped = list(perm)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        target = self.lift(tuple(swapped))
-        if set(prod) != set(target):
-            raise AssertionError("lift supports disagree along an edge")
-        key = next(iter(target))
-        a, b = prod[key], target[key]
-        # the ratio of the two lifts is +-(a power of two), exactly
-        hi, lo = (abs(a), abs(b)) if abs(a) >= abs(b) else (abs(b), abs(a))
-        ratio = hi // lo
-        if hi % lo or ratio & (ratio - 1):
-            raise AssertionError("edge ratio is not a signed power of two")
-        for m, c in prod.items():
-            if c * b != target[m] * a:
-                raise AssertionError("edge ratio differs between monomials")
-        return 1 if (a > 0) == (b > 0) else -1
+        src = np.arange(1 << n) ^ bit
+        sign = np.array(
+            [
+                (-1) ** ((m & above).bit_count() + (1 if m & bit else 0))
+                for m in src.tolist()
+            ],
+            dtype=work,
+        )
+        src.flags.writeable = sign.flags.writeable = False
+        out.append((src, sign))
+    return tuple(out)
 
 
-_SPIN_CACHE: dict[int, _SpinSection] = {}
+def _times_diff(elem: np.ndarray, action, i: int, j: int) -> np.ndarray:
+    """``elem * (g_i - g_j)`` for a stack of elements (one per row)."""
+    (si, gi), (sj, gj) = action[i], action[j]
+    return np.take(elem, si, axis=1) * gi - np.take(elem, sj, axis=1) * gj
 
 
-def _spin_section(n: int) -> _SpinSection:
-    sec = _SPIN_CACHE.get(n)
-    if sec is None:
-        sec = _SPIN_CACHE[n] = _SpinSection(n)
-    return sec
+@lru_cache(maxsize=None)
+def _spin_lifts(n: int) -> np.ndarray:
+    """Lifts of all permutations to the Clifford algebra, one row per rank.
+
+    The permutations are lifted to a double cover by peeling off the first
+    descent: ``lift(p) = lift(p with first descent resolved) * (g_k -
+    g_{k+1})`` on ``n`` anticommuting generators with ``g_i * g_i = -1``,
+    starting from ``lift(identity) = 1``.  Swapping positions ``i < j`` of
+    a permutation multiplies its lift by ``(g_i - g_j)`` up to a scalar
+    ``+-2^k``; the sign of that scalar is the edge sign (`_edge_signs`).
+    Multiplying the two edge signs around any square of transpositions gives
+    ``-1``, which is exactly the anticommutation the boundary needs to
+    square to zero.
+
+    The table is filled one inversion count at a time, every parent having
+    one inversion fewer.  Row ``r`` holds the coefficients of the lift of
+    the permutation of lexicographic rank ``r`` over the ``2^n`` monomials.
+    """
+    perms, _codes = _permutations(n)
+    action = _gamma_action(n)
+    store, work = _lift_dtypes(n)
+    limit = np.iinfo(store).max
+    table = np.zeros((len(perms), 1 << n), dtype=store)
+    table[0, 0] = 1  # rank 0 is the identity
+    inv = _inversions(perms)
+    descent = (perms[:, :-1] > perms[:, 1:]).argmax(axis=1)
+    for level in range(1, int(inv.max(initial=0)) + 1):
+        ranks = np.flatnonzero(inv == level)
+        for k in range(n - 1):
+            sub = ranks[descent[ranks] == k]
+            if not sub.size:
+                continue
+            parents = table[_swap_ranks(n, sub, k, k + 1)].astype(work)
+            lifted = _times_diff(parents, action, k, k + 1)
+            if np.abs(lifted).max() > limit:
+                raise OverflowError(f"spin lift coefficient exceeds {store.__name__}")
+            table[sub] = lifted
+    table.flags.writeable = False
+    return table
+
+
+#: Edges whose signs are evaluated in one batch (bounds the scratch arrays).
+_SIGN_BATCH = 2048
+
+
+def _edge_signs(n: int, src: np.ndarray, dst: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Signs of the moves swapping positions ``i < j``, from rank ``src`` to ``dst``.
+
+    Compares ``lift(src) * (g_i - g_j)`` with ``lift(dst)``: the two must
+    have the same support and differ by one signed power of two, the same
+    on every monomial; anything else raises `SignAssignmentFailed`.
+    """
+    lifts = _spin_lifts(n)
+    action = _gamma_action(n)
+    work = _lift_dtypes(n)[1]
+    out = np.empty(len(src), dtype=np.int64)
+    for lo in range(0, len(src), _SIGN_BATCH):
+        hi = lo + _SIGN_BATCH
+        prod = _times_diff(lifts[src[lo:hi]].astype(work), action, i, j)
+        target = lifts[dst[lo:hi]].astype(work)
+        support = target != 0
+        if not (np.array_equal(prod != 0, support) and support.any(axis=1).all()):
+            raise SignAssignmentFailed("lift supports disagree along an edge")
+        key = support.argmax(axis=1)
+        rows = np.arange(len(key))
+        a, b = prod[rows, key], target[rows, key]
+        big = np.maximum(np.abs(a), np.abs(b))
+        small = np.minimum(np.abs(a), np.abs(b))
+        ratio = big // small
+        if (big % small).any() or (ratio & (ratio - 1)).any():
+            raise SignAssignmentFailed("edge ratio is not a signed power of two")
+        if not (prod * b[:, None] == target * a[:, None]).all():
+            raise SignAssignmentFailed("edge ratio differs between monomials")
+        out[lo:hi] = np.where((a > 0) == (b > 0), 1, -1)
+    return out
 
 
 # --------------------------------------------------------------------------
 # cell (rectangle) complex
 
 
-def _cyc_in(start: int, end: int, v: int) -> bool:
-    """Whether ``v`` lies in the cyclic half-open interval ``[start, end)``."""
-    if start < end:
-        return start <= v < end
-    return v >= start or v < end
+def _cyclic_open(lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether ``v`` lies in the cyclic open interval ``(lo, hi)``, row by row."""
+    lo, hi = lo[:, None], hi[:, None]
+    return np.where(lo < hi, (lo < v) & (v < hi), (lo < v) | (v < hi))
+
+
+def _marking_free(g: GridDiagram) -> np.ndarray:
+    """``free[ci, cj, ra, rb]``: no marking in columns ``[ci, cj)``, rows ``[ra, rb)``.
+
+    Both intervals are cyclic and half-open, so ``ci > cj`` is a rectangle
+    that wraps the vertical seam of the torus (and likewise for rows).
+    """
+    n = g.n
+    v = np.arange(n)
+    s, e, x = v[:, None, None], v[None, :, None], v[None, None, :]
+    inside = np.where(s < e, (s <= x) & (x < e), (s <= x) | (x < e))
+    cols = np.concatenate([v, v])
+    rows = np.array(g.xs + g.os)
+    hits = inside[:, :, cols].reshape(n * n, 2 * n).astype(np.int64)
+    hits_r = inside[:, :, rows].reshape(n * n, 2 * n).astype(np.int64)
+    return (hits @ hits_r.T == 0).reshape(n, n, n, n)
+
+
+def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled Alexander and Maslov gradings of every cell generator.
+
+    The dominance counts of `alexander2_dominance` and `maslov`, with
+    generator ``p`` placing its points at ``(SCALE*k, SCALE*p[k])`` and the
+    markings at cell centres: a point is southwest of the marking in column
+    ``c`` and row ``r`` iff ``k <= c`` and ``p[k] <= r``, and the marking
+    is southwest of the point iff ``c < k`` and ``r < p[k]``.
+    """
+    n = g.n
+    k = np.arange(n)[:, None, None]
+    row = np.arange(n)[None, :, None]
+    c = np.arange(n)[None, None, :]
+    cols = np.arange(n)
+
+    def against(marks: tuple[int, ...]) -> np.ndarray:
+        r = np.array(marks)[None, None, :]
+        table = (((k <= c) & (row <= r)) | ((c < k) & (r < row))).sum(axis=2)
+        return table[cols, perms].sum(axis=1)
+
+    x_p, o_p = g.x_punctures(), g.o_punctures()
+    oo = dominance_count(o_p, o_p)
+    xx = dominance_count(x_p, x_p)
+    with_o = against(g.os)
+    rising = n * (n - 1) // 2 - _inversions(perms)
+    a2 = against(g.xs) - with_o - xx + oo - (n - 1)
+    m = rising - with_o + oo + 1
+    return a2, m
 
 
 def mos_generators(g: GridDiagram) -> list[Gen]:
+    """Cell generators in lexicographic order of their permutations."""
     n = g.n
-    return [
-        tuple((SCALE * i, SCALE * perm[i]) for i in range(n))
-        for perm in permutations(range(n))
-    ]
+    points = [[(SCALE * c, SCALE * r) for r in range(n)] for c in range(n)]
+    return [tuple(map(list.__getitem__, points, p)) for p in _permutations(n)[0].tolist()]
 
 
 def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
-    """The rectangle complex of the diagram: ``n!`` generators."""
+    """The rectangle complex of the diagram: ``n!`` generators.
+
+    Built from arrays over all permutations.  Swapping the points in
+    columns ``i < j`` is the boundary of two torus rectangles: columns
+    ``[i, j)`` with rows ``[p[i], p[j])``, and the one with the other
+    column and row intervals, columns ``[j, i)`` with rows ``[p[j], p[i])``
+    (both intervals cyclic).  A
+    rectangle counts when it holds no marking (`_marking_free`) and no point
+    of the generator strictly inside.  Over ``Z`` the edge carries the sign
+    of the spin lift (`_edge_signs`), negated for the rectangle that wraps
+    the seam where the torus was cut open.
+    """
     n = g.n
-    o_p = g.o_punctures()
-    x_p = g.x_punctures()
-    cells = [(c, g.xs[c]) for c in range(n)] + [(c, g.os[c]) for c in range(n)]
-    cx = SparseComplex(ring)
-    for x in mos_generators(g):
-        cx.add_generator(
-            x,
-            alexander2_dominance(x, x_p, o_p, n),
-            maslov(x, o_p, 1),
-        )
+    perms, _codes = _permutations(n)
     signed = ring == "Z"
-    sec = _spin_section(n) if signed else None
-    for x in cx.generators():
-        sigma = tuple(p[1] // SCALE for p in x)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = sigma[i], sigma[j]
-                y = list(x)
-                y[i] = (SCALE * i, SCALE * b)
-                y[j] = (SCALE * j, SCALE * a)
-                target = tuple(y)
-                base = 0  # edge sign, computed once a rectangle survives
-                for ci, cj, ra, rb in ((i, j, a, b), (j, i, b, a)):
-                    if any(
-                        _cyc_in(ci, cj, c) and _cyc_in(ra, rb, r) for c, r in cells
-                    ):
-                        continue
-                    if any(
-                        k != i
-                        and k != j
-                        and k != ci
-                        and sigma[k] != ra
-                        and _cyc_in(ci, cj, k)
-                        and _cyc_in(ra, rb, sigma[k])
-                        for k in range(n)
-                    ):
-                        continue
-                    if not base:
-                        base = sec.edge_sign(sigma, i, j) if signed else 1
-                    # a rectangle whose column interval wraps the seam where
-                    # the torus was cut open picks up an extra minus sign
-                    coeff = -base if (signed and cj < ci) else base
-                    cx.add_entry(x, target, coeff)
+    free = _marking_free(g)
+    everything = np.arange(len(perms))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coeff = np.zeros((len(perms), len(pairs)), dtype=np.int64)
+    target = np.empty((len(perms), len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        a, b = perms[:, i], perms[:, j]
+        outside = np.concatenate([perms[:, :i], perms[:, j + 1:]], axis=1)
+        inner = free[i, j, a, b] & ~_cyclic_open(a, b, perms[:, i + 1:j]).any(axis=1)
+        wraps = free[j, i, b, a] & ~_cyclic_open(b, a, outside).any(axis=1)
+        target[:, col] = _swap_ranks(n, everything, i, j)
+        if signed:
+            live = np.flatnonzero(inner | wraps)
+            sign = _edge_signs(n, live, target[live, col], i, j)
+            coeff[live, col] = sign * (inner[live].astype(np.int64) - wraps[live])
+        else:
+            coeff[:, col] = inner ^ wraps
+
+    gens = mos_generators(g)
+    a2, m = _cell_gradings(g, perms)
+    cx = SparseComplex(ring)
+    cx.grading = dict(zip(gens, zip(a2.tolist(), m.tolist())))
+    rows = cx.rows = {x: {} for x in gens}
+    cols = cx.cols = {x: {} for x in gens}
+    src, col = np.nonzero(coeff)
+    for s, t, c in zip(src.tolist(), target[src, col].tolist(), coeff[src, col].tolist()):
+        x, y = gens[s], gens[t]
+        rows[x][y] = c
+        cols[y][x] = c
     if signed:
         cx.assert_entries_unit()
     return cx

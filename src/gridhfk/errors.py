@@ -57,6 +57,18 @@ class BoundarySquareNonzero(GridHfkError):
     """The boundary operator failed the d-squared-equals-zero check."""
 
 
+class GradingViolation(GridHfkError):
+    """A boundary entry changes a2 or does not lower the Maslov grading by one."""
+
+
+class SignAssignmentFailed(GridHfkError):
+    """Rectangle signs are inconsistent or a signed boundary entry is not a unit."""
+
+
+class DuplicateGenerator(GridHfkError):
+    """A generator was added twice to the same complex."""
+
+
 class NonUnitPivot(GridHfkError):
     """A cancellation was requested on an entry that is not a unit."""
 

@@ -564,8 +564,14 @@ class PipelineReport:
 
 
 def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
-    """The n!-generator rectangle-complex pipeline."""
+    """The n!-generator rectangle-complex pipeline.
+
+    The gradings and ``d^2 = 0`` are checked on the complex before it is
+    reduced, so every run of the oracle verifies its sign assignment.
+    """
     cx = mos_complex(g, ring)
+    cx.check_grading()
+    cx.check_d_squared()
     reduce_fast(cx)
     h = homology(cx)
     table = make_table(deconvolve(h, g.n), ring)

@@ -8,9 +8,9 @@ from math import factorial
 import pytest
 
 from conftest import BRAIDS, random_grid
+from test_cells_oracle import reference_sign, table_sign
 from gridhfk.chains import (
     SparseComplex,
-    _spin_section,
     alexander2_dominance,
     alexander2_winding,
     long_complex,
@@ -159,6 +159,10 @@ class TestCellComplex:
 
 
 class TestSpinCover:
+    # Each property is checked on the lift table `mos_complex` reads and on
+    # the on-demand reference section it replaced.
+    SIGNS = (table_sign, reference_sign)
+
     @staticmethod
     def _swap(perm, i, j):
         out = list(perm)
@@ -166,39 +170,40 @@ class TestSpinCover:
         return tuple(out)
 
     def test_disjoint_squares_anticommute(self, rng):
-        for n in (4, 5):
-            sec = _spin_section(n)
-            for _ in range(40):
-                perm = tuple(rng.sample(range(n), n))
-                i, j, k, l = rng.sample(range(n), 4)
-                i, j = min(i, j), max(i, j)
-                k, l = min(k, l), max(k, l)
-                one = sec.edge_sign(perm, i, j) * sec.edge_sign(self._swap(perm, i, j), k, l)
-                two = sec.edge_sign(perm, k, l) * sec.edge_sign(self._swap(perm, k, l), i, j)
-                assert one == -two
+        for sign in self.SIGNS:
+            for n in (4, 5):
+                for _ in range(40):
+                    perm = tuple(rng.sample(range(n), n))
+                    i, j, k, l = rng.sample(range(n), 4)
+                    i, j = min(i, j), max(i, j)
+                    k, l = min(k, l), max(k, l)
+                    one = sign(perm, i, j) * sign(self._swap(perm, i, j), k, l)
+                    two = sign(perm, k, l) * sign(self._swap(perm, k, l), i, j)
+                    assert one == -two
 
     def test_three_cycle_decompositions(self, rng):
         # A 3-cycle factors into two transpositions in exactly three ways;
         # their edge-sign products must pattern as {s, -s, -s} so that the
         # two factorizations realized by rectangle geometry can cancel.
-        for n in (4, 5):
-            sec = _spin_section(n)
-            for _ in range(25):
-                perm = tuple(rng.sample(range(n), n))
-                i, j, k = sorted(rng.sample(range(n), 3))
-                cycled = list(perm)
-                cycled[i], cycled[j], cycled[k] = perm[j], perm[k], perm[i]
-                target = tuple(cycled)
-                products = []
-                for a, b in ((i, j), (i, k), (j, k)):
-                    mid = self._swap(perm, a, b)
-                    for c, d in ((i, j), (i, k), (j, k)):
-                        if self._swap(mid, c, d) == target:
-                            products.append(
-                                sec.edge_sign(perm, a, b) * sec.edge_sign(mid, c, d)
-                            )
-                assert len(products) == 3
-                assert abs(sum(products)) == 1
+        for sign in self.SIGNS:
+            for n in (4, 5):
+                self._three_cycles(sign, n, rng)
+
+    def _three_cycles(self, sign, n, rng):
+        for _ in range(25):
+            perm = tuple(rng.sample(range(n), n))
+            i, j, k = sorted(rng.sample(range(n), 3))
+            cycled = list(perm)
+            cycled[i], cycled[j], cycled[k] = perm[j], perm[k], perm[i]
+            target = tuple(cycled)
+            products = []
+            for a, b in ((i, j), (i, k), (j, k)):
+                mid = self._swap(perm, a, b)
+                for c, d in ((i, j), (i, k), (j, k)):
+                    if self._swap(mid, c, d) == target:
+                        products.append(sign(perm, a, b) * sign(mid, c, d))
+            assert len(products) == 3
+            assert abs(sum(products)) == 1
 
 
 class TestOvalComplex:

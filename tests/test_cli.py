@@ -3,9 +3,10 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gridhfk import cli
+from gridhfk import chains, cli
 from gridhfk.cli import (
     RunConfig,
     emit_report,
@@ -250,6 +251,24 @@ class TestMainExitCodes:
     def test_missing_grid_file(self, capsys):
         assert main(["--grid", "/no/such/file"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_corrupt_sign_table_is_a_typed_failure(self, monkeypatch, capsys):
+        # Tripling every odd-degree monomial changes the ratio of the lifts
+        # along every edge (each transposition changes the parity) by 3.
+        lifts = chains._spin_lifts
+
+        def corrupt(n):
+            table = lifts(n).astype(np.int64)
+            odd = np.array([m.bit_count() % 2 for m in range(1 << n)], dtype=bool)
+            table[:, odd] *= 3
+            return table
+
+        monkeypatch.setattr(chains, "_spin_lifts", corrupt)
+        argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "on"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "power of two" in err
+        assert "Traceback" not in err
 
     def test_missing_input_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
