@@ -177,6 +177,16 @@ class SparseComplex:
         other.cols = {y: dict(c) for y, c in self.cols.items()}
         return other
 
+    def mod2(self) -> "SparseComplex":
+        """The same generators and gradings with every entry reduced mod 2."""
+        other = SparseComplex("Z2")
+        for x, (a2, m) in self.grading.items():
+            other.add_generator(x, a2, m)
+        for x, row in self.rows.items():
+            for y, c in row.items():
+                other.add_entry(x, y, c)
+        return other
+
     def assert_entries_unit(self) -> None:
         for x, row in self.rows.items():
             for y, c in row.items():

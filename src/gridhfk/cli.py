@@ -7,7 +7,10 @@ report or a machine-readable one that parses back losslessly.
 
 The genus and fibered modes avoid the full table: the stabilization factor
 in the computed homology only shifts gradings down, so both invariants are
-read off the highest nonzero Alexander slice alone.
+read off the highest nonzero Alexander slice alone, which the path engine
+builds from the short complex.  The answer is checked against the
+Alexander polynomial: the genus bounds its degree, and a fibered knot's
+polynomial has degree equal to the genus and a leading coefficient of ±1.
 """
 
 from __future__ import annotations
@@ -152,6 +155,27 @@ def symmetry_violation(table: HFKTable) -> tuple[int, int] | None:
     return None
 
 
+def alexander_genus_violation(
+    delta: LaurentPoly, genus: int, fibered: bool
+) -> str | None:
+    """Why (genus, fibered) cannot belong to a knot with Alexander polynomial Δ.
+
+    Knot Floer homology categorifies Δ, so the genus bounds its degree,
+    and a fibered knot's top group is one copy of Z, so there Δ has degree
+    equal to the genus and a leading coefficient of ±1.  Returns None when
+    both hold.
+    """
+    degree = delta.support()[1]
+    if genus < degree:
+        return f"genus {genus} is below the Alexander degree {degree}"
+    if fibered and (degree != genus or abs(delta.coeff(genus)) != 1):
+        return (
+            f"fibered with genus {genus}, but the Alexander polynomial has "
+            f"degree {degree} and leading coefficient {delta.coeff(degree)}"
+        )
+    return None
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Parse, simplify, compute, verify; raises on any failed check."""
     cfg.validate()
@@ -168,6 +192,12 @@ def run(cfg: RunConfig) -> RunResult:
     if cfg.mode in ("genus", "fibered"):
         genus, fibered = top_invariants(g, ring)
         pipeline = "ovals-top-slice"
+        broken = alexander_genus_violation(alexander_polynomial(g), genus, fibered)
+        if broken is not None:
+            raise CrosscheckFailed(
+                f"top-slice scan contradicts the Alexander polynomial: {broken}"
+            )
+        checks.append("Alexander polynomial against genus: ok")
         if crosscheck:
             reference = hfk_cells(g, ring).table
             if (reference.genus, reference.fibered) != (genus, fibered):
@@ -196,6 +226,7 @@ def run(cfg: RunConfig) -> RunResult:
     else:
         report = hfk_ovals(g, ring, mode=cfg.strategy, skip=cfg.skip)
     table = report.table
+    checks.extend(report.checks)
 
     euler = _table_euler(table)
     delta = alexander_polynomial(g)

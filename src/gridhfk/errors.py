@@ -82,7 +82,15 @@ class CrosscheckFailed(GridHfkError):
 
 
 class InconsistentTensor(GridHfkError):
-    """Deconvolution of the tensor factor produced a negative multiplicity."""
+    """Tensor-factor removal or skip reconstruction met inconsistent data."""
+
+
+class InconsistentHomology(GridHfkError):
+    """Boundary blocks give a negative free rank or torsion off every generator."""
+
+
+class InvalidInvariant(GridHfkError):
+    """Homology no knot has: zero everywhere, or at an odd doubled Alexander grading."""
 
 
 class UnderdeterminedSkip(GridHfkError):

@@ -22,23 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .chains import (
-    SliceBuilder,
-    SparseComplex,
-    a2_range,
-    long_complex,
-    mos_complex,
-    oval_generators,
-)
+from .chains import SliceBuilder, SparseComplex, mos_complex, oval_generators
 from .domains_paths import PathEngine
 from .errors import (
+    CrosscheckFailed,
+    InconsistentHomology,
     InconsistentTensor,
+    InvalidInvariant,
     NonUnitPivot,
     ScheduleAssertionFailed,
     UnderdeterminedSkip,
 )
 from .gridkit import GridDiagram
-from .ovalgeo import build_config, retraction_schedule, select_best_config
+from .ovalgeo import retraction_schedule, select_best_config
 
 #: A graded group: free rank and the torsion invariant factors (> 1, each
 #: dividing the next).
@@ -293,14 +289,16 @@ def homology(cx: SparseComplex) -> HomologyResult:
         free = len(gens) - block_rank[(a2, m)] - block_rank.get((a2, m + 1), 0)
         torsion = block_torsion.get((a2, m + 1), ())
         if free < 0:
-            raise AssertionError("negative free rank: boundary blocks inconsistent")
+            raise InconsistentHomology(
+                f"negative free rank {free} at {(a2, m)}: boundary blocks inconsistent"
+            )
         if free or torsion:
             groups[(a2, m)] = (free, torsion)
     # torsion may land in gradings that hold no generators of their own
     for (a2, m), tor in block_torsion.items():
         key = (a2, m - 1)
         if tor and key not in by_grading:
-            raise AssertionError("torsion attached to an empty grading")
+            raise InconsistentHomology(f"torsion attached to the empty grading {key}")
     return HomologyResult(cx.ring, groups)
 
 
@@ -421,7 +419,7 @@ def reconstruct_skipped(
         return deconvolve(h_partial, n)
     quant = _collect_quantities(h_partial.groups)
     if any(key[0] in skipped for key in quant):
-        raise AssertionError("partial homology reports a skipped grading")
+        raise InconsistentTensor("partial homology reports a skipped grading")
 
     # Group data by diagonal (2·maslov − a2 is preserved by the tensor
     # shifts) and by quantity name.
@@ -525,10 +523,10 @@ def make_table(
         if _is_zero(group):
             continue
         if a2 % 2:
-            raise AssertionError("odd doubled Alexander grading for a knot")
+            raise InvalidInvariant(f"odd doubled Alexander grading {a2} for a knot")
         groups[(a2 // 2, m)] = group
     if not groups:
-        raise AssertionError("empty invariant table")
+        raise InvalidInvariant("empty invariant table")
     genus = max(a for a, _ in groups)
     top_rank = sum(r for (a, _), (r, _) in groups.items() if a == genus)
     top_torsion = any(t for (a, _), (_, t) in groups.items() if a == genus)
@@ -561,6 +559,7 @@ class PipelineReport:
     pipeline: str
     grid_size: int
     warnings: tuple[str, ...] = ()
+    checks: tuple[str, ...] = ()
 
 
 def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
@@ -653,6 +652,8 @@ def hfk_paths(
     Short-complex generators are enumerated directly; each row of the
     differential is assembled by following cancellation paths through the
     long complex on demand, so the long complex is never materialized.
+    Over Z the reduced complex is also taken mod 2, and the two homologies
+    must satisfy the universal coefficient theorem.
     """
     if skip not in ("auto", "none"):
         raise ValueError(f"unknown skip policy {skip!r}")
@@ -665,12 +666,20 @@ def hfk_paths(
     cx = engine.short_complex(ring, keep_a2=keep)
     reduce_fast(cx)
     h = homology(cx)
+    checks: tuple[str, ...] = ()
+    if ring == "Z":
+        if not universal_coefficients_consistent(h, homology(cx.mod2())):
+            raise CrosscheckFailed(
+                "integer and mod-2 homology of the short complex break the "
+                "universal coefficient theorem"
+            )
+        checks = ("universal coefficients Z vs Z/2: ok",)
     if skipped:
         table_groups = reconstruct_skipped(h, skipped, g.n)
     else:
         table_groups = deconvolve(h, g.n)
     table = make_table(table_groups, ring)
-    return PipelineReport(table, h, "ovals-paths", g.n)
+    return PipelineReport(table, h, "ovals-paths", g.n, checks=checks)
 
 
 def top_invariants(
@@ -683,16 +692,16 @@ def top_invariants(
     The stabilization factor in the computed homology only shifts gradings
     down, so at the globally highest nonzero Alexander slice the slice
     homology already equals the invariant there: its a2/2 is the genus and
-    fiberedness is a single free generator.  Scanning candidate slices from
-    an upper bound downward therefore never touches the larger low slices.
+    fiberedness is a single free generator.  The short complex has the
+    homology of the long one slice by slice, so the scan pulls short
+    slices from the path engine, from the top a2 of the short generators
+    downward, and stops at the first one with nonzero homology; the larger
+    low slices are never built.
     """
-    if omit is None:
-        omit = select_best_config(g).omit
-    lo, hi = a2_range(build_config(g, omit, "long"))
-    for a2 in range(hi, lo - 1, -2):
-        cx = long_complex(g, omit, ring, keep_a2={a2})
-        if not cx.grading:
-            continue
+    engine = PathEngine(g, omit)
+    slices = {a2 for _, a2 in oval_generators(engine.short_cfg)}
+    for a2 in sorted(slices, reverse=True):
+        cx = engine.short_complex(ring, keep_a2={a2})
         reduce_fast(cx)
         groups = homology(cx).groups
         if not groups:
@@ -700,4 +709,4 @@ def top_invariants(
         rank = sum(r for r, _ in groups.values())
         torsion = any(t for _, t in groups.values())
         return a2 // 2, rank == 1 and not torsion
-    raise AssertionError("no nonzero slice found for a nonempty complex")
+    raise InvalidInvariant("every Alexander slice has zero homology")

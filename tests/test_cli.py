@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from gridhfk import chains, cli
+from gridhfk import chains, cli, reducer
+from gridhfk.chains import SparseComplex
 from gridhfk.cli import (
     RunConfig,
+    alexander_genus_violation,
     emit_report,
     main,
     parse_braid_word,
@@ -16,8 +18,8 @@ from gridhfk.cli import (
     run,
     symmetry_violation,
 )
-from gridhfk.gridkit import format_grid_text, parse_braid
-from gridhfk.reducer import PipelineReport, make_table
+from gridhfk.gridkit import LaurentPoly, format_grid_text, parse_braid
+from gridhfk.reducer import HomologyResult, PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
 from conftest import BRAIDS
@@ -133,6 +135,68 @@ class TestSymmetryCheck:
         argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "off"]
         assert main(argv + ["--mode", mode]) == 1
         assert "symmetry" in capsys.readouterr().err
+
+
+class TestAlexanderGenusCheck:
+    # 5_2: 2t - 3 + 2/t, genus 1, not fibered
+    FIVE_TWO = LaurentPoly({1: 2, 0: -3, -1: 2})
+
+    def test_helper(self):
+        assert alexander_genus_violation(self.FIVE_TWO, 1, False) is None
+        assert "below" in alexander_genus_violation(self.FIVE_TWO, 0, False)
+        assert "leading coefficient 2" in alexander_genus_violation(
+            self.FIVE_TWO, 1, True
+        )
+        # fibered needs the degree to reach the genus
+        assert alexander_genus_violation(LaurentPoly.one(), 1, True) is not None
+        assert alexander_genus_violation(LaurentPoly.one(), 1, False) is None
+
+    @pytest.mark.parametrize(
+        "word", [BRAIDS[k] for k in sorted(BRAIDS)] + [[1] * 7],
+        ids=sorted(BRAIDS) + ["7_1"],
+    )
+    def test_real_runs_pass(self, word):
+        for mode in ("genus", "fibered"):
+            result = run(RunConfig(braid=tuple(word), mode=mode, crosscheck=False))
+            assert "Alexander polynomial against genus: ok" in result.checks
+
+    @pytest.mark.parametrize("name", ["8_20", "5_2"])
+    def test_contradicting_answer_fails_the_run(self, name, monkeypatch, capsys):
+        # 8_20 has Alexander degree 2; 5_2 has leading coefficient 2
+        monkeypatch.setattr(cli, "top_invariants", lambda g, ring: (1, True))
+        word = " ".join(map(str, BRAIDS[name]))
+        assert main(["--braid", word, "--mode", "fibered", "--crosscheck", "off"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Alexander" in err
+        assert "Traceback" not in err
+
+    def test_machine_output_unchanged(self):
+        result = run(RunConfig(braid=(1, 1, 1), mode="genus", fmt="machine"))
+        assert "Alexander" not in emit_report(result)
+
+
+class TestUniversalCoefficientsCheck:
+    def test_reported_on_paths_z_runs(self):
+        for skip in ("none", "auto"):
+            result = run(RunConfig(braid=(1, 1, 1), strategy="paths", skip=skip))
+            assert "universal coefficients Z vs Z/2: ok" in result.checks
+        result = run(RunConfig(braid=(1, 1, 1), strategy="paths", coeff="z2"))
+        assert not any("universal" in c for c in result.checks)
+
+    def test_wrong_mod2_homology_fails_the_run(self, monkeypatch, capsys):
+        mod2 = SparseComplex.mod2
+
+        def extra_generator(self):
+            other = mod2(self)
+            other.add_generator(("extra",), 0, 0)
+            return other
+
+        monkeypatch.setattr(SparseComplex, "mod2", extra_generator)
+        argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "off"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "universal coefficient" in err
+        assert "Traceback" not in err
 
 
 class TestMachineFormat:
@@ -268,6 +332,15 @@ class TestMainExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "power of two" in err
+        assert "Traceback" not in err
+
+    def test_zero_homology_is_a_typed_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            reducer, "homology", lambda cx: HomologyResult(cx.ring, {})
+        )
+        assert main(["--braid", "1 1 1", "--mode", "genus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero homology" in err
         assert "Traceback" not in err
 
     def test_missing_input_is_a_usage_error(self):

@@ -10,6 +10,7 @@ from conftest import BRAIDS, random_grid
 from gridhfk.chains import SliceBuilder, SparseComplex, long_complex, mos_complex, oval_generators
 from gridhfk.errors import (
     InconsistentTensor,
+    InvalidInvariant,
     ScheduleAssertionFailed,
     UnderdeterminedSkip,
 )
@@ -352,11 +353,11 @@ class TestMakeTable:
         assert not table.fibered
 
     def test_odd_doubled_grading_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInvariant):
             make_table({(1, 0): (1, ())}, "Z")
 
     def test_empty_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInvariant):
             make_table({}, "Z")
 
 
