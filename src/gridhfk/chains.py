@@ -33,11 +33,14 @@ from itertools import permutations, product
 import numpy as np
 
 from .errors import (
+    AlexanderConstantInvalid,
     BoundarySquareNonzero,
     DuplicateGenerator,
     GradingViolation,
+    InvalidOmission,
     NonUnitPivot,
     RectangleCornerMissing,
+    ScheduleAssertionFailed,
     SignAssignmentFailed,
 )
 from .gridkit import (
@@ -98,7 +101,9 @@ def winding_constant2(g: GridDiagram) -> int:
     """
     total = sum(quadrant_winding_sum(g, q) for q in g.punctures())
     if total % 4:
-        raise AssertionError("quadrant winding sums do not average to quarters")
+        raise AlexanderConstantInvalid(
+            "quadrant winding sums do not average to quarters"
+        )
     return total // 4 - (g.n - 1)
 
 
@@ -561,7 +566,7 @@ class _OvalFrame:
         # every point contributes an even amount (-2w), so all generators
         # share the constant's parity; integral Alexander gradings force it
         if self.const2 % 2:
-            raise AssertionError("odd doubled-Alexander constant")
+            raise AlexanderConstantInvalid("odd doubled-Alexander constant")
         #: per-point doubled Alexander contribution
         self.a2_of: dict[Point, int] = {}
         for pts in config.points.values():
@@ -844,7 +849,7 @@ def long_complex(
     for x, _ in gens:
         for target, coeff in moves.row(x).items():
             if target not in cx.grading:
-                raise AssertionError("move target escapes the kept a2 slices")
+                raise GradingViolation("move target escapes the kept a2 slices")
             cx.add_entry(x, target, coeff)
     if ring == "Z":
         cx.assert_entries_unit()
@@ -878,7 +883,10 @@ class SliceBuilder:
         cols, rows = frame.cols, frame.rows
         k = len(cols)
         if len(rows) != k:
-            raise AssertionError("full-oval configuration must be square")
+            raise InvalidOmission(
+                f"omitting {omit} leaves {k} vertical and {len(rows)} "
+                "horizontal ovals; the full-oval configuration must be square"
+            )
         self.k = k
         self.ncodes = 4 * k
         self.powers = (4 * k) ** np.arange(k, dtype=np.int64)
@@ -1008,7 +1016,7 @@ class SliceBuilder:
         def lookup(target_keys: np.ndarray) -> np.ndarray:
             idx = np.searchsorted(keys, target_keys)
             if not ((idx < len(keys)).all() and (keys[idx] == target_keys).all()):
-                raise AssertionError("boundary target escaped its Alexander slice")
+                raise GradingViolation("boundary target escaped its Alexander slice")
             return idx
 
         for kind in range(4):
@@ -1123,14 +1131,20 @@ class SliceBuilder:
             (x1, y1), (x2, y2) = ev.p1, ev.p2
             ci = self.col_index[x1 // SCALE]
             if self.col_index[x2 // SCALE] != ci:
-                raise AssertionError("event pair spans two vertical ovals")
+                raise ScheduleAssertionFailed(
+                    f"event {t} pairs points of two vertical ovals"
+                )
             code1 = 4 * self.row_index[y1 // SCALE] + 2 * (x1 % SCALE == 7) + (y1 % SCALE == 6)
             code2 = 4 * self.row_index[y2 // SCALE] + 2 * (x2 % SCALE == 7) + (y2 % SCALE == 6)
             if self.w2[ci, code1] != self.w2[ci, code2]:
-                raise AssertionError("event pair changes the Alexander grading")
+                raise ScheduleAssertionFailed(
+                    f"event {t} changes the Alexander grading"
+                )
             for code in (code1, code2):
                 if death[ci, code] != len(events):
-                    raise AssertionError("a point dies twice in the schedule")
+                    raise ScheduleAssertionFailed(
+                        f"event {t} kills a point a second time"
+                    )
                 death[ci, code] = t
             pair_info.append((ci, code1, code2))
 

@@ -23,6 +23,7 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
+import os
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -32,11 +33,16 @@ from .errors import (
     DomainSystemSingular,
     MissingDomain,
     ScheduleAssertionFailed,
+    SliceWorkerDied,
 )
 from .gridkit import SCALE, GridDiagram, Point
 from .ovalgeo import Arrangement, retraction_schedule, select_best_config
 
 Domain = dict[int, int]
+
+#: the fewest kept short generators whose slices are assembled on a
+#: process pool; below it, forking costs more than a second core saves
+PARALLEL_MIN_GENS = 2000
 
 
 class DomainSolver:
@@ -302,22 +308,98 @@ class PathEngine:
             return 0
         return self._reduced_row(x, (self.event_count,)).get(y, 0)
 
+    def _slice_rows(self, gens: list[Gen]) -> list[tuple[Gen, dict[Gen, int]]]:
+        """``(x, short_row(x))`` for the generators of one Alexander slice.
+
+        The row cache is emptied before and after: the differential and
+        every retraction event preserve a2, so no cached row serves
+        another slice, and peak memory follows the largest slice.
+        """
+        self._rows.clear()
+        rows = [(x, self.short_row(x)) for x in gens]
+        self._rows.clear()
+        return rows
+
+    def _pooled_rows(self, slices: dict[int, list[Gen]], workers: int):
+        """Every slice's rows, pulled on ``workers`` forked processes.
+
+        The workers inherit this engine and the slices, so only a2 keys go
+        in and rows come out.  Slices are submitted largest first and
+        returned in the order of ``slices``.  A worker's exception reaches
+        the caller as it was raised, after pending slices are cancelled.
+        """
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_engine,
+            initargs=(self, slices),
+        )
+        try:
+            order = sorted(slices, key=lambda a2: len(slices[a2]), reverse=True)
+            futures = {a2: pool.submit(_pooled_slice_rows, a2) for a2 in order}
+            for future in as_completed(futures.values()):
+                future.result()
+            return [futures[a2].result() for a2 in slices]
+        except BrokenProcessPool as exc:
+            raise SliceWorkerDied(
+                f"a worker assembling Alexander slices died: {exc}"
+            ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def short_complex(self, ring: str = "Z", keep_a2=None) -> SparseComplex:
         """The short complex with its differential counted along paths.
 
         The differential and every retraction event preserve a2, so rows are
-        pulled one Alexander slice at a time and the row cache is emptied
-        between slices: peak memory follows the largest slice.
+        pulled one Alexander slice at a time (`_slice_rows`).  When the
+        kept complex has at least `PARALLEL_MIN_GENS` generators and the
+        process may run on two or more CPUs, the slices are pulled on a
+        pool of forked workers, one per CPU and at most one per slice
+        (none where the ``fork`` start method is missing).  Either way the
+        entries are added in slice order and, within a slice, in generator
+        order, so the complex is the same, insertion order included.
         """
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
         for x, a2 in oval_generators(self.short_cfg, keep_a2):
             cx.add_generator(x, a2, self.moves.gradings(x)[1])
             slices.setdefault(a2, []).append(x)
-        for gens in slices.values():
-            self._rows.clear()
-            for x in gens:
-                for y, coeff in self.short_row(x).items():
+        workers = min(len(slices), _available_cpus())
+        if (
+            workers >= 2
+            and hasattr(os, "fork")
+            and cx.generator_count >= PARALLEL_MIN_GENS
+        ):
+            rows = self._pooled_rows(slices, workers)
+        else:
+            rows = map(self._slice_rows, slices.values())
+        for slice_rows in rows:
+            for x, row in slice_rows:
+                for y, coeff in row.items():
                     cx.add_entry(x, y, coeff)
-        self._rows.clear()
         return cx
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: the engine and slices of the pool a forked worker belongs to
+_worker_job: tuple = ()
+
+
+def _adopt_engine(engine: PathEngine, slices: dict[int, list[Gen]]) -> None:
+    global _worker_job
+    _worker_job = (engine, slices)
+
+
+def _pooled_slice_rows(a2: int):
+    engine, slices = _worker_job
+    return engine._slice_rows(slices[a2])

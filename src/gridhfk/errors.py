@@ -57,6 +57,10 @@ class BoundarySquareNonzero(GridHfkError):
     """The boundary operator failed the d-squared-equals-zero check."""
 
 
+class AlexanderConstantInvalid(GridHfkError):
+    """The doubled Alexander constant of a diagram is fractional or odd."""
+
+
 class GradingViolation(GridHfkError):
     """A boundary entry changes a2 or does not lower the Maslov grading by one."""
 
@@ -111,3 +115,7 @@ class CancelledTargetReached(GridHfkError):
 
 class MissingDomain(GridHfkError):
     """A nonzero short-differential entry joins two generators no domain joins."""
+
+
+class SliceWorkerDied(GridHfkError):
+    """A worker process assembling Alexander slices ended without a result."""

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import BRAIDS, random_grid
 from test_cells_oracle import reference_sign, table_sign
+from gridhfk import chains, ovalgeo
 from gridhfk.chains import (
+    LongMoves,
+    SliceBuilder,
     SparseComplex,
+    _OvalFrame,
     alexander2_dominance,
     alexander2_winding,
     long_complex,
@@ -20,8 +25,21 @@ from gridhfk.chains import (
     oval_generators,
     winding_constant2,
 )
-from gridhfk.errors import BoundarySquareNonzero, NonUnitPivot
-from gridhfk.gridkit import GridDiagram, LaurentPoly, alexander_polynomial, parse_braid
+from gridhfk.errors import (
+    AlexanderConstantInvalid,
+    BoundarySquareNonzero,
+    GradingViolation,
+    InvalidOmission,
+    NonUnitPivot,
+    ScheduleAssertionFailed,
+)
+from gridhfk.gridkit import (
+    SCALE,
+    GridDiagram,
+    LaurentPoly,
+    alexander_polynomial,
+    parse_braid,
+)
 from gridhfk.ovalgeo import (
     build_config,
     generator_count,
@@ -262,3 +280,67 @@ class TestOvalComplex:
         assert set(sub.grading) == {x for x, (a2, _) in full.grading.items() if a2 in keep}
         for x in sub.rows:
             assert sub.rows[x] == full.rows[x]
+
+
+class TestTypedFailures:
+    """Each internal consistency check of the oval builders raises its own type."""
+
+    def test_fractional_winding_constant(self, monkeypatch):
+        monkeypatch.setattr(chains, "quadrant_winding_sum", lambda g, q: 1)
+        with pytest.raises(AlexanderConstantInvalid, match="quarters"):
+            winding_constant2(parse_braid(BRAIDS["trefoil"]))
+
+    def test_odd_winding_constant(self, monkeypatch):
+        config = build_config(*REGRESSION_OVAL, "long")
+        monkeypatch.setattr(chains, "winding_constant2", lambda g: 1)
+        with pytest.raises(AlexanderConstantInvalid, match="odd"):
+            _OvalFrame(config)
+
+    def test_move_target_outside_kept_slices(self, monkeypatch):
+        g, omit = REGRESSION_OVAL
+        by_a2 = {}
+        for x, a2 in oval_generators(build_config(g, omit, "long")):
+            by_a2.setdefault(a2, x)
+        top, other = max(by_a2), min(by_a2)
+        monkeypatch.setattr(LongMoves, "row", lambda self, x: {by_a2[other]: 1})
+        with pytest.raises(GradingViolation, match="kept a2 slices"):
+            long_complex(g, omit, keep_a2={top})
+
+    def test_non_square_full_oval_configuration(self, monkeypatch):
+        kept_rows = ovalgeo.OvalConfig.kept_rows
+        monkeypatch.setattr(
+            ovalgeo.OvalConfig, "kept_rows", lambda self: kept_rows(self)[1:]
+        )
+        with pytest.raises(InvalidOmission, match="must be square"):
+            SliceBuilder(*REGRESSION_OVAL)
+
+    def test_boundary_target_outside_its_slice(self):
+        builder = SliceBuilder(*REGRESSION_OVAL)
+        slices = builder._enumerate()
+        a2 = max(slices, key=lambda a: len(slices[a][0]))
+        keys, codes = slices[a2]
+        slices[a2] = (keys[::2], codes[::2])
+        with pytest.raises(GradingViolation, match="escaped its Alexander slice"):
+            builder.slice_edges(a2)
+
+    def test_inconsistent_events(self):
+        g, omit = REGRESSION_OVAL
+        builder = SliceBuilder(g, omit)
+        events = ovalgeo.retraction_schedule(g, omit)[2]
+        a2 = next(iter(builder._enumerate()))
+        builder.event_pairs(a2, events)  # the real schedule is consistent
+        ev = events[0]
+        column = ev.p1[0] // SCALE
+        a2_of = builder.frame.a2_of
+        across = next(p for p in a2_of if p[0] // SCALE != column)
+        shifted = next(
+            p for p in a2_of if p[0] // SCALE == column and a2_of[p] != a2_of[ev.p1]
+        )
+        bad = [
+            ([SimpleNamespace(p1=ev.p1, p2=across)], "two vertical ovals"),
+            ([SimpleNamespace(p1=ev.p1, p2=shifted)], "Alexander grading"),
+            ([ev, ev], "kills a point a second time"),
+        ]
+        for schedule, message in bad:
+            with pytest.raises(ScheduleAssertionFailed, match=message):
+                builder.event_pairs(a2, schedule)

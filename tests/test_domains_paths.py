@@ -1,5 +1,7 @@
 """Domain solver and path-counted short differentials."""
 
+import concurrent.futures
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ from conftest import BRAIDS, random_grid
 from gridhfk import domains_paths
 from gridhfk.chains import long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
-from gridhfk.errors import MissingDomain
+from gridhfk.cli import main
+from gridhfk.errors import MissingDomain, SliceWorkerDied
 from gridhfk.gridkit import GridDiagram, parse_braid
+from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
@@ -18,6 +22,7 @@ from gridhfk.ovalgeo import (
     select_best_config,
 )
 from gridhfk.reducer import (
+    auto_skip,
     deconvolve,
     hfk_cells,
     homology,
@@ -305,3 +310,116 @@ class TestMod2Route:
         assert z_cx.grading == z2_cx.grading
         for x, row in z_cx.rows.items():
             assert {y for y, c in row.items() if c % 2} == set(z2_cx.rows[x])
+
+
+def ordered(cx):
+    """Gradings, rows and columns of a complex, in insertion order."""
+    return (
+        list(cx.grading.items()),
+        [(x, list(row.items())) for x, row in cx.rows.items()],
+        [(y, list(col.items())) for y, col in cx.cols.items()],
+    )
+
+
+def kept_by_auto_skip(eng, n):
+    """The a2 slices `hfk_paths` keeps with ``--skip auto``."""
+    sizes = {}
+    for _, a2 in oval_generators(eng.short_cfg):
+        sizes[a2] = sizes.get(a2, 0) + 1
+    return set(sizes) - auto_skip(sizes, n)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+class TestPooledSlices:
+    """`short_complex` on a process pool: same complex, same checks."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Counts the executors `short_complex` creates."""
+        created = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        return created
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("an executor was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("name", ["figure8", "5_2", "8_19"])
+    def test_pooled_complex_is_identical(self, name, monkeypatch, two_cpus, pools):
+        g = minimize(parse_braid(BRAIDS[name]))
+        eng = PathEngine(g)
+        keeps = [None, kept_by_auto_skip(eng, g.n)]
+        assert keeps[1] < {a2 for _, a2 in oval_generators(eng.short_cfg)}
+        for ring in ("Z", "Z2"):
+            for keep in keeps:
+                monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 10**9)
+                sequential = eng.short_complex(ring, keep)
+                assert not pools
+                monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+                pooled = eng.short_complex(ring, keep)
+                assert len(pools) == 1 and pools.pop() == (2,)
+                assert ordered(pooled) == ordered(sequential)
+                assert not eng._rows
+        if name == "8_19":
+            assert pooled.entry_count
+
+    def test_one_cpu_never_pools(self, monkeypatch, no_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        assert PathEngine(NONZERO_SHORT).short_complex().entry_count == 32
+
+    def test_small_complex_never_pools(self, monkeypatch, two_cpus, no_pool):
+        eng = PathEngine(minimize(parse_braid(BRAIDS["8_19"])))
+        assert eng.short_complex().generator_count < domains_paths.PARALLEL_MIN_GENS
+        # the refusing executor is in place: lowering the threshold reaches it
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        with pytest.raises(RuntimeError, match="executor was created"):
+            eng.short_complex()
+
+    def test_one_slice_never_pools(self, monkeypatch, two_cpus, no_pool):
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        eng = PathEngine(NONZERO_SHORT)
+        a2 = next(a2 for _, a2 in oval_generators(eng.short_cfg))
+        assert eng.short_complex(keep_a2={a2}).generator_count
+
+    def test_worker_failure_keeps_its_type(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
+        with pytest.raises(MissingDomain, match="has no domain") as info:
+            PathEngine(NONZERO_SHORT).short_complex()
+        # raised in a worker: the pool attaches the worker's traceback
+        assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+
+    def test_worker_failure_through_main(self, monkeypatch, two_cpus, capsys):
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
+        word = " ".join(map(str, BRAIDS["8_19"]))
+        argv = ["--braid", word, "--strategy", "paths", "--crosscheck", "off"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "has no domain" in err
+        assert "Traceback" not in err
+
+    def test_dead_worker_is_a_typed_failure(self, monkeypatch, two_cpus, capsys):
+        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(PathEngine, "_slice_rows", lambda self, gens: os._exit(3))
+        with pytest.raises(SliceWorkerDied):
+            PathEngine(NONZERO_SHORT).short_complex()
+        argv = ["--braid", "1 1 1 2 -1 2", "--strategy", "paths", "--crosscheck", "off"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "died" in err
+        assert "Traceback" not in err
