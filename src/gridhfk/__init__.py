@@ -12,7 +12,6 @@ from .reducer import (
     HFKTable,
     PipelineReport,
     hfk_cells,
-    hfk_ovals,
     hfk_paths,
     top_invariants,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "HFKTable",
     "PipelineReport",
     "hfk_cells",
-    "hfk_ovals",
     "hfk_paths",
     "minimize",
     "parse_braid",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .errors import (
     InvalidOmission,
     NonUnitPivot,
     RectangleCornerMissing,
-    ScheduleAssertionFailed,
     SignAssignmentFailed,
 )
 from .gridkit import (
@@ -560,6 +559,12 @@ class _OvalFrame:
         self.grid = g
         self.cols = config.kept_cols()
         self.rows = config.kept_rows()
+        # a generator matches every kept column to its own kept row
+        if len(self.cols) != len(self.rows):
+            raise InvalidOmission(
+                f"omitting {config.omit} leaves {len(self.cols)} vertical and "
+                f"{len(self.rows)} horizontal ovals; the configuration must be square"
+            )
         self.o_punct = g.o_punctures()
         self.punctures = g.punctures()
         self.const2 = winding_constant2(g)
@@ -854,307 +859,3 @@ def long_complex(
     if ring == "Z":
         cx.assert_entries_unit()
     return cx
-
-
-# --------------------------------------------------------------------------
-# vectorized per-slice construction of the full-size oval complex
-
-
-class SliceBuilder:
-    """Builds the full-height oval complex one Alexander slice at a time.
-
-    A generator is encoded as one small integer per kept column — the
-    matched row index together with the two wall-side bits — and the whole
-    tuple packs into a single integer, which is the key used by the
-    per-slice complexes.  Gradings, emptiness tests, and signs are all
-    evaluated with numpy over whole slices at once; the output agrees
-    entrywise with `long_complex` (asserted on small grids in the tests).
-
-    The boundary preserves the Alexander grading, so each slice is a
-    genuine subcomplex and can be built, reduced, and discarded on its own.
-    """
-
-    def __init__(self, g: GridDiagram, omit: tuple[int, int]):
-        self.grid = g
-        self.omit = omit
-        self.config = build_config(g, omit, "long")
-        frame = _OvalFrame(self.config)
-        self.frame = frame
-        cols, rows = frame.cols, frame.rows
-        k = len(cols)
-        if len(rows) != k:
-            raise InvalidOmission(
-                f"omitting {omit} leaves {k} vertical and {len(rows)} "
-                "horizontal ovals; the full-oval configuration must be square"
-            )
-        self.k = k
-        self.ncodes = 4 * k
-        self.powers = (4 * k) ** np.arange(k, dtype=np.int64)
-        self.col_index = {c: ci for ci, c in enumerate(cols)}
-        self.row_index = {r: ri for ri, r in enumerate(rows)}
-
-        o_p = frame.o_punct
-        self.xcoord = np.zeros((k, self.ncodes), np.int32)
-        self.ycoord = np.zeros((k, self.ncodes), np.int32)
-        self.w2 = np.zeros((k, self.ncodes), np.int32)
-        self.mpoint = np.zeros((k, self.ncodes), np.int32)  # -I(p,O) - I(O,p)
-        #: per kind (0: left->top, 1: right->bottom, 2: bottom->right,
-        #: 3: top->left): whether the flip is empty, per (column, code)
-        self.flip_ok = np.zeros((4, k, self.ncodes), bool)
-        self.flip_delta = (2, -2, 1, -1)  # code change of each flip kind
-        for ci, c in enumerate(cols):
-            vo = self.config.v_ovals[c]
-            colp = frame.col_punct[c]
-            for ri, r in enumerate(rows):
-                ho = self.config.h_ovals[r]
-                rowp = frame.row_punct[r]
-                for sx, wx in enumerate((vo.x1, vo.x2)):
-                    for sy, wy in enumerate((ho.y1, ho.y2)):
-                        code = 4 * ri + 2 * sx + sy
-                        self.xcoord[ci, code] = wx
-                        self.ycoord[ci, code] = wy
-                        self.w2[ci, code] = -2 * winding_number(g, (wx, wy))
-                        self.mpoint[ci, code] = -dominance_count(
-                            [(wx, wy)], o_p
-                        ) - dominance_count(o_p, [(wx, wy)])
-                        if sx == 0:
-                            self.flip_ok[0, ci, code] = max(colp) < wy
-                        else:
-                            self.flip_ok[1, ci, code] = min(colp) > wy
-                        if sy == 0:
-                            self.flip_ok[2, ci, code] = max(rowp) < wx
-                        else:
-                            self.flip_ok[3, ci, code] = min(rowp) > wx
-        self.ioo = dominance_count(o_p, o_p)
-
-        # puncture-freeness of the rectangle spanned by codes on a column pair
-        px = np.array([p[0] for p in frame.punctures], np.int32)
-        py = np.array([p[1] for p in frame.punctures], np.int32)
-        self.rect_free = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                xi = self.xcoord[i][:, None, None]
-                yi = self.ycoord[i][:, None, None]
-                xj = self.xcoord[j][None, :, None]
-                yj = self.ycoord[j][None, :, None]
-                inside = (xi < px) & (px < xj) & (yi < py) & (py < yj)
-                self.rect_free[(i, j)] = ~inside.any(axis=2)
-
-        self._slices: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-
-    # -- enumeration
-
-    def _enumerate(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        if self._slices is not None:
-            return self._slices
-        k = self.k
-        sides = np.array(list(product(range(4), repeat=k)), np.uint8)
-        per_a2: dict[int, list[np.ndarray]] = {}
-        for perm in permutations(range(k)):
-            codes = 4 * np.array(perm, np.uint8) + sides
-            a2 = np.zeros(len(codes), np.int64)
-            for ci in range(k):
-                a2 += self.w2[ci][codes[:, ci]]
-            for val in np.unique(a2):
-                per_a2.setdefault(int(val) + self.frame.const2, []).append(
-                    codes[a2 == val]
-                )
-        slices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for a2, chunks in per_a2.items():
-            codes = np.vstack(chunks)
-            keys = codes.astype(np.int64) @ self.powers
-            order = np.argsort(keys)
-            slices[a2] = (keys[order], codes[order])
-        self._slices = slices
-        return slices
-
-    @property
-    def sizes(self) -> dict[int, int]:
-        return {a2: len(keys) for a2, (keys, _) in sorted(self._enumerate().items())}
-
-    def pack(self, gen: Gen) -> int:
-        """The integer key of a generator given as a tuple of points."""
-        key = 0
-        for x, y in gen:
-            ci = self.col_index[x // SCALE]
-            code = 4 * self.row_index[y // SCALE] + 2 * (x % SCALE == 7) + (y % SCALE == 6)
-            key += code * int(self.powers[ci])
-        return key
-
-    # -- per-slice gradings and boundary
-
-    def _maslov(self, codes: np.ndarray) -> np.ndarray:
-        ys = self._ys(codes)
-        m = np.full(len(codes), self.ioo, np.int64)
-        for l in range(self.k):
-            m += self.mpoint[l][codes[:, l]]
-            for h in range(l + 1, self.k):
-                m += ys[:, l] < ys[:, h]
-        return m
-
-    def _ys(self, codes: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [self.ycoord[ci][codes[:, ci]] for ci in range(self.k)]
-        )
-
-    def slice_edges(
-        self, a2: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, maslov, src_idx, dst_idx, coeff) of one Alexander slice."""
-        keys, codes = self._enumerate()[a2]
-        k = self.k
-        ys = self._ys(codes)
-        ixx = np.zeros(len(codes), np.int64)
-        for l in range(k):
-            for h in range(l + 1, k):
-                ixx += ys[:, l] < ys[:, h]
-        sx = (codes >> 1) & 1
-        sy = codes & 1
-        ri = codes >> 2
-        src_parts, dst_parts, sign_parts = [], [], []
-
-        def lookup(target_keys: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(keys, target_keys)
-            if not ((idx < len(keys)).all() and (keys[idx] == target_keys).all()):
-                raise GradingViolation("boundary target escaped its Alexander slice")
-            return idx
-
-        for kind in range(4):
-            for ci in range(k):
-                sel = np.flatnonzero(self.flip_ok[kind, ci][codes[:, ci]])
-                if not len(sel):
-                    continue
-                tkeys = keys[sel] + self.flip_delta[kind] * self.powers[ci]
-                e = ixx[sel].copy()
-                if kind < 2:  # flip across the vertical oval at column ci
-                    e += sx[sel, :ci].sum(axis=1, dtype=np.int64)
-                else:  # across the horizontal oval carrying the point
-                    e += sx[sel].sum(axis=1, dtype=np.int64)
-                    flip_row = ri[sel, ci][:, None]
-                    e += (sy[sel] & (ri[sel] < flip_row)).sum(axis=1, dtype=np.int64)
-                src_parts.append(sel)
-                dst_parts.append(lookup(tkeys))
-                sign_parts.append(1 - 2 * (e & 1))
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                cand = (ys[:, i] < ys[:, j]) & self.rect_free[(i, j)][
-                    codes[:, i], codes[:, j]
-                ]
-                for mid in range(i + 1, j):
-                    cand &= ~((ys[:, i] < ys[:, mid]) & (ys[:, mid] < ys[:, j]))
-                sel = np.flatnonzero(cand)
-                if not len(sel):
-                    continue
-                b = ys[sel, i]
-                d = ys[sel, j]
-                e = np.zeros(len(sel), np.int64)
-                below = np.zeros(len(sel), np.int64)
-                for h in range(k):
-                    yh = ys[sel, h]
-                    hd = yh <= d
-                    for l in range(h):
-                        asc = ys[sel, l] < yh
-                        e += asc & hd
-                    if i < h <= j:
-                        below += yh <= b
-                ib = np.zeros(len(sel), np.int64)
-                for h in range(k):
-                    yh = ys[sel, h]
-                    hbd = (b < yh) & (yh <= d)
-                    for l in range(h):
-                        ib += (ys[sel, l] < yh) & hbd
-                e += (below & 1) * (ib + 1)
-                ci_codes = codes[sel, i].astype(np.int64)
-                cj_codes = codes[sel, j].astype(np.int64)
-                nci = cj_codes - (cj_codes & 2) + (ci_codes & 2)
-                ncj = ci_codes - (ci_codes & 2) + (cj_codes & 2)
-                tkeys = (
-                    keys[sel]
-                    + (nci - ci_codes) * self.powers[i]
-                    + (ncj - cj_codes) * self.powers[j]
-                )
-                src_parts.append(sel)
-                dst_parts.append(lookup(tkeys))
-                sign_parts.append(1 - 2 * (e & 1))
-
-        if src_parts:
-            src = np.concatenate(src_parts)
-            dst = np.concatenate(dst_parts)
-            coeff = np.concatenate(sign_parts)
-        else:
-            src = dst = coeff = np.zeros(0, np.int64)
-        return keys, self._maslov(codes), src, dst, coeff
-
-    def slice_complex(self, a2: int, ring: str = "Z") -> SparseComplex:
-        """The slice as a `SparseComplex` keyed by packed integers."""
-        keys, mas, src, dst, coeff = self.slice_edges(a2)
-        cx = SparseComplex(ring)
-        key_list = keys.tolist()
-        for key, m in zip(key_list, mas.tolist()):
-            cx.grading[key] = (a2, m)
-            cx.rows[key] = {}
-            cx.cols[key] = {}
-        if ring == "Z2":
-            coeff = np.abs(coeff)
-        order = np.lexsort((dst, src))
-        src_l = src[order].tolist()
-        dst_l = dst[order].tolist()
-        co_l = coeff[order].tolist()
-        rows, cols = cx.rows, cx.cols
-        for s, d, c in zip(src_l, dst_l, co_l):
-            rows[key_list[s]][key_list[d]] = c
-            cols[key_list[d]][key_list[s]] = c
-        return cx
-
-    def slice_euler(self, a2: int) -> int:
-        """Signed generator count of the slice (no boundary needed)."""
-        _, codes = self._enumerate()[a2]
-        return int((1 - 2 * (self._maslov(codes) & 1)).sum())
-
-    # -- faithful-reduction support
-
-    def event_pairs(
-        self, a2: int, events: list
-    ) -> list[tuple[list[int], list[int]]]:
-        """Per event, the (source, target) key pairs to cancel in this slice.
-
-        A generator dies at the first event that kills one of its points;
-        at that event it contains exactly one of the dying points, and its
-        partner is the same generator with that point replaced by the other
-        one.  Pairs are grouped by event in schedule order.
-        """
-        keys, codes = self._enumerate()[a2]
-        death = np.full((self.k, self.ncodes), len(events), np.int32)
-        pair_info = []
-        for t, ev in enumerate(events):
-            (x1, y1), (x2, y2) = ev.p1, ev.p2
-            ci = self.col_index[x1 // SCALE]
-            if self.col_index[x2 // SCALE] != ci:
-                raise ScheduleAssertionFailed(
-                    f"event {t} pairs points of two vertical ovals"
-                )
-            code1 = 4 * self.row_index[y1 // SCALE] + 2 * (x1 % SCALE == 7) + (y1 % SCALE == 6)
-            code2 = 4 * self.row_index[y2 // SCALE] + 2 * (x2 % SCALE == 7) + (y2 % SCALE == 6)
-            if self.w2[ci, code1] != self.w2[ci, code2]:
-                raise ScheduleAssertionFailed(
-                    f"event {t} changes the Alexander grading"
-                )
-            for code in (code1, code2):
-                if death[ci, code] != len(events):
-                    raise ScheduleAssertionFailed(
-                        f"event {t} kills a point a second time"
-                    )
-                death[ci, code] = t
-            pair_info.append((ci, code1, code2))
-
-        gen_death = np.full(len(keys), len(events), np.int32)
-        for ci in range(self.k):
-            np.minimum(gen_death, death[ci][codes[:, ci]], out=gen_death)
-        out = []
-        for t, (ci, code1, code2) in enumerate(pair_info):
-            sel = np.flatnonzero((gen_death == t) & (codes[:, ci] == code1))
-            src = keys[sel]
-            dst = src + (code2 - code1) * self.powers[ci]
-            out.append((src.tolist(), dst.tolist()))
-        return out

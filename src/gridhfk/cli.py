@@ -1,9 +1,10 @@
 """Command-line front end for the grid knot invariant calculator.
 
 One invocation takes a knot — a braid word or a grid file — computes the
-bigraded invariant table over Z or Z/2 with the requested pipeline, runs
-the configured consistency checks, and prints either a human-readable
-report or a machine-readable one that parses back losslessly.
+bigraded invariant table over Z or Z/2 with the path engine on the short
+oval complex, runs the configured consistency checks, and prints either a
+human-readable report or a machine-readable one that parses back
+losslessly.
 
 The genus and fibered modes avoid the full table: the stabilization factor
 in the computed homology only shifts gradings down, so both invariants are
@@ -32,7 +33,6 @@ from .gridkit import (
 from .reducer import (
     HFKTable,
     hfk_cells,
-    hfk_ovals,
     hfk_paths,
     make_table,
     top_invariants,
@@ -41,7 +41,7 @@ from .simplifier import minimize
 
 #: the dual-pipeline crosscheck defaults to on up to this grid size; above
 #: it the rectangle complex (n! generators) dominates the whole run time
-CROSSCHECK_SIZE_LIMIT = 7
+CROSSCHECK_SIZE_LIMIT = 8
 
 MACHINE_HEADER = "# gridhfk machine-format 1"
 
@@ -54,7 +54,7 @@ class RunConfig:
     grid_path: str | None = None
     coeff: str = "z"  # z | z2
     mode: str = "hfk"  # hfk | genus | fibered | torsion
-    strategy: str = "fast"  # fast | faithful | paths
+    strategy: str = "paths"  # the one oval route
     simplify_budget: int = 20000
     skip: str = "none"  # none | auto
     crosscheck: bool | None = None  # None: on iff the minimized grid is small
@@ -73,7 +73,7 @@ class RunConfig:
         allowed = (
             ("coeff", self.coeff, ("z", "z2")),
             ("mode", self.mode, ("hfk", "genus", "fibered", "torsion")),
-            ("strategy", self.strategy, ("fast", "faithful", "paths")),
+            ("strategy", self.strategy, ("paths",)),
             ("skip", self.skip, ("none", "auto")),
             ("format", self.fmt, ("text", "machine")),
         )
@@ -104,7 +104,6 @@ class RunResult:
     fibered: bool
     torsion_free: bool | None
     checks: tuple[str, ...]
-    warnings: tuple[str, ...]
 
 
 def parse_braid_word(text: str) -> tuple[int, ...]:
@@ -119,9 +118,9 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
 
 
 def _load(cfg: RunConfig) -> GridDiagram:
-    if cfg.braid is not None:
+    """The input knot of a validated config: exactly one source is set."""
+    if cfg.grid_path is None:
         return parse_braid(cfg.braid)
-    assert cfg.grid_path is not None
     with open(cfg.grid_path, encoding="utf-8") as handle:
         g = parse_grid_text(handle.read())
     pieces = component_count(g)
@@ -218,13 +217,9 @@ def run(cfg: RunConfig) -> RunResult:
             fibered=fibered,
             torsion_free=None,
             checks=tuple(checks),
-            warnings=(),
         )
 
-    if cfg.strategy == "paths":
-        report = hfk_paths(g, ring, skip=cfg.skip)
-    else:
-        report = hfk_ovals(g, ring, mode=cfg.strategy, skip=cfg.skip)
+    report = hfk_paths(g, ring, skip=cfg.skip)
     table = report.table
     checks.extend(report.checks)
 
@@ -267,7 +262,6 @@ def run(cfg: RunConfig) -> RunResult:
         fibered=table.fibered,
         torsion_free=table.torsion_free,
         checks=tuple(checks),
-        warnings=report.warnings,
     )
 
 
@@ -308,15 +302,13 @@ def _emit_text(result: RunResult) -> str:
         f"grid size: {result.grid.n} (input {result.input_size}), "
         f"pipeline {result.pipeline}, coefficients {result.ring}",
     ]
-    for message in result.warnings:
-        lines.append(f"warning: {message}")
     table = result.table
-    if cfg.mode == "genus":
-        lines.append(f"genus: {result.genus}")
-    elif cfg.mode == "fibered":
-        lines.append(f"fibered: {_yesno(result.fibered)}")
+    if table is None:  # genus and fibered runs read the top slice only
+        if cfg.mode == "genus":
+            lines.append(f"genus: {result.genus}")
+        else:
+            lines.append(f"fibered: {_yesno(result.fibered)}")
     elif cfg.mode == "torsion":
-        assert table is not None
         lines.append(f"torsion-free: {_yesno(bool(result.torsion_free))}")
         torsion_rows = [
             f"  ({a}, {m}): " + " + ".join(f"Z/{t}" for t in torsion)
@@ -327,7 +319,6 @@ def _emit_text(result: RunResult) -> str:
             lines.append("torsion summands:")
             lines.extend(torsion_rows)
     else:
-        assert table is not None
         lines.extend(_table_rows(table))
         lines.append(f"total rank: {table.total_rank()}")
         lines.append(f"genus: {table.genus}")
@@ -349,21 +340,21 @@ def _emit_machine(result: RunResult) -> str:
         f"# ring: {result.ring}",
         f"# mode: {cfg.mode}",
     ]
-    if cfg.mode == "genus":
-        lines.append(f"genus {result.genus}")
-    elif cfg.mode == "fibered":
-        lines.append(f"fibered {str(result.fibered).lower()}")
+    table = result.table
+    if table is None:  # genus and fibered runs read the top slice only
+        if cfg.mode == "genus":
+            lines.append(f"genus {result.genus}")
+        else:
+            lines.append(f"fibered {str(result.fibered).lower()}")
     elif cfg.mode == "torsion":
-        assert result.table is not None
         lines.append(f"torsion-free {str(result.torsion_free).lower()}")
-        for (a, m), (rank, torsion) in sorted(result.table.groups.items()):
+        for (a, m), (rank, torsion) in sorted(table.groups.items()):
             if torsion:
                 lines.append(
                     f"{a} {m} {rank} " + " ".join(str(t) for t in torsion)
                 )
     else:
-        assert result.table is not None
-        for (a, m), (rank, torsion) in sorted(result.table.groups.items()):
+        for (a, m), (rank, torsion) in sorted(table.groups.items()):
             record = f"{a} {m} {rank}"
             if torsion:
                 record += " " + " ".join(str(t) for t in torsion)
@@ -457,12 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        choices=("fast", "faithful", "paths"),
-        default="fast",
+        choices=("paths",),
+        default="paths",
         help=(
-            "fast: per-slice greedy reduction; faithful: scheduled "
-            "retraction with survivor checks; paths: lazy cancellation-path "
-            "rows of the small complex"
+            "how the oval complex is reduced; paths, the only route: lazy "
+            "cancellation-path rows of the short complex"
         ),
     )
     parser.add_argument(
@@ -483,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("on", "off"),
         default=None,
         help=(
-            "also run the independent rectangle pipeline and compare "
-            f"(default: on up to grid size {CROSSCHECK_SIZE_LIMIT})"
+            "also run the independent rectangle pipeline (n! generators) and "
+            f"compare (default: on up to grid size {CROSSCHECK_SIZE_LIMIT})"
         ),
     )
     parser.add_argument(

@@ -196,12 +196,22 @@ class PathEngine:
         #: event -> (position of its vertical oval in a generator, its
         #: Maslov-raising point)
         slot_of = {c: i for i, c in enumerate(long_cfg.kept_cols())}
+        a2_of = self.moves.frame.a2_of
         self._raising: list[tuple[int, Point]] = []
         for t, ev in enumerate(events):
             column = ev.p1[0] // SCALE
             if ev.p2[0] // SCALE != column:
                 raise ScheduleAssertionFailed(
                     f"event {t} pairs points of two vertical ovals"
+                )
+            # slices are assembled apart, so a pair must share its slice
+            if a2_of[ev.p1] != a2_of[ev.p2]:
+                raise ScheduleAssertionFailed(
+                    f"event {t} changes the Alexander grading"
+                )
+            if self._event_of[ev.p1] < t or self._event_of[ev.p2] < t:
+                raise ScheduleAssertionFailed(
+                    f"event {t} kills a point a second time"
                 )
             self._event_of[ev.p1] = self._event_of[ev.p2] = t
             self._raising.append((slot_of[column], ev.p1))

@@ -556,16 +556,14 @@ def canonical_key(g: GridDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = g.n
     xs2 = g.xs + g.xs
     os2 = g.os + g.os
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for dc in range(n):
+
+    def translate(dc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         dr = -xs2[dc] % n
         xs = tuple((r + dr) % n for r in xs2[dc : dc + n])
         os = tuple((r + dr) % n for r in os2[dc : dc + n])
-        cand = (xs, os)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+        return xs, os
+
+    return min(translate(dc) for dc in range(n))
 
 
 def generalized_destabilizations(g: GridDiagram) -> list[GridDiagram]:

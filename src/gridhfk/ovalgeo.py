@@ -191,15 +191,8 @@ def select_best_config(g: GridDiagram) -> OvalConfig:
     Ties break toward the lexicographically least omitted cell, making the
     choice deterministic.
     """
-    best: OvalConfig | None = None
-    best_count = None
-    for omit in omission_candidates(g):
-        cfg = build_config(g, omit, "short")
-        count = generator_count(cfg)
-        if best_count is None or count < best_count:
-            best, best_count = cfg, count
-    assert best is not None
-    return best
+    configs = (build_config(g, omit, "short") for omit in omission_candidates(g))
+    return min(configs, key=generator_count)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The pipeline stages live here:
 
-* pair-cancellation reduction of a `SparseComplex`, either *fast* (greedy
-  unit pivots anywhere) or *faithful* (following the oval retraction
-  schedule event by event, asserting each matched entry is a unit);
+* greedy pair-cancellation reduction of a `SparseComplex` (unit pivots
+  anywhere);
 * exact homology over Z (Smith normal form) or Z/2 (bitset rank);
 * removal of the rank-2 tensor factor that the full-size complexes carry
   once per grid size beyond one, leaving the knot invariant itself;
@@ -17,24 +16,20 @@ floating point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .chains import SliceBuilder, SparseComplex, mos_complex, oval_generators
+from .chains import SparseComplex, mos_complex, oval_generators
 from .domains_paths import PathEngine
 from .errors import (
     CrosscheckFailed,
     InconsistentHomology,
     InconsistentTensor,
     InvalidInvariant,
-    NonUnitPivot,
-    ScheduleAssertionFailed,
     UnderdeterminedSkip,
 )
 from .gridkit import GridDiagram
-from .ovalgeo import retraction_schedule, select_best_config
 
 #: A graded group: free rank and the torsion invariant factors (> 1, each
 #: dividing the next).
@@ -104,56 +99,6 @@ def reduce_fast(cx: SparseComplex) -> SparseComplex:
         if not done:
             return cx
         first = list(cx.rows)
-
-
-def reduce_faithful(
-    cx: SparseComplex, pairs_by_event: list[tuple[list, list]]
-) -> SparseComplex:
-    """Cancel the scheduled pairs event by event.  In place.
-
-    Every matched entry must be a unit when its turn comes; anything else
-    means the schedule's bookkeeping does not match the complex and raises
-    `ScheduleAssertionFailed` (callers may fall back to fast mode).
-    """
-    for t, (srcs, dsts) in enumerate(pairs_by_event):
-        for a, b in zip(srcs, dsts):
-            if a not in cx.rows or b not in cx.rows:
-                raise ScheduleAssertionFailed(
-                    f"event {t}: pair member already cancelled"
-                )
-            if cx.rows[a].get(b, 0) not in (1, -1):
-                raise ScheduleAssertionFailed(
-                    f"event {t}: matched entry {cx.rows[a].get(b, 0)} is not a unit"
-                )
-            try:
-                cx.cancel_pair(a, b)
-            except NonUnitPivot as exc:  # pragma: no cover - guarded above
-                raise ScheduleAssertionFailed(str(exc)) from exc
-    return cx
-
-
-def tuple_event_pairs(gens, events) -> list[tuple[list, list]]:
-    """Schedule pairs for a tuple-keyed complex (small-grid reference path).
-
-    A generator dies at the first event killing one of its points; at that
-    event it contains exactly one dying point and its partner replaces that
-    point by the other one.
-    """
-    death = {}
-    for t, ev in enumerate(events):
-        death[ev.p1] = t
-        death[ev.p2] = t
-    out: list[tuple[list, list]] = [([], []) for _ in events]
-    for x in gens:
-        t = min((death.get(p, len(events)) for p in x), default=len(events))
-        if t == len(events):
-            continue
-        ev = events[t]
-        if ev.p1 in x:
-            partner = tuple(sorted(ev.p2 if p == ev.p1 else p for p in x))
-            out[t][0].append(x)
-            out[t][1].append(partner)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -558,7 +503,6 @@ class PipelineReport:
     homology: HomologyResult
     pipeline: str
     grid_size: int
-    warnings: tuple[str, ...] = ()
     checks: tuple[str, ...] = ()
 
 
@@ -575,70 +519,6 @@ def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     h = homology(cx)
     table = make_table(deconvolve(h, g.n), ring)
     return PipelineReport(table, h, "cells", g.n)
-
-
-def hfk_ovals(
-    g: GridDiagram,
-    ring: str = "Z",
-    mode: str = "fast",
-    skip: str = "none",
-    omit: tuple[int, int] | None = None,
-) -> PipelineReport:
-    """The oval-complex pipeline, processed one Alexander slice at a time."""
-    if mode not in ("fast", "faithful"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
-    if skip not in ("auto", "none"):
-        raise ValueError(f"unknown skip policy {skip!r}")
-    if omit is None:
-        omit = select_best_config(g).omit
-    builder = SliceBuilder(g, omit)
-    sizes = builder.sizes
-    skipped = auto_skip(sizes, g.n) if skip == "auto" else set()
-
-    events = None
-    short_keys_by_a2: dict[int, set[int]] = {}
-    if mode == "faithful":
-        _, short_cfg, events = retraction_schedule(g, omit)
-        for gen, a2 in oval_generators(short_cfg):
-            short_keys_by_a2.setdefault(a2, set()).add(builder.pack(gen))
-
-    notes: list[str] = []
-    groups: dict[tuple[int, int], Group] = {}
-    for a2 in sorted(sizes, reverse=True):
-        if a2 in skipped:
-            continue
-        cx = builder.slice_complex(a2, ring)
-        if mode == "faithful":
-            pairs = builder.event_pairs(a2, events)
-            try:
-                reduce_faithful(cx, pairs)
-                survivors = set(cx.grading)
-                expected = short_keys_by_a2.get(a2, set())
-                if survivors != expected:
-                    raise ScheduleAssertionFailed(
-                        f"slice a2={a2}: faithful survivors differ from the "
-                        f"short configuration"
-                    )
-            except ScheduleAssertionFailed as exc:
-                message = f"faithful reduction fell back to fast mode: {exc}"
-                warnings.warn(message)
-                notes.append(message)
-                cx = builder.slice_complex(a2, ring)
-                reduce_fast(cx)
-        else:
-            reduce_fast(cx)
-        for key, group in homology(cx).groups.items():
-            groups[key] = group
-
-    h = HomologyResult(ring, groups)
-    if skipped:
-        table_groups = reconstruct_skipped(h, skipped, g.n)
-    else:
-        table_groups = deconvolve(h, g.n)
-    table = make_table(table_groups, ring)
-    return PipelineReport(
-        table, h, f"ovals-{mode}", g.n, warnings=tuple(notes)
-    )
 
 
 def hfk_paths(

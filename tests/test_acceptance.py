@@ -11,11 +11,11 @@ import time
 import pytest
 
 from conftest import BRAIDS, random_grid
-from test_domains_paths import NONZERO_SHORT, faithful_short
+from references import enumerated_long_euler, faithful_short, long_euler
+from test_domains_paths import NONZERO_SHORT
 
 from gridhfk.chains import (
     LongMoves,
-    SliceBuilder,
     long_complex,
     mos_complex,
     oval_generators,
@@ -35,14 +35,16 @@ from gridhfk.gridkit import (
 )
 from gridhfk.ovalgeo import (
     Arrangement,
-    build_config,
     retraction_schedule,
     select_best_config,
 )
 from gridhfk.reducer import (
+    deconvolve,
     hfk_cells,
-    hfk_ovals,
     hfk_paths,
+    homology,
+    make_table,
+    reduce_fast,
     universal_coefficients_consistent,
 )
 from gridhfk.simplifier import minimize
@@ -86,21 +88,16 @@ def minimized():
 
 
 @pytest.fixture(scope="module")
-def three_way(minimized):
-    """(report, seconds) for cells/faithful/fast on the benchmark knots."""
+def two_pipelines(minimized):
+    """(report, seconds) for the cells and paths pipelines on the benchmark knots."""
     out = {}
     for key in ("trefoil", "figure8", "5_2"):
         g = minimized[key]
         runs = {}
-        t0 = time.monotonic()
-        rep = hfk_cells(g, "Z")
-        runs["cells"] = (rep, time.monotonic() - t0)
-        t0 = time.monotonic()
-        rep = hfk_ovals(g, "Z", mode="faithful")
-        runs["faithful"] = (rep, time.monotonic() - t0)
-        t0 = time.monotonic()
-        rep = hfk_ovals(g, "Z", mode="fast")
-        runs["fast"] = (rep, time.monotonic() - t0)
+        for label, pipeline in (("cells", hfk_cells), ("paths", hfk_paths)):
+            t0 = time.monotonic()
+            rep = pipeline(g, "Z")
+            runs[label] = (rep, time.monotonic() - t0)
         out[key] = runs
     return out
 
@@ -156,21 +153,36 @@ def test_criterion_02_size_two_micro_complexes():
     announce(2, "size-two complexes match the hand computation exactly")
 
 
-def test_criterion_03_benchmark_knots_three_ways(three_way):
+def test_criterion_03_benchmark_knots_three_ways(minimized, two_pipelines):
     for key in ("trefoil", "figure8", "5_2"):
-        runs = three_way[key]
+        g = minimized[key]
+        omit = select_best_config(g).omit
+        runs = two_pipelines[key]
         tables = {label: rep.table for label, (rep, _) in runs.items()}
         for label, (rep, seconds) in runs.items():
             assert seconds < 60.0, f"{key} {label} took {seconds:.1f}s"
-        assert runs["faithful"][0].warnings == ()
-        assert tables["cells"] == tables["faithful"] == tables["fast"]
+        assert tables["cells"] == tables["paths"]
+        if key != "5_2":
+            # the eager faithful reduction of the whole long complex
+            h = homology(faithful_short(g, omit))
+            assert make_table(deconvolve(h, g.n), "Z") == tables["cells"]
+        else:
+            # the long complex has 2.9 million generators: reduce the
+            # slices of its top two short a2 gradings alone and compare
+            # them with the path engine's
+            engine = PathEngine(g, omit)
+            top = sorted({a2 for _, a2 in oval_generators(engine.short_cfg)})[-2:]
+            faithful = faithful_short(g, omit, set(top))
+            short = engine.short_complex("Z", keep_a2=set(top))
+            assert set(faithful.grading) == set(short.grading)
+            assert homology(faithful).groups == homology(reduce_fast(short)).groups
         expect = EXPECTED[key]
         table = tables["cells"]
         assert table.ranks() == expect["ranks"]
         assert table.total_rank() == expect["total"]
         assert table.genus == expect["genus"]
         assert table.fibered is expect["fibered"]
-    announce(3, "trefoil/figure-eight/5_2 agree across all three pipelines")
+    announce(3, "trefoil/figure-eight/5_2: cells, eager faithful and paths agree")
 
 
 def test_criterion_04_d_squared_on_random_grids():
@@ -192,13 +204,12 @@ def test_criterion_05_euler_matches_determinant(minimized):
         assert g.n <= 7
         target = alexander_polynomial(g) * one_minus_tinv ** (g.n - 1)
 
-        builder = SliceBuilder(g, select_best_config(g).omit)
-        oval_poly = LaurentPoly(
-            {a2 // 2: builder.slice_euler(a2) for a2 in builder.sizes}
-        )
+        omit = select_best_config(g).omit
+        if g.n <= 5:
+            assert enumerated_long_euler(g, omit) == long_euler(g, omit), key
         # exact equality: the complexes realize the determinant on the nose,
         # so the allowed global unit is +1
-        assert oval_poly == target, key
+        assert long_euler(g, omit) == target, key
 
         mos = mos_complex(g, "Z")
         mos_terms: dict[int, int] = {}
@@ -252,10 +263,10 @@ def _random_representation(g, rng, moves=8, max_n=9):
     return h
 
 
-def test_criterion_07_representation_independence(minimized, three_way):
+def test_criterion_07_representation_independence(minimized, two_pipelines):
     rng = random.Random(20260815 + 7)
     for key in ("trefoil", "figure8", "5_2"):
-        base = three_way[key]["cells"][0].table
+        base = two_pipelines[key]["cells"][0].table
         for _ in range(5):
             h = _random_representation(minimized[key], rng)
             m = minimize(h)
@@ -298,16 +309,13 @@ def test_criterion_08_path_differential_and_prefilter():
     announce(8, "path rows equal faithful reduction; prefilter is sound")
 
 
-def test_criterion_09_skip_reconstruction(minimized, three_way):
+def test_criterion_09_skip_reconstruction(minimized, two_pipelines):
     for key in ("trefoil", "figure8", "5_2"):
         g = minimized[key]
-        unskipped = three_way[key]["fast"][0].table
-        assert hfk_ovals(g, "Z", mode="fast", skip="auto").table == unskipped
-        assert (
-            hfk_paths(g, "Z", skip="auto").table
-            == hfk_paths(g, "Z", skip="none").table
-            == unskipped
-        )
+        unskipped = two_pipelines[key]["paths"][0].table
+        assert unskipped == two_pipelines[key]["cells"][0].table
+        assert hfk_paths(g, "Z", skip="auto").table == unskipped
+        assert hfk_paths(g, "Z2", skip="auto").table == hfk_paths(g, "Z2").table
     announce(9, "auto-skip reconstruction reproduces the unskipped tables")
 
 

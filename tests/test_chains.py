@@ -9,11 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import BRAIDS, random_grid
+from references import enumerated_long_euler, long_euler
 from test_cells_oracle import reference_sign, table_sign
-from gridhfk import chains, ovalgeo
+from gridhfk import chains, domains_paths, ovalgeo
 from gridhfk.chains import (
     LongMoves,
-    SliceBuilder,
     SparseComplex,
     _OvalFrame,
     alexander2_dominance,
@@ -271,6 +271,12 @@ class TestOvalComplex:
             oval = euler_by_a2(long_complex(g, omission_candidates(g)[0], "Z2"))
             assert cell == oval
 
+    def test_euler_determinant_matches_enumeration(self, rng):
+        for n in (2, 3, 3, 4, 4, 5):
+            g = random_grid(n, rng)
+            for omit in omission_candidates(g):
+                assert enumerated_long_euler(g, omit) == long_euler(g, omit), (g, omit)
+
     def test_restriction_is_a_subcomplex(self):
         g = parse_braid(BRAIDS["trefoil"])
         omit = omission_candidates(g)[0]
@@ -307,31 +313,21 @@ class TestTypedFailures:
             long_complex(g, omit, keep_a2={top})
 
     def test_non_square_full_oval_configuration(self, monkeypatch):
+        g, omit = REGRESSION_OVAL
         kept_rows = ovalgeo.OvalConfig.kept_rows
         monkeypatch.setattr(
             ovalgeo.OvalConfig, "kept_rows", lambda self: kept_rows(self)[1:]
         )
         with pytest.raises(InvalidOmission, match="must be square"):
-            SliceBuilder(*REGRESSION_OVAL)
+            long_complex(g, omit)
 
-    def test_boundary_target_outside_its_slice(self):
-        builder = SliceBuilder(*REGRESSION_OVAL)
-        slices = builder._enumerate()
-        a2 = max(slices, key=lambda a: len(slices[a][0]))
-        keys, codes = slices[a2]
-        slices[a2] = (keys[::2], codes[::2])
-        with pytest.raises(GradingViolation, match="escaped its Alexander slice"):
-            builder.slice_edges(a2)
-
-    def test_inconsistent_events(self):
+    def test_inconsistent_events(self, monkeypatch):
         g, omit = REGRESSION_OVAL
-        builder = SliceBuilder(g, omit)
-        events = ovalgeo.retraction_schedule(g, omit)[2]
-        a2 = next(iter(builder._enumerate()))
-        builder.event_pairs(a2, events)  # the real schedule is consistent
+        long_cfg, short_cfg, events = ovalgeo.retraction_schedule(g, omit)
+        domains_paths.PathEngine(g, omit)  # the real schedule is consistent
         ev = events[0]
         column = ev.p1[0] // SCALE
-        a2_of = builder.frame.a2_of
+        a2_of = _OvalFrame(long_cfg).a2_of
         across = next(p for p in a2_of if p[0] // SCALE != column)
         shifted = next(
             p for p in a2_of if p[0] // SCALE == column and a2_of[p] != a2_of[ev.p1]
@@ -342,5 +338,10 @@ class TestTypedFailures:
             ([ev, ev], "kills a point a second time"),
         ]
         for schedule, message in bad:
+            monkeypatch.setattr(
+                domains_paths,
+                "retraction_schedule",
+                lambda g, omit, schedule=schedule: (long_cfg, short_cfg, schedule),
+            )
             with pytest.raises(ScheduleAssertionFailed, match=message):
-                builder.event_pairs(a2, schedule)
+                domains_paths.PathEngine(g, omit)

@@ -217,7 +217,7 @@ class TestMachineFormat:
         out = emit_report(result)
         assert "# input: braid 1 1 1" in out
         assert "# n: 5" in out
-        assert "# pipeline: ovals-fast" in out
+        assert "# pipeline: ovals-paths" in out
         assert "# ring: Z" in out
 
     @pytest.mark.parametrize("coeff", ["z", "z2"])
@@ -253,9 +253,14 @@ class TestCrosscheckPolicy:
         result = run(RunConfig(braid=(1, 1, 1), crosscheck=False))
         assert not any("crosscheck" in c for c in result.checks)
 
-    def test_default_off_above_size_limit(self):
+    def test_default_on_at_size_limit(self):
         result = run(RunConfig(braid=BRAIDS["8_20"], mode="genus"))
-        assert result.grid.n == 8
+        assert result.grid.n == cli.CROSSCHECK_SIZE_LIMIT == 8
+        assert any("crosscheck" in c for c in result.checks)
+
+    def test_default_off_above_size_limit(self):
+        result = run(RunConfig(braid=(1,) * 7, mode="genus"))
+        assert result.grid.n == 9
         assert not any("crosscheck" in c for c in result.checks)
 
     def test_explicit_on_above_size_limit(self):
@@ -269,15 +274,34 @@ class TestCrosscheckPolicy:
 class TestStrategiesAgree:
     def test_trefoil_same_table_every_way(self):
         tables = []
-        for strategy in ("fast", "faithful", "paths"):
-            for skip in ("none", "auto"):
+        for skip in ("none", "auto"):
+            for crosscheck in (True, False):
                 result = run(
-                    RunConfig(
-                        braid=(1, 1, 1), strategy=strategy, skip=skip
-                    )
+                    RunConfig(braid=(1, 1, 1), skip=skip, crosscheck=crosscheck)
                 )
                 tables.append(result.table)
+        tables.append(reducer.hfk_cells(result.grid).table)
         assert all(t == tables[0] for t in tables)
+
+
+class TestStrategyFlag:
+    @pytest.mark.parametrize("strategy", ["fast", "faithful"])
+    def test_removed_strategies_are_usage_errors(self, strategy, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--braid", "1 1 1", "--strategy", strategy])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+
+    def test_benchmark_flag_set(self, capsys):
+        argv = ["--braid", "1 1 1", "--strategy", "paths", "--skip", "none",
+                "--crosscheck", "off", "--format", "machine"]
+        assert main(argv) == 0
+        assert "# pipeline: ovals-paths" in capsys.readouterr().out
+
+    def test_default_run_uses_paths(self, capsys):
+        assert main(["--braid", "1 1 1", "--format", "machine"]) == 0
+        assert "# pipeline: ovals-paths" in capsys.readouterr().out
 
 
 class TestGridFileInput:

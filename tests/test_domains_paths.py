@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import BRAIDS, random_grid
+from references import faithful_short
 
 from gridhfk import domains_paths
 from gridhfk.chains import long_complex, oval_generators
@@ -18,7 +19,6 @@ from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
-    retraction_schedule,
     select_best_config,
 )
 from gridhfk.reducer import (
@@ -27,8 +27,6 @@ from gridhfk.reducer import (
     hfk_cells,
     homology,
     make_table,
-    reduce_faithful,
-    tuple_event_pairs,
 )
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
@@ -83,14 +81,6 @@ def rational_solver(arr):
         return domain
 
     return solve
-
-
-def faithful_short(g, omit):
-    _, short_cfg, events = retraction_schedule(g, omit)
-    cx = long_complex(g, omit)
-    pairs = tuple_event_pairs(cx.generators(), events)
-    reduce_faithful(cx, pairs)
-    return cx
 
 
 class TestFindDomain:

@@ -1,13 +1,14 @@
 """Reduction, exact homology, tensor deconvolution, and the pipelines."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from conftest import BRAIDS, random_grid
+from references import reduce_faithful, tuple_event_pairs
 
-from gridhfk.chains import SliceBuilder, SparseComplex, long_complex, mos_complex, oval_generators
+from gridhfk.chains import SparseComplex, long_complex, mos_complex, oval_generators
+from gridhfk.domains_paths import PathEngine
 from gridhfk.errors import (
     InconsistentTensor,
     InvalidInvariant,
@@ -21,17 +22,14 @@ from gridhfk.reducer import (
     auto_skip,
     deconvolve,
     hfk_cells,
-    hfk_ovals,
     hfk_paths,
     homology,
     make_table,
     rank_mod2,
     reconstruct_skipped,
-    reduce_faithful,
     reduce_fast,
     smith_invariant_factors,
     top_invariants,
-    tuple_event_pairs,
     universal_coefficients_consistent,
 )
 from gridhfk.simplifier import minimize
@@ -208,25 +206,22 @@ class TestReduction:
             expected = {gen for gen, _ in oval_generators(short_cfg)}
             assert survivors == expected
 
-    def test_tuple_pairs_match_vectorized_pairs(self, rng):
-        g = random_grid(4, rng)
-        omit = select_best_config(g).omit
-        _, _, events = retraction_schedule(g, omit)
-        builder = SliceBuilder(g, omit)
-        cx = long_complex(g, omit)
-        tuple_pairs = tuple_event_pairs(cx.generators(), events)
-        by_a2 = {}
-        for t, (srcs, dsts) in enumerate(tuple_pairs):
-            for a, b in zip(srcs, dsts):
-                a2 = cx.grading[a][0]
-                by_a2.setdefault(a2, [set() for _ in events])[t].add(
-                    (builder.pack(a), builder.pack(b))
-                )
-        for a2 in builder.sizes:
-            fast_pairs = builder.event_pairs(a2, events)
-            expected = by_a2.get(a2, [set() for _ in events])
-            for t, (srcs, dsts) in enumerate(fast_pairs):
-                assert set(zip(srcs, dsts)) == expected[t]
+    def test_tuple_pairs_match_path_engine_deaths(self, rng):
+        # the reference pairs and the path engine's elimination keys name
+        # the same (event, source) for every cancelled long generator
+        for _ in range(3):
+            g = random_grid(4, rng)
+            omit = select_best_config(g).omit
+            _, _, events = retraction_schedule(g, omit)
+            engine = PathEngine(g, omit)
+            cx = long_complex(g, omit)
+            expected = {}
+            for t, (srcs, dsts) in enumerate(tuple_event_pairs(cx.generators(), events)):
+                for a, b in zip(srcs, dsts):
+                    expected[a] = expected[b] = (t, a)
+            assert {x: engine._death(x) for x in cx.generators()} == {
+                x: expected.get(x) for x in cx.generators()
+            }
 
 
 class TestDeconvolve:
@@ -364,16 +359,13 @@ class TestMakeTable:
 class TestPipelines:
     def expect(self, g, table, ring="Z"):
         rep_cells = hfk_cells(g, ring)
-        rep_fast = hfk_ovals(g, ring, mode="fast")
-        rep_faithful = hfk_ovals(g, ring, mode="faithful")
-        rep_skip = hfk_ovals(g, ring, mode="fast", skip="auto")
-        for rep in (rep_cells, rep_fast, rep_faithful, rep_skip):
+        rep_paths = hfk_paths(g, ring)
+        rep_skip = hfk_paths(g, ring, skip="auto")
+        for rep in (rep_cells, rep_paths, rep_skip):
             assert rep.table.ranks() == table
             assert rep.table.torsion_free
-            assert not rep.warnings
-        assert rep_cells.table.groups == rep_fast.table.groups
-        assert rep_fast.table.groups == rep_faithful.table.groups
-        assert rep_fast.table.groups == rep_skip.table.groups
+        assert rep_cells.table.groups == rep_paths.table.groups
+        assert rep_paths.table.groups == rep_skip.table.groups
         return rep_cells.table
 
     def test_unknot(self):
@@ -398,7 +390,7 @@ class TestPipelines:
     def test_mod2_tables_match_on_thin_knots(self):
         for name, expected in (("trefoil", TREFOIL_TABLE), ("figure8", FIG8_TABLE)):
             g = parse_braid(BRAIDS[name])
-            rep = hfk_ovals(g, "Z2", mode="fast")
+            rep = hfk_paths(g, "Z2")
             assert rep.table.ranks() == expected
 
     def test_uct_on_trefoil(self):
@@ -407,31 +399,17 @@ class TestPipelines:
         h2 = hfk_cells(g, "Z2").homology
         assert universal_coefficients_consistent(hz, h2)
 
-    def test_faithful_fallback_warns(self, monkeypatch):
-        g = parse_braid(BRAIDS["trefoil"])
-
-        def bad_pairs(self, a2, events):
-            return [([1], [2])]
-
-        monkeypatch.setattr(SliceBuilder, "event_pairs", bad_pairs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = hfk_ovals(g, "Z", mode="faithful")
-        assert rep.warnings
-        assert any("fell back" in str(w.message) for w in caught)
-        assert rep.table.ranks() == TREFOIL_TABLE
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            hfk_ovals(UNKNOT2, "Z", mode="slow")
+            hfk_paths(UNKNOT2, "Q")
         with pytest.raises(ValueError):
-            hfk_ovals(UNKNOT2, "Z", skip="most")
+            hfk_paths(UNKNOT2, "Z", skip="most")
 
     def test_axis_omission_override(self):
         g = parse_braid(BRAIDS["trefoil"])
-        base = hfk_ovals(g, "Z").table.groups
+        base = hfk_paths(g, "Z").table.groups
         for omit in [(c, g.xs[c]) for c in range(g.n)][:3]:
-            assert hfk_ovals(g, "Z", omit=omit).table.groups == base
+            assert hfk_paths(g, "Z", omit=omit).table.groups == base
 
     def test_minimized_input_feeds_pipeline(self):
         g = minimize(parse_braid(BRAIDS["trefoil"]))
