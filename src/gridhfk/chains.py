@@ -9,9 +9,11 @@ Two complexes are built from the same diagram:
   from one marking table per grid and comparisons on the columns inside
   each rectangle), with signs read from a per-size table of spin lifts
   (`_spin_lifts`) built once per process;
-* the **oval complex** (`long_complex`): generators place one point on each
-  intersection of a vertical with a horizontal oval, and the boundary counts
-  empty bigons (cap flips) and empty planar rectangles.
+* the **long oval complex** (`long_complex`): generators place one point on
+  each intersection of a vertical with a horizontal oval, and the boundary
+  counts empty bigons (cap flips) and empty planar rectangles.  Only the
+  tests and `hfkbench` build it, as a reference: a run pulls its rows one
+  generator at a time (`LongMoves`, in `domains_paths.PathEngine`).
 
 Both carry a Maslov grading (homological) and a doubled Alexander grading
 ``a2`` (stored doubled so that every value is an integer).  The Maslov
@@ -48,6 +50,7 @@ from .gridkit import (
     GridDiagram,
     Point,
     dominance_count,
+    maslov,
     quadrant_winding_sum,
     winding_number,
 )
@@ -59,20 +62,6 @@ Gen = tuple[Point, ...]
 
 # --------------------------------------------------------------------------
 # gradings
-
-
-def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) -> int:
-    """Maslov grading from dominance counts against the O punctures.
-
-    ``shift`` is +1 for cell generators and 0 for oval generators.
-    """
-    return (
-        dominance_count(points, points)
-        - dominance_count(points, o_punct)
-        - dominance_count(o_punct, points)
-        + dominance_count(o_punct, o_punct)
-        + shift
-    )
 
 
 def alexander2_dominance(

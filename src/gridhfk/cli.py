@@ -21,12 +21,11 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import CrosscheckFailed, GridHfkError, MultiComponent
+from .errors import CrosscheckFailed, GridHfkError
 from .gridkit import (
     GridDiagram,
     LaurentPoly,
     alexander_polynomial,
-    component_count,
     parse_braid,
     parse_grid_text,
 )
@@ -45,20 +44,31 @@ CROSSCHECK_SIZE_LIMIT = 8
 
 MACHINE_HEADER = "# gridhfk machine-format 1"
 
+#: the allowed values of each choice field of `RunConfig`, read by both
+#: `build_parser` and `RunConfig.validate`
+CHOICES = {
+    "coeff": ("z", "z2"),
+    "mode": ("hfk", "genus", "fibered", "torsion"),
+    "skip": ("none", "auto"),
+    "fmt": ("text", "machine"),
+}
+
 
 @dataclass
 class RunConfig:
-    """One invocation's worth of choices; mirrors the command-line flags."""
+    """One invocation's worth of choices; mirrors the command-line flags.
+
+    The allowed values of the choice fields are in `CHOICES`.
+    """
 
     braid: tuple[int, ...] | None = None
     grid_path: str | None = None
-    coeff: str = "z"  # z | z2
-    mode: str = "hfk"  # hfk | genus | fibered | torsion
-    strategy: str = "paths"  # the one oval route
+    coeff: str = "z"
+    mode: str = "hfk"
     simplify_budget: int = 20000
-    skip: str = "none"  # none | auto
+    skip: str = "none"
     crosscheck: bool | None = None  # None: on iff the minimized grid is small
-    fmt: str = "text"  # text | machine
+    fmt: str = "text"
 
     def input_label(self) -> str:
         if self.braid is not None:
@@ -70,14 +80,8 @@ class RunConfig:
             raise ValueError(
                 "exactly one of a braid word or a grid file is required"
             )
-        allowed = (
-            ("coeff", self.coeff, ("z", "z2")),
-            ("mode", self.mode, ("hfk", "genus", "fibered", "torsion")),
-            ("strategy", self.strategy, ("paths",)),
-            ("skip", self.skip, ("none", "auto")),
-            ("format", self.fmt, ("text", "machine")),
-        )
-        for name, value, options in allowed:
+        for name, options in CHOICES.items():
+            value = getattr(self, name)
             if value not in options:
                 raise ValueError(
                     f"{name} must be one of {', '.join(options)}; got {value!r}"
@@ -122,13 +126,7 @@ def _load(cfg: RunConfig) -> GridDiagram:
     if cfg.grid_path is None:
         return parse_braid(cfg.braid)
     with open(cfg.grid_path, encoding="utf-8") as handle:
-        g = parse_grid_text(handle.read())
-    pieces = component_count(g)
-    if pieces != 1:
-        raise MultiComponent(
-            f"the grid traces {pieces} closed curves; only knots are supported"
-        )
-    return g
+        return parse_grid_text(handle.read())
 
 
 def _table_euler(table: HFKTable) -> LaurentPoly:
@@ -186,68 +184,51 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.crosscheck is not None
         else g.n <= CROSSCHECK_SIZE_LIMIT
     )
+    delta = alexander_polynomial(g)
     checks: list[str] = []
+    table: HFKTable | None = None
 
     if cfg.mode in ("genus", "fibered"):
         genus, fibered = top_invariants(g, ring)
         pipeline = "ovals-top-slice"
-        broken = alexander_genus_violation(alexander_polynomial(g), genus, fibered)
+        broken = alexander_genus_violation(delta, genus, fibered)
         if broken is not None:
             raise CrosscheckFailed(
                 f"top-slice scan contradicts the Alexander polynomial: {broken}"
             )
         checks.append("Alexander polynomial against genus: ok")
-        if crosscheck:
-            reference = hfk_cells(g, ring).table
-            if (reference.genus, reference.fibered) != (genus, fibered):
-                raise CrosscheckFailed(
-                    "top-slice scan and rectangle pipeline disagree: "
-                    f"({genus}, {fibered}) vs "
-                    f"({reference.genus}, {reference.fibered})"
-                )
-            checks.append("crosscheck against rectangle pipeline: ok")
-        return RunResult(
-            config=cfg,
-            input_size=g_in.n,
-            grid=g,
-            pipeline=pipeline,
-            ring=ring,
-            table=None,
-            genus=genus,
-            fibered=fibered,
-            torsion_free=None,
-            checks=tuple(checks),
-        )
-
-    report = hfk_paths(g, ring, skip=cfg.skip)
-    table = report.table
-    checks.extend(report.checks)
-
-    euler = _table_euler(table)
-    delta = alexander_polynomial(g)
-    if euler != delta:
-        raise CrosscheckFailed(
-            "graded Euler characteristic differs from the determinant "
-            f"polynomial: {euler!r} vs {delta!r}"
-        )
-    checks.append("Euler characteristic against determinant: ok")
-
-    broken = symmetry_violation(table)
-    if broken is not None:
-        a, m = broken
-        raise CrosscheckFailed(
-            f"table breaks the symmetry H(a, m) = H(-a, m - 2a): "
-            f"H({a}, {m}) = {table.groups[a, m]} but "
-            f"H({-a}, {m - 2 * a}) = {table.groups.get((-a, m - 2 * a), (0, ()))}"
-        )
-    checks.append("symmetry H(a, m) = H(-a, m - 2a): ok")
+    else:
+        report = hfk_paths(g, ring, skip=cfg.skip)
+        table, pipeline = report.table, report.pipeline
+        genus, fibered = table.genus, table.fibered
+        checks.extend(report.checks)
+        euler = _table_euler(table)
+        if euler != delta:
+            raise CrosscheckFailed(
+                "graded Euler characteristic differs from the determinant "
+                f"polynomial: {euler!r} vs {delta!r}"
+            )
+        checks.append("Euler characteristic against determinant: ok")
+        broken = symmetry_violation(table)
+        if broken is not None:
+            a, m = broken
+            raise CrosscheckFailed(
+                f"table breaks the symmetry H(a, m) = H(-a, m - 2a): "
+                f"H({a}, {m}) = {table.groups[a, m]} but "
+                f"H({-a}, {m - 2 * a}) = {table.groups.get((-a, m - 2 * a), (0, ()))}"
+            )
+        checks.append("symmetry H(a, m) = H(-a, m - 2a): ok")
 
     if crosscheck:
         reference = hfk_cells(g, ring).table
-        if reference != table:
+        # a table is compared whole, a top-slice answer as (genus, fibered)
+        if table is not None:
+            ours, theirs = table, reference
+        else:
+            ours, theirs = (genus, fibered), (reference.genus, reference.fibered)
+        if ours != theirs:
             raise CrosscheckFailed(
-                "oval and rectangle pipelines disagree: "
-                f"{table.groups} vs {reference.groups}"
+                f"{pipeline} and rectangle pipelines disagree: {ours} vs {theirs}"
             )
         checks.append("crosscheck against rectangle pipeline: ok")
 
@@ -255,12 +236,12 @@ def run(cfg: RunConfig) -> RunResult:
         config=cfg,
         input_size=g_in.n,
         grid=g,
-        pipeline=report.pipeline,
+        pipeline=pipeline,
         ring=ring,
         table=table,
-        genus=table.genus,
-        fibered=table.fibered,
-        torsion_free=table.torsion_free,
+        genus=genus,
+        fibered=fibered,
+        torsion_free=table.torsion_free if table is not None else None,
         checks=tuple(checks),
     )
 
@@ -436,36 +417,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--coeff",
-        choices=("z", "z2"),
-        default="z",
+        choices=CHOICES["coeff"],
+        default=RunConfig.coeff,
         help="coefficient ring: integers or the two-element field",
     )
     parser.add_argument(
         "--mode",
-        choices=("hfk", "genus", "fibered", "torsion"),
-        default="hfk",
+        choices=CHOICES["mode"],
+        default=RunConfig.mode,
         help="full table, or a single derived invariant",
     )
     parser.add_argument(
         "--strategy",
         choices=("paths",),
-        default="paths",
         help=(
-            "how the oval complex is reduced; paths, the only route: lazy "
-            "cancellation-path rows of the short complex"
+            "accepted for older scripts: paths, lazy cancellation-path rows "
+            "of the short complex, is the only route"
         ),
     )
     parser.add_argument(
         "--simplify-budget",
         type=int,
-        default=20000,
+        default=RunConfig.simplify_budget,
         metavar="N",
         help="search-node budget for grid-size minimization (0 disables)",
     )
     parser.add_argument(
         "--skip",
-        choices=("none", "auto"),
-        default="none",
+        choices=CHOICES["skip"],
+        default=RunConfig.skip,
         help="auto: skip the largest Alexander slices and reconstruct them",
     )
     parser.add_argument(
@@ -480,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         dest="fmt",
-        choices=("text", "machine"),
-        default="text",
+        choices=CHOICES["fmt"],
+        default=RunConfig.fmt,
         help="human-readable report or line-delimited records",
     )
     return parser
@@ -493,7 +473,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         grid_path=args.grid,
         coeff=args.coeff,
         mode=args.mode,
-        strategy=args.strategy,
         simplify_budget=args.simplify_budget,
         skip=args.skip,
         crosscheck=None if args.crosscheck is None else args.crosscheck == "on",

@@ -216,6 +216,9 @@ class PathEngine:
             self._event_of[ev.p1] = self._event_of[ev.p2] = t
             self._raising.append((slot_of[column], ev.p1))
         self._arr = Arrangement(short_cfg)
+        #: (generator, a2) of the short configuration in walk order: the one
+        #: enumeration that every slice and slice size of a run comes from
+        self.short_gens = oval_generators(short_cfg)
         #: reduced row of each cancelled source at its elimination step
         self._rows: dict[Gen, dict[Gen, int]] = {}
 
@@ -312,12 +315,6 @@ class PathEngine:
                 )
         return row
 
-    def short_entry(self, x: Gen, y: Gen) -> int:
-        """One entry, gated by the domain prefilter."""
-        if find_domain(self._arr, x, y) is None:
-            return 0
-        return self._reduced_row(x, (self.event_count,)).get(y, 0)
-
     def _slice_rows(self, gens: list[Gen]) -> list[tuple[Gen, dict[Gen, int]]]:
         """``(x, short_row(x))`` for the generators of one Alexander slice.
 
@@ -372,12 +369,15 @@ class PathEngine:
         (none where the ``fork`` start method is missing).  Either way the
         entries are added in slice order and, within a slice, in generator
         order, so the complex is the same, insertion order included.
+        ``keep_a2`` (None keeps all) filters `short_gens`, which yields the
+        generators `oval_generators` prunes to, in the same order.
         """
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
-        for x, a2 in oval_generators(self.short_cfg, keep_a2):
-            cx.add_generator(x, a2, self.moves.gradings(x)[1])
-            slices.setdefault(a2, []).append(x)
+        for x, a2 in self.short_gens:
+            if keep_a2 is None or a2 in keep_a2:
+                cx.add_generator(x, a2, self.moves.gradings(x)[1])
+                slices.setdefault(a2, []).append(x)
         workers = min(len(slices), _available_cpus())
         if (
             workers >= 2

@@ -64,12 +64,6 @@ class GridDiagram:
     def n(self) -> int:
         return len(self.xs)
 
-    def x_row(self, c: int) -> int:
-        return self.xs[c]
-
-    def o_row(self, c: int) -> int:
-        return self.os[c]
-
     def x_punctures(self) -> list[Point]:
         """Scaled centers of the X-marked cells."""
         return [(SCALE * c + CENTER, SCALE * r + CENTER) for c, r in enumerate(self.xs)]
@@ -100,22 +94,14 @@ def validate(g: GridDiagram) -> None:
 
 
 def component_count(g: GridDiagram) -> int:
-    """Number of closed curves traced by the diagram."""
-    n = g.n
-    x_col_of_row = [0] * n
-    for c, r in enumerate(g.xs):
-        x_col_of_row[r] = c
-    seen = [False] * n
-    count = 0
-    for c0 in range(n):
-        if seen[c0]:
-            continue
-        count += 1
-        c = c0
-        while not seen[c]:
-            seen[c] = True
-            c = x_col_of_row[g.os[c]]
-    return count
+    """Number of closed curves traced by the diagram.
+
+    Following the curve from column ``c`` through its O to the X in the
+    same row lands in the column of that X, so the curves are the cycles of
+    that permutation of the columns.
+    """
+    x_col_of_row = transpose(g).xs
+    return _cycle_count([x_col_of_row[r] for r in g.os])
 
 
 # --------------------------------------------------------------------------
@@ -134,15 +120,11 @@ def vertical_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
 
 def horizontal_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
     """Per row: ``(y, x_low, x_high, goes_left)`` oriented from O to X."""
-    xc = [0] * g.n
-    oc = [0] * g.n
-    for c in range(g.n):
-        xc[g.xs[c]] = c
-        oc[g.os[c]] = c
+    t = transpose(g)
     out = []
     for r in range(g.n):
-        xx = SCALE * xc[r] + CENTER
-        xo = SCALE * oc[r] + CENTER
+        xx = SCALE * t.xs[r] + CENTER
+        xo = SCALE * t.os[r] + CENTER
         out.append((SCALE * r + CENTER, min(xx, xo), max(xx, xo), xx < xo))
     return out
 
@@ -180,6 +162,20 @@ def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
             if ax < bx and ay < by:
                 total += 1
     return total
+
+
+def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) -> int:
+    """Maslov grading from dominance counts against the O punctures.
+
+    ``shift`` is +1 for cell generators and 0 for oval generators.
+    """
+    return (
+        dominance_count(points, points)
+        - dominance_count(points, o_punct)
+        - dominance_count(o_punct, points)
+        + dominance_count(o_punct, o_punct)
+        + shift
+    )
 
 
 def quadrant_winding_sum(g: GridDiagram, puncture: Point) -> int:
@@ -469,13 +465,7 @@ def column_destabilization_sites(g: GridDiagram) -> list[int]:
 
 def row_destabilization_sites(g: GridDiagram) -> list[int]:
     """Rows whose X and O sit in adjacent columns."""
-    n = g.n
-    xc = [0] * n
-    oc = [0] * n
-    for c in range(n):
-        xc[g.xs[c]] = c
-        oc[g.os[c]] = c
-    return [r for r in range(n) if abs(xc[r] - oc[r]) == 1]
+    return column_destabilization_sites(transpose(g))
 
 
 def destabilize_column(g: GridDiagram, c: int) -> GridDiagram:
@@ -501,15 +491,10 @@ def destabilize_column(g: GridDiagram, c: int) -> GridDiagram:
 
 def destabilize_row(g: GridDiagram, r: int) -> GridDiagram:
     """Delete row ``r`` (whose markings are horizontally adjacent) and merge its two columns."""
-    n = g.n
-    xc = [0] * n
-    oc = [0] * n
-    for c in range(n):
-        xc[g.xs[c]] = c
-        oc[g.os[c]] = c
-    if abs(xc[r] - oc[r]) != 1:
+    t = transpose(g)
+    if abs(t.xs[r] - t.os[r]) != 1:
         raise ValueError(f"row {r} is not a destabilization site")
-    return transpose(destabilize_column(transpose(g), r))
+    return transpose(destabilize_column(t, r))
 
 
 def stabilize(g: GridDiagram, r0: int, ci: int, kind: str = "XO") -> GridDiagram:

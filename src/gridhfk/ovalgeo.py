@@ -41,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvalidOmission, ScheduleAssertionFailed
-from .gridkit import CENTER, SCALE, GridDiagram, Point, dominance_count
+from .gridkit import CENTER, SCALE, GridDiagram, Point, maslov
 
 #: Half-widths of the vertical / horizontal ovals in scaled coordinates.
 V_HALF = 2
@@ -199,26 +199,16 @@ def select_best_config(g: GridDiagram) -> OvalConfig:
 # The retraction schedule from the long to the short configuration.
 
 
-def singleton_maslov(o_punctures: list[Point], p: Point) -> int:
-    """Maslov grading of a single point against the O-markings."""
-    return (
-        -dominance_count([p], o_punctures)
-        - dominance_count(o_punctures, [p])
-        + dominance_count(o_punctures, o_punctures)
-    )
-
-
 @dataclass(frozen=True)
 class Event:
     """One retraction step killing the pair of crossings on one wall.
 
-    ``p1``/``p2`` are the dying points, normalized so the singleton Maslov
-    grading of ``p1`` exceeds that of ``p2`` by one.
+    ``p1``/``p2`` are the dying points, normalized so the Maslov grading of
+    ``p1`` alone exceeds that of ``p2`` alone by one.
     """
 
     oval_kind: str  # which oval retracted ("V" or "H")
     oval_index: int
-    wall: int  # the swept wall coordinate (y of an H-wall / x of a V-wall)
     p1: Point
     p2: Point
 
@@ -238,7 +228,7 @@ def retraction_schedule(
     alive = set(long_cfg.all_points())
     events: list[Event] = []
 
-    def emit(kind: str, index: int, wall: int, pa: Point, pb: Point) -> None:
+    def emit(kind: str, index: int, pa: Point, pb: Point) -> None:
         in_a, in_b = pa in alive, pb in alive
         if not in_a and not in_b:
             return
@@ -248,8 +238,8 @@ def retraction_schedule(
             )
         alive.discard(pa)
         alive.discard(pb)
-        ma = singleton_maslov(o_punct, pa)
-        mb = singleton_maslov(o_punct, pb)
+        ma = maslov((pa,), o_punct, 0)
+        mb = maslov((pb,), o_punct, 0)
         if ma == mb + 1:
             p1, p2 = pa, pb
         elif mb == ma + 1:
@@ -258,7 +248,7 @@ def retraction_schedule(
             raise ScheduleAssertionFailed(
                 f"pair {pa}, {pb} has Maslov gap {ma - mb}, expected +-1"
             )
-        events.append(Event(kind, index, wall, p1, p2))
+        events.append(Event(kind, index, p1, p2))
 
     hi = SCALE * g.n
     h_walls = sorted(
@@ -279,7 +269,7 @@ def retraction_schedule(
         phases = [top, bottom] if top_travel >= bottom_travel else [bottom, top]
         for walls in phases:
             for z in walls:
-                emit("V", c, z, (xl, z), (xr, z))
+                emit("V", c, (xl, z), (xr, z))
 
     for r in short_cfg.kept_rows():
         ho = short_cfg.h_ovals[r]
@@ -291,7 +281,7 @@ def retraction_schedule(
         phases = [right, left] if right_travel >= left_travel else [left, right]
         for walls in phases:
             for w in walls:
-                emit("H", r, w, (w, yb), (w, yt))
+                emit("H", r, (w, yb), (w, yt))
 
     survivors = set(short_cfg.all_points())
     if alive != survivors:

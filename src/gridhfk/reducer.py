@@ -16,11 +16,12 @@ floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .chains import SparseComplex, mos_complex, oval_generators
+from .chains import SparseComplex, mos_complex
 from .domains_paths import PathEngine
 from .errors import (
     CrosscheckFailed,
@@ -502,7 +503,6 @@ class PipelineReport:
     table: HFKTable
     homology: HomologyResult
     pipeline: str
-    grid_size: int
     checks: tuple[str, ...] = ()
 
 
@@ -518,7 +518,7 @@ def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     reduce_fast(cx)
     h = homology(cx)
     table = make_table(deconvolve(h, g.n), ring)
-    return PipelineReport(table, h, "cells", g.n)
+    return PipelineReport(table, h, "cells")
 
 
 def hfk_paths(
@@ -538,9 +538,7 @@ def hfk_paths(
     if skip not in ("auto", "none"):
         raise ValueError(f"unknown skip policy {skip!r}")
     engine = PathEngine(g, omit)
-    sizes: dict[int, int] = {}
-    for _, a2 in oval_generators(engine.short_cfg):
-        sizes[a2] = sizes.get(a2, 0) + 1
+    sizes = Counter(a2 for _, a2 in engine.short_gens)
     skipped = auto_skip(sizes, g.n) if skip == "auto" else set()
     keep = set(sizes) - skipped if skipped else None
     cx = engine.short_complex(ring, keep_a2=keep)
@@ -554,12 +552,8 @@ def hfk_paths(
                 "universal coefficient theorem"
             )
         checks = ("universal coefficients Z vs Z/2: ok",)
-    if skipped:
-        table_groups = reconstruct_skipped(h, skipped, g.n)
-    else:
-        table_groups = deconvolve(h, g.n)
-    table = make_table(table_groups, ring)
-    return PipelineReport(table, h, "ovals-paths", g.n, checks=checks)
+    table = make_table(reconstruct_skipped(h, skipped, g.n), ring)
+    return PipelineReport(table, h, "ovals-paths", checks=checks)
 
 
 def top_invariants(
@@ -579,8 +573,7 @@ def top_invariants(
     low slices are never built.
     """
     engine = PathEngine(g, omit)
-    slices = {a2 for _, a2 in oval_generators(engine.short_cfg)}
-    for a2 in sorted(slices, reverse=True):
+    for a2 in sorted({a2 for _, a2 in engine.short_gens}, reverse=True):
         cx = engine.short_complex(ring, keep_a2={a2})
         reduce_fast(cx)
         groups = homology(cx).groups

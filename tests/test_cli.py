@@ -53,7 +53,6 @@ class TestConfigValidation:
         [
             ("coeff", "q"),
             ("mode", "signature"),
-            ("strategy", "magic"),
             ("skip", "always"),
             ("fmt", "json"),
         ],
@@ -129,7 +128,7 @@ class TestSymmetryCheck:
     @pytest.mark.parametrize("mode", ["hfk", "torsion"])
     def test_asymmetric_table_fails_the_run(self, mode, monkeypatch, capsys):
         def wrong(g, ring, skip="none"):
-            return PipelineReport(make_table(self.SHIFTED, ring), None, "ovals-paths", g.n)
+            return PipelineReport(make_table(self.SHIFTED, ring), None, "ovals-paths")
 
         monkeypatch.setattr(cli, "hfk_paths", wrong)
         argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "off"]
@@ -178,9 +177,9 @@ class TestAlexanderGenusCheck:
 class TestUniversalCoefficientsCheck:
     def test_reported_on_paths_z_runs(self):
         for skip in ("none", "auto"):
-            result = run(RunConfig(braid=(1, 1, 1), strategy="paths", skip=skip))
+            result = run(RunConfig(braid=(1, 1, 1), skip=skip))
             assert "universal coefficients Z vs Z/2: ok" in result.checks
-        result = run(RunConfig(braid=(1, 1, 1), strategy="paths", coeff="z2"))
+        result = run(RunConfig(braid=(1, 1, 1), coeff="z2"))
         assert not any("universal" in c for c in result.checks)
 
     def test_wrong_mod2_homology_fails_the_run(self, monkeypatch, capsys):
@@ -282,6 +281,17 @@ class TestStrategiesAgree:
                 tables.append(result.table)
         tables.append(reducer.hfk_cells(result.grid).table)
         assert all(t == tables[0] for t in tables)
+
+    @pytest.mark.parametrize("mode", ["hfk", "genus", "fibered", "torsion"])
+    def test_rectangle_disagreement_fails_the_run(self, mode, monkeypatch, capsys):
+        # genus 2 and not fibered: the trefoil's table and answers all differ
+        wrong = make_table({(4, 0): (2, ())}, "Z")
+        monkeypatch.setattr(
+            cli, "hfk_cells", lambda g, ring: PipelineReport(wrong, None, "cells")
+        )
+        assert main(["--braid", "1 1 1", "--mode", mode, "--crosscheck", "on"]) == 1
+        err = capsys.readouterr().err
+        assert "rectangle pipelines disagree" in err and "Traceback" not in err
 
 
 class TestStrategyFlag:

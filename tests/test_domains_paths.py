@@ -10,7 +10,7 @@ from conftest import BRAIDS, random_grid
 from references import faithful_short
 
 from gridhfk import domains_paths
-from gridhfk.chains import long_complex, oval_generators
+from gridhfk.chains import SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
 from gridhfk.errors import MissingDomain, SliceWorkerDied
@@ -228,25 +228,6 @@ class TestPathEngine:
         for omit in candidates[:3]:
             self.assert_matches_faithful(g, omit)
 
-    def test_short_entry_gating(self):
-        eng = PathEngine(NONZERO_SHORT)
-        pcx = eng.short_complex()
-        gens = list(pcx.grading)
-        checked_zero = checked_nonzero = 0
-        for x in gens:
-            a2x, mx = pcx.grading[x]
-            for y in gens:
-                a2y, my = pcx.grading[y]
-                if a2x != a2y or my != mx - 1:
-                    continue
-                expected = pcx.rows[x].get(y, 0)
-                assert eng.short_entry(x, y) == expected
-                if expected:
-                    checked_nonzero += 1
-                else:
-                    checked_zero += 1
-        assert checked_nonzero and checked_zero
-
     def test_no_domain_forces_zero_entry(self):
         # the prefilter is a sound one-sided test on the nonzero fixture
         eng = PathEngine(NONZERO_SHORT)
@@ -311,6 +292,19 @@ def ordered(cx):
     )
 
 
+def walk_order_complex(eng, ring, keep):
+    """The short complex built in the order of a fresh `oval_generators` walk."""
+    cx = SparseComplex(ring)
+    gens = oval_generators(eng.short_cfg, keep)
+    for x, a2 in gens:
+        cx.add_generator(x, a2, eng.moves.gradings(x)[1])
+    for x, _ in gens:
+        for y, coeff in eng.short_row(x).items():
+            cx.add_entry(x, y, coeff)
+    eng._rows.clear()
+    return cx
+
+
 def kept_by_auto_skip(eng, n):
     """The a2 slices `hfk_paths` keeps with ``--skip auto``."""
     sizes = {}
@@ -351,16 +345,21 @@ class TestPooledSlices:
     def test_pooled_complex_is_identical(self, name, monkeypatch, two_cpus, pools):
         g = minimize(parse_braid(BRAIDS[name]))
         eng = PathEngine(g)
-        keeps = [None, kept_by_auto_skip(eng, g.n)]
-        assert keeps[1] < {a2 for _, a2 in oval_generators(eng.short_cfg)}
+        slices = {a2 for _, a2 in oval_generators(eng.short_cfg)}
+        keeps = [{max(slices)}, kept_by_auto_skip(eng, g.n), None]
+        assert keeps[1] < slices
         for ring in ("Z", "Z2"):
             for keep in keeps:
                 monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 10**9)
                 sequential = eng.short_complex(ring, keep)
                 assert not pools
+                # the engine's one walk, filtered, is the pruned walk
+                assert ordered(sequential) == ordered(walk_order_complex(eng, ring, keep))
                 monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
                 pooled = eng.short_complex(ring, keep)
-                assert len(pools) == 1 and pools.pop() == (2,)
+                # a single slice is never pooled
+                assert pools == ([(2,)] if len(keep or slices) > 1 else [])
+                pools.clear()
                 assert ordered(pooled) == ordered(sequential)
                 assert not eng._rows
         if name == "8_19":

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import BRAIDS, random_grid
 from gridhfk.errors import InvalidOmission
-from gridhfk.gridkit import GridDiagram, parse_braid
+from gridhfk.gridkit import GridDiagram, maslov, parse_braid
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
@@ -16,7 +16,6 @@ from gridhfk.ovalgeo import (
     retraction_schedule,
     row_span,
     select_best_config,
-    singleton_maslov,
 )
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
@@ -63,7 +62,7 @@ class TestMicroWorld:
 
     def test_singleton_maslov(self):
         o_punct = UNKNOT2.o_punctures()
-        values = {p: singleton_maslov(o_punct, p) for p in [(3, 4), (3, 6), (7, 4), (7, 6)]}
+        values = {p: maslov((p,), o_punct, 0) for p in [(3, 4), (3, 6), (7, 4), (7, 6)]}
         assert values == {(3, 4): -1, (3, 6): 0, (7, 4): 0, (7, 6): -1}
 
     def test_schedule(self):

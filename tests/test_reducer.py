@@ -7,6 +7,7 @@ import pytest
 from conftest import BRAIDS, random_grid
 from references import reduce_faithful, tuple_event_pairs
 
+from gridhfk import chains, domains_paths, reducer
 from gridhfk.chains import SparseComplex, long_complex, mos_complex, oval_generators
 from gridhfk.domains_paths import PathEngine
 from gridhfk.errors import (
@@ -450,3 +451,38 @@ class TestTopInvariants:
     def test_mod2_agrees(self):
         g = minimize(parse_braid(BRAIDS["trefoil"]))
         assert top_invariants(g, "Z2") == (1, True)
+
+
+class TestOneWalk:
+    """A run enumerates the short generators once, inside its path engine."""
+
+    @pytest.fixture
+    def short_walks(self, monkeypatch):
+        walks = []
+        walk = chains.oval_generators
+
+        def counting(config, keep_a2=None):
+            if config.style == "short":
+                walks.append(keep_a2)
+            return walk(config, keep_a2)
+
+        for module in (chains, domains_paths, reducer):
+            monkeypatch.setattr(module, "oval_generators", counting, raising=False)
+        return walks
+
+    def test_reducer_does_not_walk(self):
+        assert not hasattr(reducer, "oval_generators")
+
+    @pytest.mark.parametrize("skip", ["none", "auto"])
+    def test_hfk_paths(self, skip, short_walks):
+        g = minimize(parse_braid(BRAIDS["5_2"]))
+        for _ in range(2):
+            hfk_paths(g, skip=skip)
+        assert short_walks == [None, None]
+
+    def test_top_invariants(self, short_walks):
+        # an unknot grid whose scan passes an empty slice before the nonzero one
+        g = GridDiagram((2, 4, 3, 0, 5, 1), (4, 0, 1, 5, 3, 2))
+        for ring in ("Z", "Z2"):
+            top_invariants(g, ring)
+        assert short_walks == [None, None]
