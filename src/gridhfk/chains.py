@@ -17,9 +17,10 @@ Two complexes are built from the same diagram:
 
 Both carry a Maslov grading (homological) and a doubled Alexander grading
 ``a2`` (stored doubled so that every value is an integer).  The Maslov
-grading comes from a dominance-pair count against the O-markings; the
-Alexander grading of oval generators comes from winding numbers, which
-agrees with the dominance form on cell generators (asserted in tests).
+grading comes from a dominance-pair count against the O-markings, the
+Alexander grading from dominance counts against both kinds of marking.
+Per point of an oval generator the Alexander term is minus twice the
+winding number there (asserted in tests).
 
 `SparseComplex` is the shared container: a dict-of-dicts matrix with row
 and column views, supporting unit-pivot cancellation, which is all the
@@ -51,8 +52,6 @@ from .gridkit import (
     Point,
     dominance_count,
     maslov,
-    quadrant_winding_sum,
-    winding_number,
 )
 from .ovalgeo import OvalConfig, build_config
 
@@ -70,7 +69,11 @@ def alexander2_dominance(
     o_punct: tuple[Point, ...],
     n: int,
 ) -> int:
-    """Doubled Alexander grading of a cell generator, by dominance counts."""
+    """Doubled Alexander grading of a cell or oval generator, by dominance counts.
+
+    Linear in ``points`` beyond the ``points == ()`` constant, so each point
+    adds a term of its own: minus twice its winding number.
+    """
     return (
         dominance_count(points, x_punct)
         + dominance_count(x_punct, points)
@@ -80,24 +83,6 @@ def alexander2_dominance(
         + dominance_count(o_punct, o_punct)
         - (n - 1)
     )
-
-
-def winding_constant2(g: GridDiagram) -> int:
-    """The diagram constant of the winding-number Alexander formula, doubled.
-
-    ``a2(x) = -2 * sum of winding numbers over x  +  winding_constant2(g)``.
-    """
-    total = sum(quadrant_winding_sum(g, q) for q in g.punctures())
-    if total % 4:
-        raise AlexanderConstantInvalid(
-            "quadrant winding sums do not average to quarters"
-        )
-    return total // 4 - (g.n - 1)
-
-
-def alexander2_winding(g: GridDiagram, points: tuple[Point, ...]) -> int:
-    """Doubled Alexander grading from winding numbers (any generator kind)."""
-    return -2 * sum(winding_number(g, p) for p in points) + winding_constant2(g)
 
 
 # --------------------------------------------------------------------------
@@ -162,13 +147,6 @@ class SparseComplex:
 
     def generators(self) -> list[Gen]:
         return list(self.grading)
-
-    def copy(self) -> "SparseComplex":
-        other = SparseComplex(self.ring)
-        other.grading = dict(self.grading)
-        other.rows = {x: dict(r) for x, r in self.rows.items()}
-        other.cols = {y: dict(c) for y, c in self.cols.items()}
-        return other
 
     def mod2(self) -> "SparseComplex":
         """The same generators and gradings with every entry reduced mod 2."""
@@ -556,16 +534,19 @@ class _OvalFrame:
             )
         self.o_punct = g.o_punctures()
         self.punctures = g.punctures()
-        self.const2 = winding_constant2(g)
-        # every point contributes an even amount (-2w), so all generators
-        # share the constant's parity; integral Alexander gradings force it
+        x_punct = g.x_punctures()
+        self.const2 = alexander2_dominance((), x_punct, self.o_punct, g.n)
+        # every point contributes an even amount (minus twice its winding
+        # number), so all generators share the constant's parity; integral
+        # Alexander gradings force it
         if self.const2 % 2:
             raise AlexanderConstantInvalid("odd doubled-Alexander constant")
         #: per-point doubled Alexander contribution
-        self.a2_of: dict[Point, int] = {}
-        for pts in config.points.values():
-            for p in pts:
-                self.a2_of[p] = -2 * winding_number(g, p)
+        self.a2_of: dict[Point, int] = {
+            p: alexander2_dominance((p,), x_punct, self.o_punct, g.n) - self.const2
+            for pts in config.points.values()
+            for p in pts
+        }
         #: puncture rows per column and columns per row (scaled centers)
         self.col_punct: dict[int, tuple[int, ...]] = {
             c: (SCALE * g.xs[c] + CENTER, SCALE * g.os[c] + CENTER) for c in range(g.n)

@@ -9,7 +9,8 @@ losslessly.
 The genus and fibered modes avoid the full table: the stabilization factor
 in the computed homology only shifts gradings down, so both invariants are
 read off the highest nonzero Alexander slice alone, which the path engine
-builds from the short complex.  The answer is checked against the
+builds from the short complex.  The lowest nonzero slice must mirror it
+(`top_invariants` raises otherwise), and the answer is checked against the
 Alexander polynomial: the genus bounds its degree, and a fibered knot's
 polynomial has degree equal to the genus and a leading coefficient of ±1.
 """
@@ -191,6 +192,7 @@ def run(cfg: RunConfig) -> RunResult:
     if cfg.mode in ("genus", "fibered"):
         genus, fibered = top_invariants(g, ring)
         pipeline = "ovals-top-slice"
+        checks.append("lowest nonzero slice mirrors the highest: ok")
         broken = alexander_genus_violation(delta, genus, fibered)
         if broken is not None:
             raise CrosscheckFailed(

@@ -98,7 +98,7 @@ class InvalidInvariant(GridHfkError):
 
 
 class UnderdeterminedSkip(GridHfkError):
-    """Skipped homology slices cannot be reconstructed from the Euler data."""
+    """Skipped slices are more than n−1, or do not fit in n−1 consecutive ones."""
 
 
 class RectangleCornerMissing(GridHfkError):

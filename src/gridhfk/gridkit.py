@@ -178,21 +178,6 @@ def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) ->
     )
 
 
-def quadrant_winding_sum(g: GridDiagram, puncture: Point) -> int:
-    """Sum of the winding numbers on the four regions meeting at a puncture.
-
-    Sampled just off the puncture at offsets ``(+-2, +-2)``; these points are
-    interior to the four adjacent complementary regions because all curve
-    coordinates are ``5 mod 10``.
-    """
-    qx, qy = puncture
-    total = 0
-    for dx in (-2, 2):
-        for dy in (-2, 2):
-            total += winding_number(g, (qx + dx, qy + dy))
-    return total
-
-
 # --------------------------------------------------------------------------
 # Laurent polynomials over the integers, and the Alexander polynomial oracle.
 

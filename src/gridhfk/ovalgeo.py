@@ -302,20 +302,14 @@ _REFINE = (0, 3, 4, 6, 7)
 
 
 class Arrangement:
-    """The square refined along all oval walls, with pieces labelled.
+    """The square refined along all oval walls, with pieces labelled."""
 
-    ``extra_breaks`` adds refinement lines (never through punctures); the
-    labelled piece structure is independent of such refinements, which the
-    tests verify through :meth:`piece_invariant`.
-    """
-
-    def __init__(self, config: OvalConfig, extra_breaks: tuple[int, ...] = ()):
+    def __init__(self, config: OvalConfig):
         self.config = config
         n = config.n
         hi = SCALE * n
         breaks = {SCALE * k + d for k in range(n) for d in _REFINE}
         breaks.add(hi)
-        breaks.update(b for b in extra_breaks if 0 <= b <= hi)
         # Sentinel cells beyond the square represent the unbounded region,
         # which long ovals (whose caps lie on the window border) cut away
         # from the interior pieces.
@@ -464,38 +458,3 @@ class Arrangement:
                     raise ScheduleAssertionFailed(
                         f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
                     )
-
-    def piece_invariant(self) -> tuple:
-        """Refinement-independent fingerprint of the labelled arrangement.
-
-        Each piece is described by its incidences to crossing points (with
-        the quadrant direction) and the punctures inside it; the multiset of
-        descriptions is invariant under adding refinement lines.
-        """
-        desc: dict[int, set] = {k: set() for k in range(self.piece_count)}
-        for p in self.config.all_points():
-            for quadrant, piece in zip("NE NW SW SE".split(), self.corner_pieces(p)):
-                desc[piece].add((p, quadrant))
-        for q, piece in self.puncture_pieces().items():
-            desc[piece].add(("puncture", q))
-        return tuple(sorted(tuple(sorted(map(repr, s))) for s in desc.values()))
-
-    def ascii_art(self) -> str:
-        """Rows top to bottom; each refinement cell prints its piece label."""
-        charset = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        g = self.config.grid
-        xmark = {(SCALE * c + CENTER, SCALE * r + CENTER): "X" for c, r in enumerate(g.xs)}
-        omark = {(SCALE * c + CENTER, SCALE * r + CENTER): "O" for c, r in enumerate(g.os)}
-        cell_mark = {}
-        for q, label in list(xmark.items()) + list(omark.items()):
-            i = bisect_left(self.bx, q[0]) - 1
-            j = bisect_left(self.by, q[1]) - 1
-            cell_mark[(i, j)] = label
-        lines = []
-        for j in range(self.ny - 1, -1, -1):
-            row = []
-            for i in range(self.nx):
-                label = cell_mark.get((i, j))
-                row.append(label or charset[self._piece[i][j] % len(charset)])
-            lines.append("".join(row))
-        return "\n".join(lines)

@@ -6,19 +6,19 @@ The pipeline stages live here:
   anywhere);
 * exact homology over Z (Smith normal form) or Z/2 (bitset rank);
 * removal of the rank-2 tensor factor that the full-size complexes carry
-  once per grid size beyond one, leaving the knot invariant itself;
-* reconstruction of skipped Alexander slices from the tensor relations;
+  once per grid size beyond one, leaving the knot invariant itself: one
+  back-substitution from both ends of each diagonal, which also rebuilds
+  up to n−1 consecutive Alexander slices that were never computed;
 * the derived invariants: Seifert genus, fiberedness, torsion-freeness.
 
-Every computation is exact integer/rational arithmetic; nothing here is
-floating point.
+Every computation is exact integer arithmetic; nothing here is floating
+point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .chains import SparseComplex, mos_complex
@@ -276,9 +276,11 @@ def universal_coefficients_consistent(
 
 # The full-size complexes compute the knot invariant tensored with n−1
 # copies of a rank-2 factor having one generator at (0, 0) and one at
-# doubled gradings (−2, −1).  Removing it solves, from the top Alexander
-# grading downward,
-#     H(a2, m) = Σ_k  C(n−1, k) · F(a2 + 2k, m + k).
+# doubled gradings (−2, −1), so
+#     H(a2, m) = Σ_k  C(n−1, k) · F(a2 + 2k, m + k),   k = 0 … n−1.
+# Every relation stays on one diagonal of constant 2·maslov − a2, where it
+# is a binomial convolution whose first and last taps are 1, so either end
+# of the diagonal can be solved for by back-substitution.
 
 
 def _collect_quantities(groups: dict[tuple[int, int], Group]):
@@ -313,147 +315,81 @@ def _groups_from_quantities(quant: dict[tuple[int, int], dict]):
 
 def deconvolve(h: HomologyResult, n: int) -> dict[tuple[int, int], Group]:
     """Remove the (n−1)-fold rank-2 tensor factor.  Keys stay doubled."""
-    quant = _collect_quantities(h.groups)
-    out: dict[tuple[int, int], dict] = {}
-    for a2, m in sorted(quant, key=lambda km: -km[0]):
-        q = dict(quant[(a2, m)])
-        for k in range(1, n):
-            c = comb(n - 1, k)
-            upper = out.get((a2 + 2 * k, m + k))
-            if not upper:
-                continue
-            for name, mult in upper.items():
-                q[name] = q.get(name, 0) - c * mult
-        for name, mult in list(q.items()):
-            if mult < 0:
-                raise InconsistentTensor(
-                    f"negative multiplicity {mult} at (a2={a2}, m={m})"
-                )
-            if mult == 0:
-                del q[name]
-        if q:
-            out[(a2, m)] = q
-    # verify the tensor reconstructs the input exactly
-    check: dict[tuple[int, int], dict] = {}
-    for (a2, m), q in out.items():
-        for k in range(0, n):
-            c = comb(n - 1, k)
-            tgt = check.setdefault((a2 - 2 * k, m - k), {})
-            for name, mult in q.items():
-                tgt[name] = tgt.get(name, 0) + c * mult
-    check = {k: v for k, v in check.items() if v}
-    if check != quant:
-        raise InconsistentTensor("tensor reconstruction mismatch")
-    return _groups_from_quantities(out)
+    return reconstruct_skipped(h, set(), n)
 
 
 def reconstruct_skipped(
     h_partial: HomologyResult, skipped: set[int], n: int
 ) -> dict[tuple[int, int], Group]:
-    """Deconvolve with some doubled Alexander gradings never computed.
+    """Remove the tensor factor when some doubled Alexander gradings were skipped.
 
-    The tensor relations couple gradings along diagonals of constant
-    2·maslov − a2, giving one exact linear system per diagonal; with at
-    most n−1 skipped gradings each system stays uniquely solvable.  Raises
-    `UnderdeterminedSkip` if the data cannot pin a unique answer.
+    On each diagonal, and for each quantity, let ``lo`` and ``hi`` span the
+    computed and skipped gradings there.  Multiplicities are nonnegative,
+    so the answer F lives in ``[lo + 2(n−1), hi]``.  Above the highest
+    skipped grading F is solved top-down, each relation read at its own
+    grading; up to that grading it is solved bottom-up, each relation read
+    2(n−1) below, where the skipped gradings, which fit in n−1 consecutive
+    slices, cannot be.  F is then convolved back and must reproduce every
+    computed group.  Keys stay doubled.
     """
     if len(skipped) > n - 1:
         raise UnderdeterminedSkip(
             f"{len(skipped)} skipped gradings exceed the limit {n - 1}"
         )
-    if not skipped:
-        return deconvolve(h_partial, n)
+    width = 2 * (n - 1)
+    if skipped and max(skipped) - min(skipped) >= width:
+        raise UnderdeterminedSkip(
+            f"skipped gradings {sorted(skipped)} do not fit in {n - 1} "
+            "consecutive slices"
+        )
     quant = _collect_quantities(h_partial.groups)
     if any(key[0] in skipped for key in quant):
         raise InconsistentTensor("partial homology reports a skipped grading")
 
-    # Group data by diagonal (2·maslov − a2 is preserved by the tensor
-    # shifts) and by quantity name.
     diagonals: dict[tuple[int, object], dict[int, int]] = {}
     for (a2, m), q in quant.items():
         for name, mult in q.items():
             diagonals.setdefault((2 * m - a2, name), {})[a2] = mult
-
-    # Because every multiplicity is nonnegative and the k = 0 tap of the
-    # binomial window is 1, the deconvolved support sits inside the
-    # homology support; on each diagonal the unknowns are therefore the
-    # known support plus the skipped gradings.  A diagonal whose homology
-    # lives only in skipped gradings cannot occur: a nonzero answer at a2
-    # forces nonzero homology at a2, a2−2, …, a2−2(n−1), and at most n−1
-    # of those n gradings are skipped.
+    taps = [comb(n - 1, k) for k in range(n)]
     out: dict[tuple[int, int], dict] = {}
-    for (delta2, name), h_of in diagonals.items():
-        unknowns = sorted(set(h_of) | set(skipped))
-        index = {a2: i for i, a2 in enumerate(unknowns)}
-        lo = min(unknowns) - 2 * (n - 1)
-        hi = max(unknowns)
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for a2 in range(lo, hi + 1, 2):
-            if a2 in skipped:
-                continue
-            row = [Fraction(0)] * len(unknowns)
-            hit = False
-            for k in range(0, n):
-                col = a2 + 2 * k
-                if col in index:
-                    row[index[col]] = Fraction(comb(n - 1, k))
-                    hit = True
-            if not hit and not h_of.get(a2, 0):
-                continue
-            rows.append(row)
-            rhs.append(Fraction(h_of.get(a2, 0)))
-        solution = _solve_unique(rows, rhs)
-        if solution is None:
-            raise UnderdeterminedSkip(
-                f"diagonal 2m−a2={delta2} has no unique reconstruction"
+    for (delta2, name), h in diagonals.items():
+        lo = min(skipped | h.keys())
+        hi = max(skipped | h.keys())
+        # the highest grading solved bottom-up (none without skips)
+        last = max(skipped, default=lo + width - 2)
+        f: dict[int, int] = {}
+        for a2 in [
+            *range(hi, max(lo + width, last + 2) - 1, -2),
+            *range(lo + width, last + 1, 2),
+        ]:
+            # the relation read at `base` has tap 1 on a2, whose F is unset
+            base = a2 if a2 > last else a2 - width
+            f[a2] = h.get(base, 0) - sum(
+                taps[k] * f.get(base + 2 * k, 0) for k in range(n)
             )
-        for a2, val in zip(unknowns, solution):
-            if val == 0:
-                continue
-            if val.denominator != 1 or val < 0:
+        back: dict[int, int] = {}
+        for a2, mult in f.items():
+            if mult < 0:
                 raise InconsistentTensor(
-                    f"reconstructed multiplicity {val} at a2={a2}"
+                    f"negative multiplicity {mult} at (a2={a2}, 2m−a2={delta2})"
                 )
-            m = (delta2 + a2) // 2
+            for k in range(n):
+                back[a2 - 2 * k] = back.get(a2 - 2 * k, 0) + taps[k] * mult
+        if any(
+            back.get(a2, 0) != h.get(a2, 0)
+            for a2 in back.keys() | h.keys()
+            if a2 not in skipped
+        ):
+            raise InconsistentTensor(
+                f"diagonal 2m−a2={delta2} is not reproduced by the tensor product"
+            )
+        for a2, mult in f.items():
+            if not mult:
+                continue
             if (delta2 + a2) % 2:
                 raise InconsistentTensor("half-integral Maslov grading")
-            out.setdefault((a2, m), {})[name] = int(val)
+            out.setdefault((a2, (delta2 + a2) // 2), {})[name] = mult
     return _groups_from_quantities(out)
-
-
-def _solve_unique(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve an exactly-determined rational system; None if not unique."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < ncols:
-        return None
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            raise InconsistentTensor("skip reconstruction is overconstrained")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
 
 
 # --------------------------------------------------------------------------
@@ -487,9 +423,13 @@ def make_table(
 
 
 def auto_skip(sizes: dict[int, int], n: int) -> set[int]:
-    """The n−1 doubled Alexander gradings with the most generators."""
-    ordered = sorted(sizes, key=lambda a2: (-sizes[a2], a2))
-    return set(ordered[: n - 1])
+    """The n−1 consecutive doubled Alexander gradings with the most generators.
+
+    Windows start at each grading present, and ties go to the lowest start;
+    `reconstruct_skipped` can rebuild any such window.
+    """
+    windows = [{a2 + 2 * k for k in range(n - 1)} & sizes.keys() for a2 in sorted(sizes)]
+    return max(windows, key=lambda w: sum(sizes[a2] for a2 in w), default=set())
 
 
 # --------------------------------------------------------------------------
@@ -556,6 +496,17 @@ def hfk_paths(
     return PipelineReport(table, h, "ovals-paths", checks=checks)
 
 
+def _first_nonzero_slice(engine: PathEngine, ring: str, order) -> tuple[int, dict]:
+    """The first a2 in ``order`` whose short slice has nonzero homology."""
+    for a2 in order:
+        cx = engine.short_complex(ring, keep_a2={a2})
+        reduce_fast(cx)
+        groups = homology(cx).groups
+        if groups:
+            return a2, groups
+    raise InvalidInvariant("every Alexander slice has zero homology")
+
+
 def top_invariants(
     g: GridDiagram,
     ring: str = "Z",
@@ -570,16 +521,25 @@ def top_invariants(
     homology of the long one slice by slice, so the scan pulls short
     slices from the path engine, from the top a2 of the short generators
     downward, and stops at the first one with nonzero homology; the larger
-    low slices are never built.
+    middle slices are never built.
+
+    The lowest nonzero slice is found the same way, from the bottom up.
+    It holds the invariant's bottom group shifted by the whole factor, so
+    by the symmetry H(a, m) = H(−a, m − 2a) it must sit at
+    ``a2_bot = −a2_top − 2(n−1)`` with ``H(a2_bot, m − a2_top − (n−1))``
+    equal to ``H(a2_top, m)``; otherwise `CrosscheckFailed` is raised.
     """
     engine = PathEngine(g, omit)
-    for a2 in sorted({a2 for _, a2 in engine.short_gens}, reverse=True):
-        cx = engine.short_complex(ring, keep_a2={a2})
-        reduce_fast(cx)
-        groups = homology(cx).groups
-        if not groups:
-            continue
-        rank = sum(r for r, _ in groups.values())
-        torsion = any(t for _, t in groups.values())
-        return a2 // 2, rank == 1 and not torsion
-    raise InvalidInvariant("every Alexander slice has zero homology")
+    slices = sorted({a2 for _, a2 in engine.short_gens})
+    top_a2, top = _first_nonzero_slice(engine, ring, reversed(slices))
+    bot_a2, bot = _first_nonzero_slice(engine, ring, slices)
+    shift = top_a2 + g.n - 1
+    mirror = {(-top_a2 - 2 * (g.n - 1), m - shift): grp for (_, m), grp in top.items()}
+    if bot != mirror:
+        raise CrosscheckFailed(
+            f"the lowest nonzero slice (a2={bot_a2}) does not mirror the highest "
+            f"(a2={top_a2}): {sorted(bot.items())} vs {sorted(mirror.items())}"
+        )
+    rank = sum(r for r, _ in top.values())
+    torsion = any(t for _, t in top.values())
+    return top_a2 // 2, rank == 1 and not torsion

@@ -104,7 +104,7 @@ def long_euler(g, omit) -> LaurentPoly:
     Its points sort by column and by row alike, so its self-dominance count
     is the number of non-inversions of s, which has the parity of
     C(k, 2) + inv(s); the dominance counts against the O markings and the
-    winding numbers are sums over single points.  Summing
+    per-point Alexander terms are sums over single points.  Summing
     (-1)^Maslov t^Alexander over all generators is therefore
 
         (-1)^(C(k, 2) + (k + 1) I(O, O)) t^(c/2) det F,

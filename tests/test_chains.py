@@ -17,13 +17,11 @@ from gridhfk.chains import (
     SparseComplex,
     _OvalFrame,
     alexander2_dominance,
-    alexander2_winding,
     long_complex,
     maslov,
     mos_complex,
     mos_generators,
     oval_generators,
-    winding_constant2,
 )
 from gridhfk.errors import (
     AlexanderConstantInvalid,
@@ -39,6 +37,7 @@ from gridhfk.gridkit import (
     LaurentPoly,
     alexander_polynomial,
     parse_braid,
+    winding_number,
 )
 from gridhfk.ovalgeo import (
     build_config,
@@ -91,12 +90,25 @@ class TestGradings:
         grids += [random_grid(n, rng) for n in (3, 4, 5)]
         for g in grids:
             x_p, o_p = g.x_punctures(), g.o_punctures()
+            const2 = alexander2_dominance((), x_p, o_p, g.n)
             for x in mos_generators(g):
-                assert alexander2_dominance(x, x_p, o_p, g.n) == alexander2_winding(g, x)
+                winding = sum(winding_number(g, p) for p in x)
+                assert alexander2_dominance(x, x_p, o_p, g.n) == const2 - 2 * winding
 
-    def test_winding_constant_is_even(self, rng):
-        for n in (3, 4, 5, 6):
-            assert winding_constant2(random_grid(n, rng)) % 2 == 0
+    def test_dominance_equals_winding_per_point(self, rng):
+        # the oval frames read each point's Alexander term off dominance
+        # counts; it is minus twice the winding number there, on long and
+        # short configurations alike, and the constant is even
+        grids = [parse_braid(BRAIDS["trefoil"])]
+        grids += [random_grid(n, rng) for n in (3, 4, 5, 6)]
+        for g in grids:
+            for omit in omission_candidates(g)[:2]:
+                for style in ("long", "short"):
+                    frame = _OvalFrame(build_config(g, omit, style))
+                    assert frame.const2 % 2 == 0
+                    assert frame.a2_of == {
+                        p: -2 * winding_number(g, p) for p in frame.a2_of
+                    }
 
     def test_grading_discipline(self):
         g = parse_braid(BRAIDS["trefoil"])
@@ -291,14 +303,9 @@ class TestOvalComplex:
 class TestTypedFailures:
     """Each internal consistency check of the oval builders raises its own type."""
 
-    def test_fractional_winding_constant(self, monkeypatch):
-        monkeypatch.setattr(chains, "quadrant_winding_sum", lambda g, q: 1)
-        with pytest.raises(AlexanderConstantInvalid, match="quarters"):
-            winding_constant2(parse_braid(BRAIDS["trefoil"]))
-
     def test_odd_winding_constant(self, monkeypatch):
         config = build_config(*REGRESSION_OVAL, "long")
-        monkeypatch.setattr(chains, "winding_constant2", lambda g: 1)
+        monkeypatch.setattr(chains, "alexander2_dominance", lambda *args: 1)
         with pytest.raises(AlexanderConstantInvalid, match="odd"):
             _OvalFrame(config)
 

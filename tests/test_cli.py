@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gridhfk.cli import (
     run,
     symmetry_violation,
 )
-from gridhfk.gridkit import LaurentPoly, format_grid_text, parse_braid
+from gridhfk.gridkit import GridDiagram, LaurentPoly, format_grid_text, parse_braid
 from gridhfk.reducer import HomologyResult, PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
@@ -155,9 +156,13 @@ class TestAlexanderGenusCheck:
         ids=sorted(BRAIDS) + ["7_1"],
     )
     def test_real_runs_pass(self, word):
-        for mode in ("genus", "fibered"):
-            result = run(RunConfig(braid=tuple(word), mode=mode, crosscheck=False))
-            assert "Alexander polynomial against genus: ok" in result.checks
+        # the knot and its mirror, over both rings
+        for braid in (tuple(word), tuple(-a for a in word)):
+            for mode, coeff in product(("genus", "fibered"), ("z", "z2")):
+                cfg = RunConfig(braid=braid, mode=mode, coeff=coeff, crosscheck=False)
+                result = run(cfg)
+                assert "Alexander polynomial against genus: ok" in result.checks
+                assert "lowest nonzero slice mirrors the highest: ok" in result.checks
 
     @pytest.mark.parametrize("name", ["8_20", "5_2"])
     def test_contradicting_answer_fails_the_run(self, name, monkeypatch, capsys):
@@ -172,6 +177,24 @@ class TestAlexanderGenusCheck:
     def test_machine_output_unchanged(self):
         result = run(RunConfig(braid=(1, 1, 1), mode="genus", fmt="machine"))
         assert "Alexander" not in emit_report(result)
+        assert "mirror" not in emit_report(result)
+
+    def test_unmirrored_slices_fail_the_run(self, monkeypatch, capsys, tmp_path):
+        # an unknot grid whose omission (2, 2) gives a wrong table: its top
+        # slice claims genus 1, and the bottom slice does not mirror it
+        path = tmp_path / "unknot.txt"
+        path.write_text(format_grid_text(GridDiagram((3, 2, 1, 0), (1, 0, 2, 3))))
+        # keep that grid as it is (minimizing moves it) and that omission
+        top = reducer.top_invariants
+        monkeypatch.setattr(cli, "minimize", lambda g, budget: g)
+        monkeypatch.setattr(
+            cli, "top_invariants", lambda g, ring: top(g, ring, omit=(2, 2))
+        )
+        argv = ["--grid", str(path), "--crosscheck", "off"]
+        assert main(argv + ["--mode", "genus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mirror" in err
+        assert "Traceback" not in err
 
 
 class TestUniversalCoefficientsCheck:

@@ -33,7 +33,6 @@ from gridhfk.gridkit import (
     laurent_determinant,
     parse_braid,
     parse_grid_text,
-    quadrant_winding_sum,
     row_destabilization_sites,
     stabilize,
     transpose,
@@ -95,20 +94,6 @@ class TestWinding:
             winding_number(UNKNOT2, (5, 10))
         with pytest.raises(PointOnDiagram):
             winding_number(UNKNOT2, (10, 15))
-
-    def test_quadrant_sums_at_punctures(self):
-        # Each marking of the small unknot has exactly one of its four
-        # adjacent regions inside the curve.
-        for q in UNKNOT2.punctures():
-            assert quadrant_winding_sum(UNKNOT2, q) == 1
-
-    def test_quadrant_sampling_points_stay_off_curve(self, rng: random.Random):
-        # The +-2 sampling offsets must never land on the curve, whatever
-        # the diagram looks like.
-        for _ in range(10):
-            g = random_grid(5, rng)
-            for q in g.punctures():
-                quadrant_winding_sum(g, q)
 
 
 class TestLaurent:

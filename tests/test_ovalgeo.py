@@ -141,20 +141,6 @@ class TestArrangement:
                     assert arr.euler_discrepancy() == 0
                     arr.validate_periodic_domains()
 
-    def test_refinement_independence(self, rng: random.Random):
-        g = random_grid(4, rng)
-        cfg = build_config(g, omission_candidates(g)[0], "short")
-        base = Arrangement(cfg)
-        finer = Arrangement(cfg, extra_breaks=(1, 2, 11, 18, 22, 39))
-        assert finer.piece_count == base.piece_count
-        assert finer.piece_invariant() == base.piece_invariant()
-
-    def test_ascii_art_renders(self):
-        cfg = build_config(UNKNOT2, (1, 1), "short")
-        art = Arrangement(cfg).ascii_art()
-        assert "X" in art and "O" in art
-        assert len(art.splitlines()) == len(Arrangement(cfg).by) - 1
-
 
 class TestSelection:
     def test_select_best_is_deterministic_and_minimal(self):

@@ -1,6 +1,8 @@
 """Reduction, exact homology, tensor deconvolution, and the pipelines."""
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,6 +13,7 @@ from gridhfk import chains, domains_paths, reducer
 from gridhfk.chains import SparseComplex, long_complex, mos_complex, oval_generators
 from gridhfk.domains_paths import PathEngine
 from gridhfk.errors import (
+    CrosscheckFailed,
     InconsistentTensor,
     InvalidInvariant,
     ScheduleAssertionFailed,
@@ -241,8 +244,6 @@ class TestDeconvolve:
         assert deconvolve(h, 4) == {(0, 0): (1, ())}
 
     def test_trefoil_pattern(self):
-        from math import comb
-
         table = {(2, 2): 1, (0, 1): 1, (-2, 0): 1}
         groups = {}
         for (a2, m), r in table.items():
@@ -319,6 +320,70 @@ class TestReconstructSkipped:
         with pytest.raises(UnderdeterminedSkip):
             reconstruct_skipped(h, {0, 2}, 2)
 
+    def test_random_roundtrip(self, rng):
+        # drop no grading or a run of at most n−1 consecutive ones
+        for _ in range(300):
+            n = rng.randrange(2, 8)
+            f = random_invariant(rng)
+            h = tensor_factor_applied(f, n)
+            slices = sorted({a2 for a2, _ in h})
+            start = rng.choice(slices)
+            skipped = {start + 2 * k for k in range(rng.randrange(0, n))}
+            partial = HomologyResult(
+                "Z", {k: v for k, v in h.items() if k[0] not in skipped}
+            )
+            assert reconstruct_skipped(partial, skipped, n) == f
+
+    def test_corrupted_homology_rejected(self, rng):
+        for _ in range(100):
+            n = rng.randrange(2, 8)
+            h = tensor_factor_applied(random_invariant(rng), n)
+            key = rng.choice(sorted(h))
+            rank, torsion = h[key]
+            h[key] = (rank + rng.choice((-1, 1)) if rank else 1, torsion)
+            with pytest.raises(InconsistentTensor):
+                deconvolve(HomologyResult("Z", h), n)
+
+    def test_wide_skip_rejected(self, rng):
+        # n−1 gradings or fewer, but spread over n slices or more
+        for _ in range(50):
+            n = rng.randrange(3, 8)
+            h = tensor_factor_applied(random_invariant(rng), n)
+            low = rng.choice(sorted({a2 for a2, _ in h}))
+            skipped = {low, low + 2 * (n - 1)}
+            partial = HomologyResult(
+                "Z", {k: v for k, v in h.items() if k[0] not in skipped}
+            )
+            with pytest.raises(UnderdeterminedSkip):
+                reconstruct_skipped(partial, skipped, n)
+
+
+def random_invariant(rng):
+    """A random graded group table with free and torsion parts."""
+    f = {}
+    for _ in range(rng.randrange(1, 5)):
+        torsion = tuple(sorted(rng.choice((2, 3, 4)) for _ in range(rng.randrange(2))))
+        group = (rng.randrange(3), torsion)
+        if group != (0, ()):
+            f[2 * rng.randrange(-3, 4), rng.randrange(-3, 4)] = group
+    return f or {(0, 0): (1, ())}
+
+
+def tensor_factor_applied(f, n):
+    """The table tensored with n−1 copies of the rank-2 factor."""
+    h = {}
+    for (a2, m), (rank, torsion) in f.items():
+        for k in range(n):
+            c = comb(n - 1, k)
+            r, t = h.get((a2 - 2 * k, m - k), (0, ()))
+            h[a2 - 2 * k, m - k] = (r + c * rank, tuple(sorted(t + torsion * c)))
+    return h
+
+
+def largest_slices(sizes, n):
+    """The n−1 largest slices, ties to the lowest: the earlier `auto_skip` rule."""
+    return set(sorted(sizes, key=lambda a2: (-sizes[a2], a2))[: n - 1])
+
 
 class TestAutoSkip:
     def test_picks_largest(self):
@@ -328,6 +393,17 @@ class TestAutoSkip:
     def test_tie_break_is_deterministic(self):
         sizes = {0: 10, 2: 10, 4: 10}
         assert auto_skip(sizes, 2) == {0}
+
+    def test_same_choice_as_largest_slices(self, rng):
+        words = [BRAIDS[k] for k in sorted(BRAIDS)] + [[1] * 7]
+        grids = [minimize(parse_braid(w)) for w in words]
+        grids += [minimize(parse_braid([-a for a in w])) for w in words]
+        grids += [random_grid(rng.randrange(3, 8), rng) for _ in range(40)]
+        for g in grids:
+            sizes = Counter(a2 for _, a2 in PathEngine(g).short_gens)
+            skipped = auto_skip(sizes, g.n)
+            assert skipped == largest_slices(sizes, g.n), g
+            assert max(skipped) - min(skipped) < 2 * (g.n - 1)
 
 
 class TestMakeTable:
@@ -451,6 +527,15 @@ class TestTopInvariants:
     def test_mod2_agrees(self):
         g = minimize(parse_braid(BRAIDS["trefoil"]))
         assert top_invariants(g, "Z2") == (1, True)
+
+    def test_unmirrored_bottom_slice_rejected(self):
+        # an unknot grid whose omission (2, 2) gives a wrong table with a
+        # spurious top slice at a2 = 2
+        g = GridDiagram((3, 2, 1, 0), (1, 0, 2, 3))
+        assert top_invariants(g) == (0, True)
+        for ring in ("Z", "Z2"):
+            with pytest.raises(CrosscheckFailed, match="mirror"):
+                top_invariants(g, ring, omit=(2, 2))
 
 
 class TestOneWalk:

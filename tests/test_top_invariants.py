@@ -99,12 +99,17 @@ def test_builds_no_slice_below_the_first_nonzero_one(monkeypatch):
     rng = random.Random(20261018)
     grids = [minimize(parse_braid(BRAIDS["8_20"]))]
     grids += [random_grid(6, rng) for _ in range(30)]
+    # the scan from the bottom, for the mirror check, likewise stops at the
+    # lowest nonzero slice, 2·genus + 2(n−1) below zero
     passed_empty = 0
     for g in grids:
         built.clear()
         genus, _ = top_invariants(g)
         engine = PathEngine(g)
         top_down = sorted({a2 for _, a2 in oval_generators(engine.short_cfg)}, reverse=True)
-        assert built == [{a2} for a2 in top_down if a2 >= 2 * genus]
-        passed_empty += len(built) > 1
+        from_top = [{a2} for a2 in top_down if a2 >= 2 * genus]
+        lowest = -2 * genus - 2 * (g.n - 1)
+        from_bottom = [{a2} for a2 in reversed(top_down) if a2 <= lowest]
+        assert built == from_top + from_bottom
+        passed_empty += len(from_top) > 1
     assert passed_empty
