@@ -679,10 +679,9 @@ class LongMoves:
     puncture) is computed once and kept on the instance.
     """
 
-    def __init__(self, config: OvalConfig, signed: bool = True):
+    def __init__(self, config: OvalConfig):
         self.frame = _OvalFrame(config)
         self.point_set = {p for pts in config.points.values() for p in pts}
-        self.signed = signed
         #: point -> its flips as (new point, across a vertical oval?)
         self._flips: dict[Point, list[tuple[Point, bool]]] = {}
         #: rising pair -> the new corners (nw, se), or None when punctured
@@ -736,23 +735,21 @@ class LongMoves:
         """
         k = len(x)
         ys = [p[1] for p in x]
-        signed = self.signed
-        if signed:
-            # bit r stands for the point of x on horizontal oval r; `odd`
-            # marks the points with an odd number of points southwest of
-            # them, `tops` the points on a top wall
-            seen = odd = tops = right_walls = 0
-            for y, p in zip(ys, x):
-                bit = 1 << (y // SCALE)
-                if (seen & (bit - 1)).bit_count() % 2:
-                    odd |= bit
-                seen |= bit
-                if y % SCALE == 6:
-                    tops |= bit
-                if p[0] % SCALE == 7:
-                    right_walls += 1
-            total = odd.bit_count()  # has the parity of I(x, x)
-            rights = 0  # right-wall points before x[i]
+        # bit r stands for the point of x on horizontal oval r; `odd` marks
+        # the points with an odd number of points southwest of them, `tops`
+        # the points on a top wall
+        seen = odd = tops = right_walls = 0
+        for y, p in zip(ys, x):
+            bit = 1 << (y // SCALE)
+            if (seen & (bit - 1)).bit_count() % 2:
+                odd |= bit
+            seen |= bit
+            if y % SCALE == 6:
+                tops |= bit
+            if p[0] % SCALE == 7:
+                right_walls += 1
+        total = odd.bit_count()  # has the parity of I(x, x)
+        rights = 0  # right-wall points before x[i]
         cached_corners = self._corners
         out: dict[Gen, int] = {}
         for i, p in enumerate(x):
@@ -760,17 +757,13 @@ class LongMoves:
             if flips is None:
                 flips = self._new_flips(p)
             for q, vertical in flips:
-                sign = 1
-                if signed:
-                    if vertical:
-                        e = total + rights
-                    else:
-                        lower_tops = tops & ((1 << (ys[i] // SCALE)) - 1)
-                        e = total + right_walls + lower_tops.bit_count()
-                    if e % 2:
-                        sign = -1
-                out[x[:i] + (q,) + x[i + 1 :]] = sign
-            if signed and p[0] % SCALE == 7:
+                if vertical:
+                    e = total + rights
+                else:
+                    lower_tops = tops & ((1 << (ys[i] // SCALE)) - 1)
+                    e = total + right_walls + lower_tops.bit_count()
+                out[x[:i] + (q,) + x[i + 1 :]] = -1 if e % 2 else 1
+            if p[0] % SCALE == 7:
                 rights += 1
         for i in range(k - 1):
             b = ys[i]
@@ -789,15 +782,12 @@ class LongMoves:
                     corners = self._new_corners(x[i], x[j])
                 if corners is None:
                     continue
-                sign = 1
-                if signed:
-                    upto_d = odd & ((2 << (d // SCALE)) - 1)
-                    e = upto_d.bit_count()
-                    if below % 2:
-                        e += (upto_d >> (b // SCALE + 1)).bit_count() + 1
-                    if e % 2:
-                        sign = -1
+                upto_d = odd & ((2 << (d // SCALE)) - 1)
+                e = upto_d.bit_count()
+                if below % 2:
+                    e += (upto_d >> (b // SCALE + 1)).bit_count() + 1
                 nw, se = corners
+                sign = -1 if e % 2 else 1
                 out[x[:i] + (nw,) + x[i + 1 : j] + (se,) + x[j + 1 :]] = sign
         return out
 
@@ -816,7 +806,7 @@ def long_complex(
     subcomplex and no entries are lost.
     """
     config = build_config(g, omit, "long")
-    moves = LongMoves(config, signed=ring == "Z")
+    moves = LongMoves(config)
     cx = SparseComplex(ring)
     gens = oval_generators(config, keep_a2)
     for x, a2 in gens:

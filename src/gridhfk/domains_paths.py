@@ -3,11 +3,11 @@
 Two independent ways to probe a differential entry without building the
 whole complex:
 
-* `find_domain` solves — exactly, in integers over one common
-  denominator — for the 2-chain in the oval arrangement whose corner
-  behaviour matches a hypothetical contribution from one generator to
-  another.  The solution is unique when it exists; a missing, negative,
-  or fractional solution certifies that the differential entry is zero.
+* `find_domain` solves — exactly, in integers — for the 2-chain in the
+  oval arrangement whose corner behaviour matches a hypothetical
+  contribution from one generator to another.  The solution is unique
+  when it exists; a missing or negative solution certifies that the
+  differential entry is zero.
   This is a one-sided test: a domain may exist while the signed count of
   contributions still cancels.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from math import gcd, lcm
 
 from .chains import Gen, LongMoves, SparseComplex, oval_generators
 from .errors import (
@@ -49,12 +48,13 @@ class DomainSolver:
     """The corner-index linear system of one arrangement, solved once.
 
     Unknowns are the multiplicities of the pieces, with punctured pieces
-    and the unbounded piece pinned to zero.  Row reduction of the corner
-    constraint matrix is done a single time, over the integers, with the
-    applied row operations recorded; each query then sums a few integer
-    columns.  The pinned system has a trivial kernel (each oval's interior
-    is excluded by its two punctures, and the constant chain by the
-    unbounded piece), so solutions are unique — checked at construction.
+    and the unbounded piece pinned to zero.  The corner constraint matrix
+    is reduced a single time, Gauss–Jordan over the integers with a ±1
+    pivot in every column, and the applied row operations are recorded;
+    each query then sums a few integer columns.  The pinned system has a
+    trivial kernel (each oval's interior is excluded by its two punctures,
+    and the constant chain by the unbounded piece), so solutions are
+    unique; a column without a unit pivot raises.
     """
 
     def __init__(self, arr: Arrangement):
@@ -66,56 +66,39 @@ class DomainSolver:
         self.free = [k for k in range(arr.piece_count) if k not in pinned]
         col_of = {k: j for j, k in enumerate(self.free)}
         nrows = len(crossings)
-        ncols = len(self.free)
 
-        matrix = [[0] * ncols for _ in range(nrows)]
+        matrix = [[0] * len(self.free) for _ in range(nrows)]
         for i, p in enumerate(crossings):
             ne, nw, sw, se = arr.corner_pieces(p)
             for piece, s in ((ne, 1), (sw, 1), (nw, -1), (se, -1)):
                 j = col_of.get(piece)
                 if j is not None:
                     matrix[i][j] += s
-        # fraction-free reduction of [matrix | identity]; the identity
-        # columns record the row operations applied to any right-hand side
+        # reduce [matrix | identity]; the identity columns record the row
+        # operations applied to any right-hand side
         ops = [[int(i == r) for r in range(nrows)] for i in range(nrows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if matrix[i][c]), None)
+        for c, piece in enumerate(self.free):
+            pivot = next(
+                (i for i in range(c, nrows) if matrix[i][c] in (1, -1)), None
+            )
             if pivot is None:
-                continue
-            matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-            ops[r], ops[pivot] = ops[pivot], ops[r]
-            top = matrix[r][c]
+                raise DomainSystemSingular(
+                    f"piece {piece}: no unit pivot in the corner constraints"
+                )
+            matrix[c], matrix[pivot] = matrix[pivot], matrix[c]
+            ops[c], ops[pivot] = ops[pivot], ops[c]
+            if matrix[c][c] == -1:
+                matrix[c] = [-a for a in matrix[c]]
+                ops[c] = [-a for a in ops[c]]
             for i in range(nrows):
                 f = matrix[i][c]
-                if i == r or not f:
-                    continue
-                row = [top * a - f * b for a, b in zip(matrix[i], matrix[r])]
-                op = [top * a - f * b for a, b in zip(ops[i], ops[r])]
-                common = gcd(*row, *op)
-                matrix[i] = [a // common for a in row]
-                ops[i] = [a // common for a in op]
-            pivots.append(c)
-            r += 1
-        if len(pivots) != ncols:
-            raise DomainSystemSingular(
-                "domain system has a kernel: corner constraints do not pin "
-                "the multiplicities"
-            )
-        # row i < rank now reads matrix[i][pivots[i]] * u = ops[i] . rhs;
-        # scale those rows to one positive common denominator
-        diag = [matrix[i][c] for i, c in enumerate(pivots)]
-        denominator = lcm(*diag)
-        for i, m in enumerate(diag):
-            ops[i] = [(denominator // m) * a for a in ops[i]]
-        self.rank = ncols
-        self.pivots = pivots
-        self.nrows = nrows
-        #: the common denominator of the row-reduction transform
-        self.denominator = denominator
-        #: the integer transform, column by column: the transformed
-        #: right-hand side of a unit corner index at crossing j is ops[j]
+                if i != c and f:
+                    matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[c])]
+                    ops[i] = [a - f * b for a, b in zip(ops[i], ops[c])]
+        # row i < rank now reads u_i = ops[i] . rhs; the rest reads 0
+        self.rank = len(self.free)
+        #: the transform, column by column: the transformed right-hand
+        #: side of a unit corner index at crossing j is ops[j]
         self.ops = [list(col) for col in zip(*ops)]
 
     def solve(self, targets: dict[Point, int]) -> Domain | None:
@@ -123,25 +106,17 @@ class DomainSolver:
 
         ``targets`` assigns the required corner index to each crossing
         (omitted crossings require zero).  Returns None when the system is
-        inconsistent or the solution fails nonnegativity or integrality.
+        inconsistent or a multiplicity is negative.
         """
-        transformed = [0] * self.nrows
+        transformed = [0] * len(self.row_of)
         for p, s in targets.items():
             if s:
                 column = self.ops[self.row_of[p]]
                 transformed = [a + s * b for a, b in zip(transformed, column)]
         rank = self.rank
-        if any(transformed[rank:]):
+        if any(transformed[rank:]) or min(transformed[:rank], default=0) < 0:
             return None
-        denominator = self.denominator
-        domain: Domain = {}
-        for i in range(rank):
-            val = transformed[i]
-            if val < 0 or val % denominator:
-                return None
-            if val:
-                domain[self.free[self.pivots[i]]] = val // denominator
-        return domain
+        return {k: v for k, v in zip(self.free, transformed) if v}
 
 
 def find_domain(arr: Arrangement, x: Gen, y: Gen) -> Domain | None:

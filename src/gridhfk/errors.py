@@ -106,7 +106,7 @@ class RectangleCornerMissing(GridHfkError):
 
 
 class DomainSystemSingular(GridHfkError):
-    """The corner constraints leave some domain multiplicity undetermined."""
+    """Some domain multiplicity has no ±1 pivot in the corner constraints."""
 
 
 class CancelledTargetReached(GridHfkError):

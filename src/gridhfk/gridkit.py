@@ -31,6 +31,7 @@ where ``Delta`` is the symmetric Alexander polynomial normalized so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -267,36 +268,6 @@ class LaurentPoly:
             return sum(c if e % 2 == 0 else -c for e, c in self.terms.items())
         raise ValueError("only evaluation at a unit is supported")
 
-    def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ``ValueError`` when the division leaves a remainder."""
-        if divisor.is_zero():
-            raise ValueError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        rem = dict(self.terms)
-        dlo = min(divisor.terms)
-        dc = divisor.terms[dlo]
-        # The quotient's top exponent is bounded by the difference of the top
-        # exponents; exceeding it means the division leaves a remainder.
-        top = max(self.terms) - max(divisor.terms)
-        out: dict[int, int] = {}
-        while rem:
-            rlo = min(rem)
-            if rlo - dlo > top:
-                raise ValueError("inexact polynomial division")
-            q, r = divmod(rem[rlo], dc)
-            if r != 0:
-                raise ValueError("inexact polynomial division")
-            out[rlo - dlo] = q
-            for e, c in divisor.terms.items():
-                e2 = e + rlo - dlo
-                nc = rem.get(e2, 0) - q * c
-                if nc:
-                    rem[e2] = nc
-                else:
-                    rem.pop(e2, None)
-        return LaurentPoly(out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -346,7 +317,9 @@ def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
     The determinant of the winding matrix ``[t^{w(i,j)}]`` equals
     ``+- t^s (1-t)^{n-1} Delta(t)``, so the raw determinant is divided
     exactly by ``(1-t)^{n-1}`` and the remaining unit is fixed by requiring
-    ``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.
+    ``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.  A polynomial ``p`` is
+    ``(1-t) q`` exactly when its coefficients sum to zero; those of ``q``
+    are then the partial sums of those of ``p``, without the last.
     """
     n = g.n
     matrix = [
@@ -356,10 +329,13 @@ def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
     det = laurent_determinant(matrix)
     if det.is_zero():
         raise DegenerateDeterminant("winding matrix determinant vanished")
-    try:
-        quotient = det.divexact(LaurentPoly({0: 1, 1: -1}) ** (n - 1))
-    except ValueError as exc:
-        raise DegenerateDeterminant("determinant not divisible by (1-t)^(n-1)") from exc
+    lo, hi = det.support()
+    coeffs = [det.coeff(e) for e in range(lo, hi + 1)]
+    for _ in range(n - 1):
+        if sum(coeffs):
+            raise DegenerateDeterminant("determinant not divisible by (1-t)^(n-1)")
+        coeffs = list(accumulate(coeffs))[:-1]
+    quotient = LaurentPoly(dict(enumerate(coeffs, lo)))
     lo, hi = quotient.support()
     if (lo + hi) % 2 != 0:
         raise DegenerateDeterminant("determinant support cannot be centered")
@@ -712,12 +688,11 @@ def format_grid_text(g: GridDiagram) -> str:
 
 
 def grids_related_by_moves(g: GridDiagram) -> Iterator[GridDiagram]:
-    """All diagrams one move away: shifts, legal castlings, destabilizations."""
+    """All diagrams one castling or destabilization away.
+
+    Cyclic shifts are left out: they keep the `canonical_key`.
+    """
     n = g.n
-    yield cyclic_row_shift(g, 1)
-    yield cyclic_row_shift(g, n - 1)
-    yield cyclic_col_shift(g, 1)
-    yield cyclic_col_shift(g, n - 1)
     for c in range(n - 1):
         try:
             yield castle_columns(g, c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 
 from .chains import SparseComplex, mos_complex
 from .domains_paths import PathEngine
@@ -124,70 +124,41 @@ def rank_mod2(rows: list[int]) -> int:
 def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
-    Smallest-pivot selection keeps intermediate entries small; arithmetic
-    is exact arbitrary-precision integers.
+    The pivot is the smallest nonzero entry.  Integer division clears its
+    column (row operations), then its row (column operations); a nonzero
+    remainder is smaller than the pivot and becomes the next pivot.  A
+    pivot alone in its row and column is set aside with them.  Replacing
+    each pair of set-aside pivots by their gcd and lcm then puts them in
+    divisibility order.  Arithmetic is exact arbitrary-precision integers.
     """
     m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     diag: list[int] = []
-    top = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+        nonzero = [
+            (abs(a), i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a
+        ]
+        if not nonzero:
             break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
+        _, i, j = min(nonzero)
+        pivot_row = m[i]
+        p = pivot_row[j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                q = row[j] // p
+                m[k] = [a - q * b for a, b in zip(row, pivot_row)]
+        quotients = [(c, a // p) for c, a in enumerate(pivot_row) if a and c != j]
         for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = m[top][top]
-            moved = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // p
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // p
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        moved = True
-                        break
-            if not moved:
-                break
-        # the pivot must divide the rest of the block for true invariance
-        p = m[top][top]
-        fixed = True
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % p:
-                    for jj in range(top, cols):
-                        m[top][jj] += m[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        diag.append(abs(p))
-        top += 1
+            if row[j]:
+                for c, q in quotients:
+                    row[c] -= q * row[j]
+        if sum(map(bool, pivot_row)) == sum(bool(row[j]) for row in m) == 1:
+            diag.append(abs(p))
+            del m[i]
+            for row in m:
+                del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            diag[a], diag[b] = gcd(diag[a], diag[b]), lcm(diag[a], diag[b])
     return diag
 
 

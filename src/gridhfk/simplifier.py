@@ -1,10 +1,11 @@
 """Budgeted search for a smaller presentation of the same knot.
 
 The moves that preserve the knot type never need to enlarge the grid to
-expose a destabilization in practice, so the search explores cyclic shifts,
-legal castlings and (castling-assisted) destabilizations only.  It runs
+expose a destabilization in practice, so the search explores legal
+castlings and (castling-assisted) destabilizations only.  It runs
 breadth-first from the current diagram, deduplicating positions by their
-canonical key; whenever a strictly smaller grid is found the search restarts
+canonical key, which every cyclic translate shares (so shifts are not
+moves here); whenever a strictly smaller grid is found the search restarts
 from it with a fresh visited set, which keeps the frontier from filling up
 with large diagrams once progress has been made.
 
@@ -32,14 +33,13 @@ def _neighbors(g: GridDiagram) -> list[GridDiagram]:
 def minimize(g: GridDiagram, budget: int = 20000) -> GridDiagram:
     """Search for a small grid presenting the same knot as ``g``.
 
-    Spends at most ``budget`` node expansions; ``budget = 0`` returns the
-    canonical translate of ``g`` unchanged.
+    Spends at most ``budget`` node expansions; ``budget = 0`` returns ``g``
+    itself.
     """
+    if budget <= 0:
+        return g
     best_key = canonical_key(g)
     best_n = g.n
-    if budget <= 0:
-        return GridDiagram(*best_key)
-
     start = GridDiagram(*best_key)
     while budget > 0:
         visited = {canonical_key(start)}

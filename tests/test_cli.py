@@ -19,7 +19,13 @@ from gridhfk.cli import (
     run,
     symmetry_violation,
 )
-from gridhfk.gridkit import GridDiagram, LaurentPoly, format_grid_text, parse_braid
+from gridhfk.gridkit import (
+    GridDiagram,
+    LaurentPoly,
+    cyclic_col_shift,
+    format_grid_text,
+    parse_braid,
+)
 from gridhfk.reducer import HomologyResult, PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
@@ -186,11 +192,10 @@ class TestAlexanderGenusCheck:
         path.write_text(format_grid_text(GridDiagram((3, 2, 1, 0), (1, 0, 2, 3))))
         # keep that grid as it is (minimizing moves it) and that omission
         top = reducer.top_invariants
-        monkeypatch.setattr(cli, "minimize", lambda g, budget: g)
         monkeypatch.setattr(
             cli, "top_invariants", lambda g, ring: top(g, ring, omit=(2, 2))
         )
-        argv = ["--grid", str(path), "--crosscheck", "off"]
+        argv = ["--grid", str(path), "--crosscheck", "off", "--simplify-budget", "0"]
         assert main(argv + ["--mode", "genus"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "mirror" in err
@@ -345,6 +350,12 @@ class TestGridFileInput:
         from_file = run(RunConfig(grid_path=str(path)))
         from_braid = run(RunConfig(braid=(1, 1, 1)))
         assert from_file.table == from_braid.table
+        # a zero search budget runs the grid of the file as it is
+        shifted = cyclic_col_shift(g)
+        path.write_text(format_grid_text(shifted))
+        as_given = run(RunConfig(grid_path=str(path), simplify_budget=0))
+        assert as_given.grid == shifted != g
+        assert as_given.table == from_braid.table
 
     def test_multi_component_grid_rejected(self, tmp_path, capsys):
         path = tmp_path / "link.grid"

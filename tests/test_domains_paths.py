@@ -13,12 +13,13 @@ from gridhfk import domains_paths
 from gridhfk.chains import SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
-from gridhfk.errors import MissingDomain, SliceWorkerDied
+from gridhfk.errors import DomainSystemSingular, MissingDomain, SliceWorkerDied
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
+    omission_candidates,
     select_best_config,
 )
 from gridhfk.reducer import (
@@ -152,24 +153,43 @@ class TestFindDomain:
         found = 0
         for n, style in ((3, "long"), (4, "short"), (4, "long"), (5, "short")):
             g = random_grid(n, rng)
-            config = build_config(g, select_best_config(g).omit, style)
-            arr = Arrangement(config)
-            solver = DomainSolver(arr)
-            reference = rational_solver(arr)
-            gens = [x for x, _ in oval_generators(config)]
-            for _ in range(60):
-                x, y = rng.choice(gens), rng.choice(gens)
-                targets = dict.fromkeys(set(x) - set(y), 1)
-                targets.update(dict.fromkeys(set(y) - set(x), -1))
-                domain = solver.solve(targets)
-                assert domain == reference(targets), (g, style, x, y)
-                found += domain is not None
-            # single unit corner indices: mostly inconsistent or negative.
-            # (The transform has come out integral, denominator 1, on every
-            # configuration tried, so fractional solutions are not exercised.)
-            for p in rng.sample(config.all_points(), 10):
-                assert solver.solve({p: 1}) == reference({p: 1})
+            for omit in omission_candidates(g):
+                config = build_config(g, omit, style)
+                arr = Arrangement(config)
+                solver = DomainSolver(arr)
+                reference = rational_solver(arr)
+                gens = [x for x, _ in oval_generators(config)]
+                for _ in range(30):
+                    x, y = rng.choice(gens), rng.choice(gens)
+                    targets = dict.fromkeys(set(x) - set(y), 1)
+                    targets.update(dict.fromkeys(set(y) - set(x), -1))
+                    domain = solver.solve(targets)
+                    assert domain == reference(targets), (g, omit, style, x, y)
+                    found += domain is not None
+                # single unit corner indices: mostly inconsistent or negative
+                for p in rng.sample(config.all_points(), 10):
+                    assert solver.solve({p: 1}) == reference({p: 1})
         assert found
+
+    def test_column_without_unit_pivot_raises(self, monkeypatch):
+        omit = select_best_config(NONZERO_SHORT).omit
+        arr = Arrangement(build_config(NONZERO_SHORT, omit, "short"))
+        piece = DomainSolver(arr).free[0]
+        corners = Arrangement.corner_pieces
+
+        def doubled(self, p):
+            # a corner at `piece` takes the opposite corner too, so every
+            # entry of the piece's column, and of any row sum, is even
+            ne, nw, sw, se = corners(self, p)
+            if piece in (ne, sw):
+                ne = sw = piece
+            if piece in (nw, se):
+                nw = se = piece
+            return ne, nw, sw, se
+
+        monkeypatch.setattr(Arrangement, "corner_pieces", doubled)
+        with pytest.raises(DomainSystemSingular, match=f"piece {piece}:"):
+            DomainSolver(arr)
 
     def test_solver_uniqueness_assertion_holds(self, rng):
         for n in (2, 3, 4):

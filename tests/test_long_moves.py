@@ -3,7 +3,7 @@
 The reference below recomputes every sign from dominance counts of the
 whole generator and scans every point and puncture for emptiness, target by
 target, with no per-row or per-point caching.  `LongMoves.row` must agree
-with it entry for entry, over Z and over Z/2.
+with it entry for entry; Z/2 complexes take these rows mod 2.
 """
 
 from __future__ import annotations
@@ -49,15 +49,13 @@ def reference_rect_sign(x: Gen, y: Gen) -> int:
 
 def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
     frame = moves.frame
-    signed = moves.signed
     xs = set(x)
     out: dict[Gen, int] = {}
     for idx, p in enumerate(x):
         for q, kind, key in _bigon_targets(frame, p):
             y = list(x)
             y[idx] = q
-            sign = reference_bigon_sign(x, kind, key) if signed else 1
-            out[tuple(sorted(y))] = sign
+            out[tuple(sorted(y))] = reference_bigon_sign(x, kind, key)
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
             p, q = x[i], x[j]
@@ -76,7 +74,7 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
             y = list(x)
             y[i], y[j] = nw, se
             target = tuple(sorted(y))
-            out[target] = reference_rect_sign(x, target) if signed else 1
+            out[target] = reference_rect_sign(x, target)
     return out
 
 
@@ -94,12 +92,10 @@ def test_every_generator_of_random_long_configs(n, rng):
     for _ in range(2):
         g = random_grid(n, rng)
         config = build_config(g, select_best_config(g).omit, "long")
-        signed = LongMoves(config)
-        unsigned = LongMoves(config, signed=False)
+        moves = LongMoves(config)
         rows = 0
         for x, _ in oval_generators(config):
-            assert signed.row(x) == reference_row(signed, x), (g, x)
-            assert unsigned.row(x) == reference_row(unsigned, x), (g, x)
+            assert moves.row(x) == reference_row(moves, x), (g, x)
             rows += 1
         assert rows == 4 ** (n - 1) * factorial(n - 1)
 

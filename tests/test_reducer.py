@@ -2,7 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, gcd, prod
 
 import pytest
 
@@ -47,6 +48,17 @@ TREFOIL_TABLE = {(-1, 0): 1, (0, 1): 1, (1, 2): 1}
 FIG8_TABLE = {(-1, -1): 1, (0, 0): 3, (1, 1): 1}
 
 
+def integer_det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * a * integer_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, a in enumerate(mat[0])
+        if a
+    )
+
+
 def fraction_rank(mat):
     rows = [[Fraction(v) for v in row] for row in mat]
     rank = 0
@@ -84,17 +96,37 @@ class TestExactLinearAlgebra:
         assert smith_invariant_factors(mat) == [2, 2, 156]
 
     def test_snf_divisibility_and_rank(self, rng):
-        for _ in range(40):
+        for t in range(60):
             rows = rng.randrange(1, 5)
             cols = rng.randrange(1, 5)
             mat = [
                 [rng.randrange(-9, 10) for _ in range(cols)]
                 for _ in range(rows)
             ]
+            if t % 3 == 1:  # scaled: every factor takes the scale
+                scale = rng.choice((2, 3, 6))
+                mat = [[scale * a for a in row] for row in mat]
+            elif t % 3 == 2:  # rank at most 2: a product through k columns
+                k = rng.randrange(1, 3)
+                left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(rows)]
+                right = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(k)]
+                mat = [
+                    [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    for row in left
+                ]
             factors = smith_invariant_factors(mat)
             assert len(factors) == fraction_rank(mat)
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
+            # the first k factors multiply to the gcd of the k x k minors
+            for k in range(1, min(rows, cols) + 1):
+                minors = [
+                    integer_det([[mat[i][j] for j in cs] for i in rs])
+                    for rs in combinations(range(rows), k)
+                    for cs in combinations(range(cols), k)
+                ]
+                expected = prod(factors[:k]) if k <= len(factors) else 0
+                assert gcd(*minors) == expected, (mat, factors, k)
 
     def test_snf_invariant_under_row_ops(self, rng):
         for _ in range(20):

@@ -73,3 +73,24 @@ def test_every_method_is_accessed():
         and node.name not in accessed
     ]
     assert not unaccessed, f"methods nothing accesses: {unaccessed}"
+
+
+
+def test_benchmark_imports_exist():
+    # no test imports hfkbench/tracing.py, so a package name it imports
+    # could be renamed or deleted without any other test failing
+    missing = []
+    for path in sorted((REPO / "hfkbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == "gridhfk" for m in modules):
+                try:
+                    exec(ast.unparse(node), {})
+                except ImportError as exc:
+                    missing.append(f"{path.name}:{node.lineno} {exc}")
+    assert not missing, f"benchmark imports the package lacks: {missing}"
