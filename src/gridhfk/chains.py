@@ -674,18 +674,44 @@ class LongMoves:
 
     Enumerates the moves leaving one generator — cap flips and empty
     rectangles — without touching the rest of the complex, so path
-    strategies can pull single rows lazily.  What depends on one point
-    (its flips) or one pair of points (whether their rectangle misses every
-    puncture) is computed once and kept on the instance.
+    strategies can pull single rows lazily.  Rows are keyed by point ids:
+    the configuration's points are numbered in sorted order, so a
+    generator's id tuple sorts like its point tuple, and `encode` and
+    `decode` convert at the edges.  What depends on one point (its row bit,
+    its walls, its flips) is tabulated by id up front; whether the rectangle
+    between two points misses every puncture is worked out on first use and
+    kept under ``i * P + j``, with ``P`` points.
     """
 
     def __init__(self, config: OvalConfig):
-        self.frame = _OvalFrame(config)
-        self.point_set = {p for pts in config.points.values() for p in pts}
-        #: point -> its flips as (new point, across a vertical oval?)
-        self._flips: dict[Point, list[tuple[Point, bool]]] = {}
-        #: rising pair -> the new corners (nw, se), or None when punctured
-        self._corners: dict[tuple[Point, Point], tuple[Point, Point] | None] = {}
+        frame = self.frame = _OvalFrame(config)
+        #: id -> point, in sorted order, and back
+        self.points = sorted(p for pts in config.points.values() for p in pts)
+        self.id_of = {p: i for i, p in enumerate(self.points)}
+        #: id -> the bit of its horizontal oval, whether it sits on a top
+        #: wall, on a right wall, and its flips as (new id, across a
+        #: vertical oval?)
+        self._bit = [1 << (y // SCALE) for _, y in self.points]
+        self._top = [y % SCALE == 6 for _, y in self.points]
+        self._right = [x % SCALE == 7 for x, _ in self.points]
+        self._flips = [
+            [
+                (self.id_of[q], kind in ("top", "bottom"))
+                for q, kind, _ in _bigon_targets(frame, p)
+            ]
+            for p in self.points
+        ]
+        #: i * P + j for a rising pair -> the new corners (nw, se), or None
+        #: when punctured
+        self._corners: dict[int, tuple[int, int] | None] = {}
+
+    def encode(self, x: Gen) -> tuple[int, ...]:
+        """The point ids of a generator, in the same (sorted) order."""
+        return tuple(map(self.id_of.__getitem__, x))
+
+    def decode(self, x: tuple[int, ...]) -> Gen:
+        """The generator whose point ids are ``x``."""
+        return tuple(map(self.points.__getitem__, x))
 
     def gradings(self, x: Gen) -> tuple[int, int]:
         """(a2, maslov) of a generator whose points lie on this frame."""
@@ -693,29 +719,22 @@ class LongMoves:
         a2 = sum(frame.a2_of[p] for p in x) + frame.const2
         return a2, maslov(x, frame.o_punct, 0)
 
-    def _new_flips(self, p: Point) -> list[tuple[Point, bool]]:
-        flips = [
-            (q, kind in ("top", "bottom"))
-            for q, kind, _ in _bigon_targets(self.frame, p)
-        ]
-        self._flips[p] = flips
-        return flips
-
-    def _new_corners(self, p: Point, q: Point) -> tuple[Point, Point] | None:
-        """Corners of the rectangle from ``p`` up to ``q``; None if punctured."""
-        (x1, y1), (x2, y2) = p, q
+    def _new_corners(self, i: int, j: int) -> tuple[int, int] | None:
+        """Corner ids of the rectangle from ``i`` up to ``j``; None if punctured."""
+        (x1, y1), (x2, y2) = p, q = self.points[i], self.points[j]
         corners = None
         if not any(x1 < u < x2 and y1 < v < y2 for u, v in self.frame.punctures):
-            corners = (x1, y2), (x2, y1)
-            if not (corners[0] in self.point_set and corners[1] in self.point_set):
+            nw, se = self.id_of.get((x1, y2)), self.id_of.get((x2, y1))
+            if nw is None or se is None:
                 raise RectangleCornerMissing(
                     f"rectangle from {p} to {q}: corner missing from config"
                 )
-        self._corners[p, q] = corners
+            corners = nw, se
+        self._corners[i * len(self.points) + j] = corners
         return corners
 
-    def row(self, x: Gen) -> dict[Gen, int]:
-        """All boundary entries leaving ``x``, keyed by target generator.
+    def row(self, x: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """All boundary entries leaving ``x``, keyed by target, both as ids.
 
         Each point of ``x`` sits on its own vertical oval, so ``x`` is sorted
         by x-coordinate, a point of ``x`` is southwest of another exactly
@@ -731,61 +750,59 @@ class LongMoves:
         number of points of ``x`` lie between the two columns below ``b``.
         ``I`` counts southwest pairs.  Only parities matter, so one pass per
         row records them as bitmasks over the horizontal ovals, and each sign
-        is then a few bit counts.
+        is then a few bit counts.  The points of ``x`` lie on distinct
+        horizontal ovals, so their bits order them by height.
         """
         k = len(x)
-        ys = [p[1] for p in x]
-        # bit r stands for the point of x on horizontal oval r; `odd` marks
-        # the points with an odd number of points southwest of them, `tops`
-        # the points on a top wall
+        top, right = self._top, self._right
+        bits = [self._bit[p] for p in x]
+        # `odd` marks the points with an odd number of points southwest of
+        # them, `tops` the points on a top wall
         seen = odd = tops = right_walls = 0
-        for y, p in zip(ys, x):
-            bit = 1 << (y // SCALE)
+        for bit, p in zip(bits, x):
             if (seen & (bit - 1)).bit_count() % 2:
                 odd |= bit
             seen |= bit
-            if y % SCALE == 6:
+            if top[p]:
                 tops |= bit
-            if p[0] % SCALE == 7:
+            if right[p]:
                 right_walls += 1
         total = odd.bit_count()  # has the parity of I(x, x)
         rights = 0  # right-wall points before x[i]
-        cached_corners = self._corners
-        out: dict[Gen, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for i, p in enumerate(x):
-            flips = self._flips.get(p)
-            if flips is None:
-                flips = self._new_flips(p)
-            for q, vertical in flips:
+            for q, vertical in self._flips[p]:
                 if vertical:
                     e = total + rights
                 else:
-                    lower_tops = tops & ((1 << (ys[i] // SCALE)) - 1)
-                    e = total + right_walls + lower_tops.bit_count()
+                    e = total + right_walls + (tops & (bits[i] - 1)).bit_count()
                 out[x[:i] + (q,) + x[i + 1 :]] = -1 if e % 2 else 1
-            if p[0] % SCALE == 7:
+            if right[p]:
                 rights += 1
+        cached_corners = self._corners
+        count = len(self.points)
         for i in range(k - 1):
-            b = ys[i]
-            lowest_above = None  # lowest point passed so far above x[i]
+            b = bits[i]
+            base = x[i] * count
+            lowest_above = 0  # bit of the lowest point passed so far above x[i]
             below = 0  # points passed so far below x[i]
             for j in range(i + 1, k):
-                d = ys[j]
+                d = bits[j]
                 if d < b:
                     below += 1
                     continue
-                if lowest_above is not None and d > lowest_above:
+                if lowest_above and d > lowest_above:
                     continue  # the rectangle contains that point of x
                 lowest_above = d
-                corners = cached_corners.get((x[i], x[j]), False)
+                corners = cached_corners.get(base + x[j], False)
                 if corners is False:
                     corners = self._new_corners(x[i], x[j])
                 if corners is None:
                     continue
-                upto_d = odd & ((2 << (d // SCALE)) - 1)
+                upto_d = odd & ((d << 1) - 1)
                 e = upto_d.bit_count()
                 if below % 2:
-                    e += (upto_d >> (b // SCALE + 1)).bit_count() + 1
+                    e += (upto_d & -(b << 1)).bit_count() + 1
                 nw, se = corners
                 sign = -1 if e % 2 else 1
                 out[x[:i] + (nw,) + x[i + 1 : j] + (se,) + x[j + 1 :]] = sign
@@ -812,7 +829,8 @@ def long_complex(
     for x, a2 in gens:
         cx.add_generator(x, a2, maslov(x, moves.frame.o_punct, 0))
     for x, _ in gens:
-        for target, coeff in moves.row(x).items():
+        for target, coeff in moves.row(moves.encode(x)).items():
+            target = moves.decode(target)
             if target not in cx.grading:
                 raise GradingViolation("move target escapes the kept a2 slices")
             cx.add_entry(x, target, coeff)

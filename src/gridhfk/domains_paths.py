@@ -151,7 +151,9 @@ class PathEngine:
     rows of cancelled generators only as their targets actually appear,
     depth-first with caching, so the complex is never materialized.  The
     result is exactly the faithful reduction's output: eliminating an
-    invertible block yields the same complement in any order.
+    invertible block yields the same complement in any order.  Inside, rows
+    are keyed by the point ids of `LongMoves`; `short_row` takes and returns
+    point tuples.
     """
 
     def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
@@ -163,16 +165,15 @@ class PathEngine:
         self.short_cfg = short_cfg
         self.moves = LongMoves(long_cfg)
         self.event_count = len(events)
-        #: point -> the event killing it; survivors get the event count,
+        #: point id -> the event killing it; survivors get the event count,
         #: which comes after every event
-        self._event_of: dict[Point, int] = dict.fromkeys(
-            long_cfg.all_points(), self.event_count
-        )
-        #: event -> (position of its vertical oval in a generator, its
-        #: Maslov-raising point)
+        self._event_of = [self.event_count] * len(self.moves.points)
+        #: event -> (position of its vertical oval in a generator, the id of
+        #: its Maslov-raising point)
         slot_of = {c: i for i, c in enumerate(long_cfg.kept_cols())}
         a2_of = self.moves.frame.a2_of
-        self._raising: list[tuple[int, Point]] = []
+        id_of = self.moves.id_of
+        self._raising: list[tuple[int, int]] = []
         for t, ev in enumerate(events):
             column = ev.p1[0] // SCALE
             if ev.p2[0] // SCALE != column:
@@ -184,23 +185,25 @@ class PathEngine:
                 raise ScheduleAssertionFailed(
                     f"event {t} changes the Alexander grading"
                 )
-            if self._event_of[ev.p1] < t or self._event_of[ev.p2] < t:
+            p1, p2 = id_of[ev.p1], id_of[ev.p2]
+            if self._event_of[p1] < t or self._event_of[p2] < t:
                 raise ScheduleAssertionFailed(
                     f"event {t} kills a point a second time"
                 )
-            self._event_of[ev.p1] = self._event_of[ev.p2] = t
-            self._raising.append((slot_of[column], ev.p1))
+            self._event_of[p1] = self._event_of[p2] = t
+            self._raising.append((slot_of[column], p1))
         self._arr = Arrangement(short_cfg)
         #: (generator, a2) of the short configuration in walk order: the one
         #: enumeration that every slice and slice size of a run comes from
         self.short_gens = oval_generators(short_cfg)
-        #: reduced row of each cancelled source at its elimination step
-        self._rows: dict[Gen, dict[Gen, int]] = {}
+        #: reduced row of each cancelled source at its elimination step, in
+        #: point ids
+        self._rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     # -- schedule bookkeeping
 
-    def _death(self, v: Gen):
-        """(event, source) elimination key of ``v``; None for survivors.
+    def _death(self, v: tuple[int, ...]):
+        """(event, source) elimination key of ids ``v``; None for survivors.
 
         A generator dies at the first event killing one of its points; the
         pair's source is the generator holding the Maslov-raising point.
@@ -217,34 +220,55 @@ class PathEngine:
 
     # -- the cancellation recursion
 
-    def _reduced_row(self, u: Gen, limit) -> dict[Gen, int]:
+    def _reduced_row(self, u: tuple[int, ...], limit) -> dict[tuple[int, ...], int]:
         """Row of ``u`` after eliminating every pair ordered before ``limit``.
 
         Entries to targets of earlier pairs fold in the source's reduced
         row (scaled through the unit pivot); entries to earlier sources
         simply disappear with their generator.  Newly created entries always
         die no earlier than the pair that created them, so a single heap
-        pass suffices.
+        pass suffices.  A dying source is never folded, so it is dropped on
+        sight: removing it changes no other entry, nor the order of those
+        that stay.
         """
-        death = self._death
+        event_of = self._event_of.__getitem__
+        raising = self._raising
+        count = self.event_count
+        limit_t = limit[0]
+
+        def fold_key(v):
+            # `_death(v)` when it precedes `limit`, else None; the event is
+            # tested before the source is built
+            t = min(map(event_of, v))
+            if t > limit_t or t == count:
+                return None
+            slot, point = raising[t]
+            if v[slot] == point:
+                key = (t, v)
+            else:
+                key = (t, v[:slot] + (point,) + v[slot + 1 :])
+            return key if t < limit_t or key < limit else None
+
         work = self.moves.row(u)
         heap: list[tuple] = []
-        for v in work:
-            key = death(v)
-            if key is not None and key < limit:
+        for v in list(work):
+            key = fold_key(v)
+            if key is None:
+                continue
+            if key[1] is v:
+                del work[v]  # a dying source's column vanishes outright
+            else:
                 heappush(heap, (key, v))
         while heap:
-            (t, source), v = heappop(heap)
+            key, v = heappop(heap)
             coeff = work.pop(v, 0)
             if not coeff:
                 continue
-            if v == source:
-                continue  # a dying source's column vanishes outright
-            srow = self._source_row(source, (t, source))
+            srow = self._source_row(key[1], key)
             pivot = srow.get(v, 0)
             if pivot not in (1, -1):
                 raise ScheduleAssertionFailed(
-                    f"event {t}: path pivot {pivot} is not a unit"
+                    f"event {key[0]}: path pivot {pivot} is not a unit"
                 )
             factor = -coeff * pivot
             for w, cw in srow.items():
@@ -252,17 +276,19 @@ class PathEngine:
                     continue
                 old = work.get(w, 0)
                 new = old + factor * cw
-                if new:
-                    if not old:
-                        key = death(w)
-                        if key is not None and key < limit:
-                            heappush(heap, (key, w))
-                    work[w] = new
-                else:
+                if not new:
                     work.pop(w, None)
+                    continue
+                if not old:
+                    wkey = fold_key(w)
+                    if wkey is not None:
+                        if wkey[1] is w:
+                            continue  # a dying source never enters
+                        heappush(heap, (wkey, w))
+                work[w] = new
         return work
 
-    def _source_row(self, source: Gen, key) -> dict[Gen, int]:
+    def _source_row(self, source: tuple[int, ...], key) -> dict[tuple[int, ...], int]:
         row = self._rows.get(source)
         if row is None:
             row = self._reduced_row(source, key)
@@ -277,18 +303,21 @@ class PathEngine:
         Every nonzero entry must join ``x`` to a surviving generator through
         a domain of the short arrangement; either failure raises.
         """
-        row = self._reduced_row(x, (self.event_count,))
-        for y in row:
+        moves = self.moves
+        out: dict[Gen, int] = {}
+        for y, c in self._reduced_row(moves.encode(x), (self.event_count,)).items():
             if self._death(y) is not None:
                 raise CancelledTargetReached(
-                    f"short row of {x} reaches the cancelled generator {y}"
+                    f"short row of {x} reaches the cancelled generator "
+                    f"{moves.decode(y)}"
                 )
-        for y, c in row.items():
+            out[moves.decode(y)] = c
+        for y, c in out.items():
             if find_domain(self._arr, x, y) is None:
                 raise MissingDomain(
                     f"nonzero entry {c} from {x} to {y} has no domain"
                 )
-        return row
+        return out
 
     def _slice_rows(self, gens: list[Gen]) -> list[tuple[Gen, dict[Gen, int]]]:
         """``(x, short_row(x))`` for the generators of one Alexander slice.

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from gridhfk.gridkit import GridDiagram, component_count
+from gridhfk.errors import MultiComponentClosure
+from gridhfk.gridkit import (
+    GridDiagram,
+    LaurentPoly,
+    alexander_polynomial,
+    component_count,
+    parse_braid,
+)
+from gridhfk.simplifier import minimize
 
 # Braid words for the knots used as fixtures, verified against the Alexander
 # polynomial oracle in test_gridkit (and pinned there with the literature
@@ -32,6 +40,24 @@ def random_grid(n: int, rng: random.Random) -> GridDiagram:
             continue
         g = GridDiagram(tuple(xs), tuple(os))
         if component_count(g) == 1:
+            return g
+
+
+def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
+    """A nontrivial knot of grid size at most ``max_n``.
+
+    `random_grid` almost always draws the unknot; this is the minimized
+    closure of a random 3-strand braid word, drawn again until the closure
+    is one component, fits and has Alexander polynomial other than 1.
+    Every grid of size 4 or less is the unknot, so ``max_n`` is at least 5.
+    """
+    while True:
+        word = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(3, 9))]
+        try:
+            g = minimize(parse_braid(word))
+        except MultiComponentClosure:
+            continue
+        if g.n <= max_n and alexander_polynomial(g) != LaurentPoly.one():
             return g
 
 

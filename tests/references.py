@@ -11,10 +11,14 @@ something independent to agree with:
   complex or to some of its Alexander slices;
 * `long_euler` is the graded Euler characteristic of the long complex as
   one small determinant; `enumerated_long_euler` sums it generator by
-  generator, which is only affordable on small grids.
+  generator, which is only affordable on small grids;
+* `short_complex_digest` fingerprints a complex, insertion order included,
+  so a short complex can be pinned bit for bit.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from gridhfk.chains import (
     LongMoves,
@@ -131,3 +135,12 @@ def long_euler(g, omit) -> LaurentPoly:
     sign = 1 - 2 * ((k * (k - 1) // 2 + (k + 1) * ioo) % 2)
     shift = LaurentPoly({frame.const2 // 2: sign})
     return shift * laurent_determinant(matrix)
+
+
+def short_complex_digest(cx: SparseComplex) -> str:
+    """SHA-256 of the ordered gradings, rows and columns of a complex."""
+    h = hashlib.sha256()
+    h.update(repr(list(cx.grading.items())).encode())
+    h.update(repr([(x, list(row.items())) for x, row in cx.rows.items()]).encode())
+    h.update(repr([(y, list(col.items())) for y, col in cx.cols.items()]).encode())
+    return h.hexdigest()

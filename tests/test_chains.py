@@ -315,7 +315,9 @@ class TestTypedFailures:
         for x, a2 in oval_generators(build_config(g, omit, "long")):
             by_a2.setdefault(a2, x)
         top, other = max(by_a2), min(by_a2)
-        monkeypatch.setattr(LongMoves, "row", lambda self, x: {by_a2[other]: 1})
+        monkeypatch.setattr(
+            LongMoves, "row", lambda self, x: {self.encode(by_a2[other]): 1}
+        )
         with pytest.raises(GradingViolation, match="kept a2 slices"):
             long_complex(g, omit, keep_a2={top})
 

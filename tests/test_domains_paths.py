@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import faithful_short
+from references import faithful_short, short_complex_digest
 
 from gridhfk import domains_paths
 from gridhfk.chains import SparseComplex, long_complex, oval_generators
@@ -333,6 +333,33 @@ def kept_by_auto_skip(eng, n):
     return set(sizes) - auto_skip(sizes, n)
 
 
+#: SHA-256 (`short_complex_digest`) of `PathEngine.short_complex` on the
+#: minimized `BRAIDS` grids at their default omission, by knot, ring and
+#: kept slices (all, those `--skip auto` keeps, the top one); any change to
+#: an entry, a generator or their insertion order shows here
+SHORT_COMPLEX_DIGESTS = {
+    ("figure8", "Z", "all"): "0f6a737914120b231ab92566c972b5facf4442e8011096939ee1941d116c6fcc",
+    ("figure8", "Z", "auto"): "9f82bb26081ef1f12300d72456a9c5f4a1f4370226a3c599f257d096ab9c51a1",
+    ("figure8", "Z", "top"): "5ba0c9278272dbc7e56bafa76ab5eb73866af1fe39281305f65b64a79e2d81a5",
+    ("figure8", "Z2", "all"): "0f6a737914120b231ab92566c972b5facf4442e8011096939ee1941d116c6fcc",
+    ("figure8", "Z2", "auto"): "9f82bb26081ef1f12300d72456a9c5f4a1f4370226a3c599f257d096ab9c51a1",
+    ("figure8", "Z2", "top"): "5ba0c9278272dbc7e56bafa76ab5eb73866af1fe39281305f65b64a79e2d81a5",
+    ("5_2", "Z", "all"): "44cc02d62fea95a18df514503ebaf63706c9c5f7b4659be0599badabfb6c771b",
+    ("5_2", "Z", "auto"): "5a6188fe55081ef65bfb407ccf19adbcc38450009258b3ec66a63f466386c989",
+    ("5_2", "Z", "top"): "5bc87d6ade7ecac14c558deae1b87098f1a70eeedd3bf836f5004e3463d8eff8",
+    ("5_2", "Z2", "all"): "44cc02d62fea95a18df514503ebaf63706c9c5f7b4659be0599badabfb6c771b",
+    ("5_2", "Z2", "auto"): "5a6188fe55081ef65bfb407ccf19adbcc38450009258b3ec66a63f466386c989",
+    ("5_2", "Z2", "top"): "5bc87d6ade7ecac14c558deae1b87098f1a70eeedd3bf836f5004e3463d8eff8",
+    ("8_19", "Z", "all"): "9b899ab7aaf6a96a0f9f9b137a3e9d9d09d03e1817e65b869780e57a638a6b31",
+    ("8_19", "Z", "auto"): "1261adae9b95ccf8e9a79b31d66559713ec5d009ececef2e2cb337b50bfa97e8",
+    ("8_19", "Z", "top"): "516f0e2c60027817390a4c00cc98f5bc8189254dc81b9955e6c33545cbe28a9b",
+    ("8_19", "Z2", "all"): "ba16ca5a2730eb2929d6f116fec62b443b6254f77470b4b62da9cf70864c3ed9",
+    ("8_19", "Z2", "auto"): "43664a102b734ef8606c397fecdeb2723b27046acb6efa764a43b75c379a17c2",
+    ("8_19", "Z2", "top"): "516f0e2c60027817390a4c00cc98f5bc8189254dc81b9955e6c33545cbe28a9b",
+    ("8_20", "Z", "all"): "bc6d7f1bba704ba6f8a8ebd50b17266d49eb4fb3096345ceae5d8367e812f551",
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
 class TestPooledSlices:
     """`short_complex` on a process pool: same complex, same checks."""
@@ -366,13 +393,19 @@ class TestPooledSlices:
         g = minimize(parse_braid(BRAIDS[name]))
         eng = PathEngine(g)
         slices = {a2 for _, a2 in oval_generators(eng.short_cfg)}
-        keeps = [{max(slices)}, kept_by_auto_skip(eng, g.n), None]
-        assert keeps[1] < slices
+        keeps = {
+            "top": {max(slices)},
+            "auto": kept_by_auto_skip(eng, g.n),
+            "all": None,
+        }
+        assert keeps["auto"] < slices
         for ring in ("Z", "Z2"):
-            for keep in keeps:
+            for kept, keep in keeps.items():
+                pinned = SHORT_COMPLEX_DIGESTS[name, ring, kept]
                 monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 10**9)
                 sequential = eng.short_complex(ring, keep)
                 assert not pools
+                assert short_complex_digest(sequential) == pinned
                 # the engine's one walk, filtered, is the pruned walk
                 assert ordered(sequential) == ordered(walk_order_complex(eng, ring, keep))
                 monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
@@ -380,10 +413,17 @@ class TestPooledSlices:
                 # a single slice is never pooled
                 assert pools == ([(2,)] if len(keep or slices) > 1 else [])
                 pools.clear()
-                assert ordered(pooled) == ordered(sequential)
+                assert short_complex_digest(pooled) == pinned
                 assert not eng._rows
         if name == "8_19":
             assert pooled.entry_count
+
+    def test_pooled_8_20_is_pinned(self, two_cpus, pools):
+        eng = PathEngine(minimize(parse_braid(BRAIDS["8_20"])))
+        cx = eng.short_complex("Z")
+        assert pools == [(2,)]
+        assert (cx.generator_count, cx.entry_count) == (3712, 3328)
+        assert short_complex_digest(cx) == SHORT_COMPLEX_DIGESTS["8_20", "Z", "all"]
 
     def test_one_cpu_never_pools(self, monkeypatch, no_pool):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -2,8 +2,9 @@
 
 The reference below recomputes every sign from dominance counts of the
 whole generator and scans every point and puncture for emptiness, target by
-target, with no per-row or per-point caching.  `LongMoves.row` must agree
-with it entry for entry; Z/2 complexes take these rows mod 2.
+target, with no per-row or per-point caching.  `LongMoves.row`, read
+through `encode` and `decode`, must agree with it entry for entry; Z/2
+complexes take these rows mod 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import factorial
 
 import pytest
 
-from conftest import BRAIDS, random_grid
+from conftest import BRAIDS, random_grid, random_knot_grid
 from gridhfk.chains import Gen, LongMoves, _bigon_targets, oval_generators
 from gridhfk.errors import RectangleCornerMissing
 from gridhfk.gridkit import SCALE, dominance_count, parse_braid
@@ -70,12 +71,17 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
             ):
                 continue
             nw, se = (x1, y2), (x2, y1)
-            assert nw in moves.point_set and se in moves.point_set
+            assert nw in moves.id_of and se in moves.id_of
             y = list(x)
             y[i], y[j] = nw, se
             target = tuple(sorted(y))
             out[target] = reference_rect_sign(x, target)
     return out
+
+
+def decoded_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
+    """`LongMoves.row` of a generator given and returned as point tuples."""
+    return {moves.decode(y): c for y, c in moves.row(moves.encode(x)).items()}
 
 
 def random_generator(config, rng: random.Random) -> Gen:
@@ -87,22 +93,41 @@ def random_generator(config, rng: random.Random) -> Gen:
     return tuple(sorted(points))
 
 
+def test_ids_follow_point_order(rng):
+    g = random_knot_grid(rng, 7)
+    config = build_config(g, select_best_config(g).omit, "long")
+    moves = LongMoves(config)
+    assert moves.points == sorted(moves.id_of)
+    for _ in range(200):
+        x = random_generator(config, rng)
+        ids = moves.encode(x)
+        assert list(ids) == sorted(ids) and moves.decode(ids) == x
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_every_generator_of_random_long_configs(n, rng):
+    # every grid of size 4 or less is the unknot; the size-5 draws are
+    # trefoils
     for _ in range(2):
-        g = random_grid(n, rng)
+        g = random_grid(n, rng) if n < 5 else random_knot_grid(rng, 5)
+        assert g.n == n
         config = build_config(g, select_best_config(g).omit, "long")
         moves = LongMoves(config)
         rows = 0
         for x, _ in oval_generators(config):
-            assert moves.row(x) == reference_row(moves, x), (g, x)
+            assert decoded_row(moves, x) == reference_row(moves, x), (g, x)
             rows += 1
         assert rows == 4 ** (n - 1) * factorial(n - 1)
 
 
-def test_sampled_generators_of_5_2():
-    g = minimize(parse_braid(BRAIDS["5_2"]))
-    assert g.n == 7
+@pytest.mark.parametrize(
+    "word, n",
+    [(BRAIDS["5_2"], 7), (BRAIDS["8_20"], 8), ([1] * 7, 9)],
+    ids=["5_2", "8_20", "7_1"],
+)
+def test_sampled_generators(word, n):
+    g = minimize(parse_braid(word))
+    assert g.n == n
     config = build_config(g, select_best_config(g).omit, "long")
     moves = LongMoves(config)
     rng = random.Random(52)
@@ -110,7 +135,7 @@ def test_sampled_generators_of_5_2():
     signs: set[int] = set()
     for _ in range(3000):
         x = random_generator(config, rng)
-        row = moves.row(x)
+        row = decoded_row(moves, x)
         assert row == reference_row(moves, x), x
         entries += len(row)
         rectangles += sum(1 for y in row if len(set(x) - set(y)) == 2)
@@ -125,10 +150,10 @@ def test_missing_corner_is_a_typed_failure(rng):
     config = build_config(g, select_best_config(g).omit, "long")
     moves = LongMoves(config)
     x = next(
-        x
+        moves.encode(x)
         for x, _ in oval_generators(config)
         if any(len(set(x) - set(y)) == 2 for y in reference_row(moves, x))
     )
-    moves.point_set = set()
+    moves.id_of = {}
     with pytest.raises(RectangleCornerMissing):
         moves.row(x)

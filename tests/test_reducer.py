@@ -7,7 +7,7 @@ from math import comb, gcd, prod
 
 import pytest
 
-from conftest import BRAIDS, random_grid
+from conftest import BRAIDS, random_grid, random_knot_grid
 from references import reduce_faithful, tuple_event_pairs
 
 from gridhfk import chains, domains_paths, reducer
@@ -21,7 +21,11 @@ from gridhfk.errors import (
     UnderdeterminedSkip,
 )
 from gridhfk.gridkit import GridDiagram, parse_braid
-from gridhfk.ovalgeo import retraction_schedule, select_best_config
+from gridhfk.ovalgeo import (
+    omission_candidates,
+    retraction_schedule,
+    select_best_config,
+)
 from gridhfk.reducer import (
     HomologyResult,
     auto_skip,
@@ -244,20 +248,25 @@ class TestReduction:
 
     def test_tuple_pairs_match_path_engine_deaths(self, rng):
         # the reference pairs and the path engine's elimination keys name
-        # the same (event, source) for every cancelled long generator
-        for _ in range(3):
-            g = random_grid(4, rng)
-            omit = select_best_config(g).omit
-            _, _, events = retraction_schedule(g, omit)
-            engine = PathEngine(g, omit)
-            cx = long_complex(g, omit)
-            expected = {}
-            for t, (srcs, dsts) in enumerate(tuple_event_pairs(cx.generators(), events)):
-                for a, b in zip(srcs, dsts):
-                    expected[a] = expected[b] = (t, a)
-            assert {x: engine._death(x) for x in cx.generators()} == {
-                x: expected.get(x) for x in cx.generators()
-            }
+        # the same (event, source) for every cancelled long generator, on
+        # every omission of nontrivial knots
+        for _ in range(2):
+            g = random_knot_grid(rng, 5)
+            for omit in omission_candidates(g):
+                long_cfg, _, events = retraction_schedule(g, omit)
+                engine = PathEngine(g, omit)
+                encode, decode = engine.moves.encode, engine.moves.decode
+                gens = [x for x, _ in oval_generators(long_cfg)]
+                expected = {}
+                pairs = tuple_event_pairs(gens, events)
+                for t, (srcs, dsts) in enumerate(pairs):
+                    for a, b in zip(srcs, dsts):
+                        expected[a] = expected[b] = (t, a)
+                deaths = {}
+                for x in gens:
+                    key = engine._death(encode(x))
+                    deaths[x] = key and (key[0], decode(key[1]))
+                assert deaths == {x: expected.get(x) for x in gens}
 
 
 class TestDeconvolve:
