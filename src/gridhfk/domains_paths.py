@@ -30,12 +30,18 @@ from .chains import Gen, LongMoves, SparseComplex, oval_generators
 from .errors import (
     CancelledTargetReached,
     DomainSystemSingular,
+    InvalidOmission,
     MissingDomain,
     ScheduleAssertionFailed,
     SliceWorkerDied,
 )
 from .gridkit import SCALE, GridDiagram, Point
-from .ovalgeo import Arrangement, retraction_schedule, select_best_config
+from .ovalgeo import (
+    Arrangement,
+    on_boundary,
+    retraction_schedule,
+    select_best_config,
+)
 
 Domain = dict[int, int]
 
@@ -153,12 +159,19 @@ class PathEngine:
     result is exactly the faithful reduction's output: eliminating an
     invertible block yields the same complement in any order.  Inside, rows
     are keyed by the point ids of `LongMoves`; `short_row` takes and returns
-    point tuples.
+    point tuples.  The omitted marking must lie on the boundary of the
+    square (`on_boundary`); any other omission raises `InvalidOmission`.
     """
 
     def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
         if omit is None:
             omit = select_best_config(g).omit
+        elif not on_boundary(g, omit):
+            raise InvalidOmission(
+                f"omitting {omit} leaves the region outside the square without "
+                f"a basepoint: the omitted marking must lie in column 0 or "
+                f"{g.n - 1} or in row 0 or {g.n - 1}"
+            )
         self.grid = g
         self.omit = omit
         long_cfg, short_cfg, events = retraction_schedule(g, omit)

@@ -116,6 +116,20 @@ def omission_candidates(g: GridDiagram) -> list[tuple[int, int]]:
     return sorted((c, g.os[c]) for c in range(g.n))
 
 
+def on_boundary(g: GridDiagram, cell: tuple[int, int]) -> bool:
+    """Whether ``cell`` lies in column 0 or n−1 or in row 0 or n−1.
+
+    Every kept column and row of the long configuration has an oval whose
+    caps lie on the border of the square, so the region outside the square
+    holds the omitted marking exactly when that marking is on the boundary;
+    otherwise that region has no basepoint, the diagram is not nice in the
+    Sarkar–Wang sense, and the bigons and rectangles `LongMoves` counts miss
+    the domains that cover it.
+    """
+    edge = (0, g.n - 1)
+    return cell[0] in edge or cell[1] in edge
+
+
 def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfig:
     """Construct the oval system for one omission and style."""
     n = g.n
@@ -186,12 +200,17 @@ def generator_count(config: OvalConfig) -> int:
 
 
 def select_best_config(g: GridDiagram) -> OvalConfig:
-    """The short configuration with the fewest generators over all omissions.
+    """The short configuration with the fewest generators over the boundary O's.
 
-    Ties break toward the lexicographically least omitted cell, making the
+    Only O's `on_boundary` are tried: at most four, and column 0 always
+    holds one.  Ties break toward the lexicographically least omitted cell, making the
     choice deterministic.
     """
-    configs = (build_config(g, omit, "short") for omit in omission_candidates(g))
+    configs = (
+        build_config(g, omit, "short")
+        for omit in omission_candidates(g)
+        if on_boundary(g, omit)
+    )
     return min(configs, key=generator_count)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gridhfk.domains_paths import PathEngine
 from gridhfk.errors import MultiComponentClosure
 from gridhfk.gridkit import (
     GridDiagram,
@@ -64,3 +65,23 @@ def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260815)
+
+
+@pytest.fixture
+def unmirrored_bottom_slice(monkeypatch):
+    """Adds a free generator to the path engine's lowest Alexander slice.
+
+    The genus scan from the bottom then stops at a slice that cannot mirror
+    the top one: either it lies below the mirror position, or it has one
+    rank more than the top slice there.
+    """
+    short_complex = PathEngine.short_complex
+
+    def patched(self, ring="Z", keep_a2=None):
+        cx = short_complex(self, ring, keep_a2)
+        lowest = min(a2 for _, a2 in self.short_gens)
+        if keep_a2 is not None and lowest in keep_a2:
+            cx.add_generator((), lowest, 0)
+        return cx
+
+    monkeypatch.setattr(PathEngine, "short_complex", patched)

@@ -246,7 +246,7 @@ class TestOvalComplex:
         assert len(gens) == 4 ** (g.n - 1) * factorial(g.n - 1) == 6144
         assert len(gens) == generator_count(config)
 
-    @pytest.mark.parametrize("name,count", [("trefoil", 48), ("figure8", 160)])
+    @pytest.mark.parametrize("name,count", [("trefoil", 48), ("figure8", 544)])
     def test_best_short_config_counts(self, name, count):
         config = select_best_config(parse_braid(BRAIDS[name]))
         gens = oval_generators(config)

@@ -185,20 +185,26 @@ class TestAlexanderGenusCheck:
         assert "Alexander" not in emit_report(result)
         assert "mirror" not in emit_report(result)
 
-    def test_unmirrored_slices_fail_the_run(self, monkeypatch, capsys, tmp_path):
-        # an unknot grid whose omission (2, 2) gives a wrong table: its top
-        # slice claims genus 1, and the bottom slice does not mirror it
+    def test_unmirrored_slices_fail_the_run(
+        self, monkeypatch, capsys, tmp_path, unmirrored_bottom_slice
+    ):
+        # an unknot grid whose interior omission (2, 2) gave a wrong table
         path = tmp_path / "unknot.txt"
         path.write_text(format_grid_text(GridDiagram((3, 2, 1, 0), (1, 0, 2, 3))))
-        # keep that grid as it is (minimizing moves it) and that omission
+        argv = ["--grid", str(path), "--crosscheck", "off", "--simplify-budget", "0"]
+        # a bottom slice that does not mirror the top one fails the run
+        assert main(argv + ["--mode", "genus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mirror" in err
+        assert "Traceback" not in err
+        # the run cannot be steered to the interior omission either
         top = reducer.top_invariants
         monkeypatch.setattr(
             cli, "top_invariants", lambda g, ring: top(g, ring, omit=(2, 2))
         )
-        argv = ["--grid", str(path), "--crosscheck", "off", "--simplify-budget", "0"]
         assert main(argv + ["--mode", "genus"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "mirror" in err
+        assert err.startswith("error: omitting (2, 2)")
         assert "Traceback" not in err
 
 

@@ -13,6 +13,7 @@ from gridhfk.ovalgeo import (
     column_span,
     generator_count,
     omission_candidates,
+    on_boundary,
     retraction_schedule,
     row_span,
     select_best_config,
@@ -144,12 +145,20 @@ class TestArrangement:
 
 class TestSelection:
     def test_select_best_is_deterministic_and_minimal(self):
-        g = parse_braid(BRAIDS["figure8"])
-        best = select_best_config(g)
-        counts = {
-            omit: generator_count(build_config(g, omit, "short"))
-            for omit in omission_candidates(g)
-        }
-        assert generator_count(best) == min(counts.values())
-        least = min(o for o, c in counts.items() if c == generator_count(best))
-        assert best.omit == least
+        # minimal among the O's on the boundary, least such cell on ties,
+        # and on the boundary even where an interior O has fewer generators
+        interior_cheaper = 0
+        for name in sorted(BRAIDS):
+            g = parse_braid(BRAIDS[name])
+            best = select_best_config(g)
+            counts = {
+                omit: generator_count(build_config(g, omit, "short"))
+                for omit in omission_candidates(g)
+            }
+            allowed = {o: c for o, c in counts.items() if on_boundary(g, o)}
+            assert on_boundary(g, best.omit)
+            assert generator_count(best) == min(allowed.values())
+            least = min(o for o, c in allowed.items() if c == generator_count(best))
+            assert best.omit == least
+            interior_cheaper += min(counts.values()) < generator_count(best)
+        assert interior_cheaper  # figure-eight: 160 at (2, 3), 544 at (1, 0)

@@ -1,5 +1,6 @@
 """Reduction, exact homology, tensor deconvolution, and the pipelines."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -17,12 +18,14 @@ from gridhfk.errors import (
     CrosscheckFailed,
     InconsistentTensor,
     InvalidInvariant,
+    InvalidOmission,
     ScheduleAssertionFailed,
     UnderdeterminedSkip,
 )
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.ovalgeo import (
     omission_candidates,
+    on_boundary,
     retraction_schedule,
     select_best_config,
 )
@@ -249,10 +252,12 @@ class TestReduction:
     def test_tuple_pairs_match_path_engine_deaths(self, rng):
         # the reference pairs and the path engine's elimination keys name
         # the same (event, source) for every cancelled long generator, on
-        # every omission of nontrivial knots
+        # every omission of nontrivial knots that the engine accepts
         for _ in range(2):
             g = random_knot_grid(rng, 5)
             for omit in omission_candidates(g):
+                if not on_boundary(g, omit):
+                    continue
                 long_cfg, _, events = retraction_schedule(g, omit)
                 engine = PathEngine(g, omit)
                 encode, decode = engine.moves.encode, engine.moves.decode
@@ -524,10 +529,18 @@ class TestPipelines:
             hfk_paths(UNKNOT2, "Z", skip="most")
 
     def test_axis_omission_override(self):
+        # an X on the boundary is as good an omission as an O there; an X
+        # inside the square is refused like an O
         g = parse_braid(BRAIDS["trefoil"])
         base = hfk_paths(g, "Z").table.groups
-        for omit in [(c, g.xs[c]) for c in range(g.n)][:3]:
+        cells = [(c, g.xs[c]) for c in range(g.n)]
+        boundary = [cell for cell in cells if on_boundary(g, cell)]
+        assert boundary == [(0, 0), (4, 4)]
+        for omit in boundary:
             assert hfk_paths(g, "Z", omit=omit).table.groups == base
+        for omit in set(cells) - set(boundary):
+            with pytest.raises(InvalidOmission, match=re.escape(str(omit))):
+                hfk_paths(g, "Z", omit=omit)
 
     def test_minimized_input_feeds_pipeline(self):
         g = minimize(parse_braid(BRAIDS["trefoil"]))
@@ -569,14 +582,15 @@ class TestTopInvariants:
         g = minimize(parse_braid(BRAIDS["trefoil"]))
         assert top_invariants(g, "Z2") == (1, True)
 
-    def test_unmirrored_bottom_slice_rejected(self):
-        # an unknot grid whose omission (2, 2) gives a wrong table with a
-        # spurious top slice at a2 = 2
+    def test_unmirrored_bottom_slice_rejected(self, unmirrored_bottom_slice):
+        # an unknot grid whose interior omission (2, 2) gave a wrong table
+        # with a spurious top slice; the engine now refuses that omission
         g = GridDiagram((3, 2, 1, 0), (1, 0, 2, 3))
-        assert top_invariants(g) == (0, True)
         for ring in ("Z", "Z2"):
-            with pytest.raises(CrosscheckFailed, match="mirror"):
+            with pytest.raises(InvalidOmission, match=r"\(2, 2\)"):
                 top_invariants(g, ring, omit=(2, 2))
+            with pytest.raises(CrosscheckFailed, match="mirror"):
+                top_invariants(g, ring)
 
 
 class TestOneWalk:
