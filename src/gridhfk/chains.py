@@ -29,7 +29,6 @@ reduction machinery needs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
 
@@ -558,6 +557,53 @@ class _OvalFrame:
         self.row_punct = {r: tuple(sorted(v)) for r, v in row_of.items()}
 
 
+def _column_choices(frame: _OvalFrame):
+    """Per kept column, ``(row index, [(point, a2 contribution)])`` of each
+    kept row whose oval meets it: the branches of the generator walk."""
+    choices: list[list[tuple[int, list[tuple[Point, int]]]]] = []
+    for c in frame.cols:
+        per_row = []
+        for ri, r in enumerate(frame.rows):
+            pts = frame.config.points.get((c, r), ())
+            if pts:
+                per_row.append((ri, [(p, frame.a2_of[p]) for p in pts]))
+        choices.append(per_row)
+    return choices
+
+
+def _rest_sums(choices) -> list[dict[int, int]]:
+    """For each bitmask of used rows, the a2 sums the remaining columns reach.
+
+    Columns are matched in order, so a mask with ``d`` bits set has matched
+    the first ``d`` columns; its entry maps each sum of the contributions
+    of columns ``d..k-1`` over the unused rows to its number of generators.
+    Built bottom-up from the full mask: setting a bit raises the mask.
+    """
+    k = len(choices)
+    full = (1 << k) - 1
+    table: list[dict[int, int]] = [{} for _ in range(full)] + [{0: 1}]
+    for mask in range(full - 1, -1, -1):
+        sums = table[mask]
+        for ri, pts in choices[mask.bit_count()]:
+            if mask >> ri & 1:
+                continue
+            below = table[mask | 1 << ri]
+            for _, w in pts:
+                for s, count in below.items():
+                    sums[s + w] = sums.get(s + w, 0) + count
+    return table
+
+
+def slice_sizes(config: OvalConfig) -> dict[int, int]:
+    """Number of generators in each nonempty a2 slice, by a2, ascending.
+
+    Read from the row-mask table of `_rest_sums`, so no generator is listed.
+    """
+    frame = _OvalFrame(config)
+    sums = _rest_sums(_column_choices(frame))[0]
+    return {frame.const2 + s: sums[s] for s in sorted(sums)}
+
+
 def oval_generators(
     config: OvalConfig, keep_a2: set[int] | None = None
 ) -> list[tuple[Gen, int]]:
@@ -565,57 +611,40 @@ def oval_generators(
 
     A generator chooses a bijection from kept columns to kept rows and one
     intersection point of each matched oval pair.  When ``keep_a2`` is
-    given, branches whose reachable a2 interval misses every kept value are
-    pruned (the a2 grading is a sum of per-point contributions plus a
-    diagram constant, so interval bounds are exact).
+    given, a branch is pruned exactly when none of its completions has a
+    kept a2 (read from the row-mask table of `_rest_sums`; the a2 grading
+    is a sum of per-point contributions plus a diagram constant), so every
+    branch walked emits a generator.  The order is the same either way.
     """
     frame = _OvalFrame(config)
-    cols, rows = frame.cols, frame.rows
-    k = len(cols)
-    choices: list[list[tuple[int, list[tuple[Point, int]]]]] = []
-    for c in cols:
-        per_row = []
-        for ri, r in enumerate(rows):
-            pts = config.points.get((c, r), ())
-            if pts:
-                per_row.append((ri, [(p, frame.a2_of[p]) for p in pts]))
-        choices.append(per_row)
-
-    # suffix bounds on the remaining a2 contribution, for pruning
-    lo_rest = [0] * (k + 1)
-    hi_rest = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        vals = [w for _, pts in choices[i] for _, w in pts]
-        lo_rest[i] = lo_rest[i + 1] + min(vals)
-        hi_rest[i] = hi_rest[i + 1] + max(vals)
-    keep = None if keep_a2 is None else sorted(keep_a2)
+    choices = _column_choices(frame)
+    k = len(choices)
+    # per row mask, the a2 sums of the matched columns from which the
+    # remaining ones can still reach a kept a2
+    allowed = None
+    if keep_a2 is not None:
+        targets = {a2 - frame.const2 for a2 in keep_a2}
+        allowed = [{t - s for s in sums for t in targets} for sums in _rest_sums(choices)]
 
     out: list[tuple[Gen, int]] = []
     picked: list[Point] = []
-
-    def feasible(acc: int, depth: int) -> bool:
-        if keep is None:
-            return True
-        lo = acc + lo_rest[depth] + frame.const2
-        hi = acc + hi_rest[depth] + frame.const2
-        i = bisect_left(keep, lo)
-        return i < len(keep) and keep[i] <= hi
 
     def walk(depth: int, used: int, acc: int) -> None:
         if depth == k:
             out.append((tuple(sorted(picked)), acc + frame.const2))
             return
         for ri, pts in choices[depth]:
-            if used & (1 << ri):
+            bit = 1 << ri
+            if used & bit:
                 continue
             for p, w in pts:
-                if not feasible(acc + w, depth + 1):
-                    continue
-                picked.append(p)
-                walk(depth + 1, used | (1 << ri), acc + w)
-                picked.pop()
+                if allowed is None or acc + w in allowed[used | bit]:
+                    picked.append(p)
+                    walk(depth + 1, used | bit, acc + w)
+                    picked.pop()
 
-    walk(0, 0, 0)
+    if allowed is None or 0 in allowed[0]:
+        walk(0, 0, 0)
     return out
 
 

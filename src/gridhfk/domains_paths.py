@@ -24,9 +24,10 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from heapq import heappop, heappush
 
-from .chains import Gen, LongMoves, SparseComplex, oval_generators
+from .chains import Gen, LongMoves, SparseComplex, oval_generators, slice_sizes
 from .errors import (
     CancelledTargetReached,
     DomainSystemSingular,
@@ -206,12 +207,14 @@ class PathEngine:
             self._event_of[p1] = self._event_of[p2] = t
             self._raising.append((slot_of[column], p1))
         self._arr = Arrangement(short_cfg)
-        #: (generator, a2) of the short configuration in walk order: the one
-        #: enumeration that every slice and slice size of a run comes from
-        self.short_gens = oval_generators(short_cfg)
         #: reduced row of each cancelled source at its elimination step, in
         #: point ids
         self._rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+    @cached_property
+    def slice_sizes(self) -> dict[int, int]:
+        """Short generators per nonempty a2 slice, counted without listing."""
+        return slice_sizes(self.short_cfg)
 
     # -- schedule bookkeeping
 
@@ -386,15 +389,14 @@ class PathEngine:
         (none where the ``fork`` start method is missing).  Either way the
         entries are added in slice order and, within a slice, in generator
         order, so the complex is the same, insertion order included.
-        ``keep_a2`` (None keeps all) filters `short_gens`, which yields the
-        generators `oval_generators` prunes to, in the same order.
+        Only the generators of the kept slices (None keeps all) are
+        listed, by one `oval_generators` walk of the short configuration.
         """
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
-        for x, a2 in self.short_gens:
-            if keep_a2 is None or a2 in keep_a2:
-                cx.add_generator(x, a2, self.moves.gradings(x)[1])
-                slices.setdefault(a2, []).append(x)
+        for x, a2 in oval_generators(self.short_cfg, keep_a2):
+            cx.add_generator(x, a2, self.moves.gradings(x)[1])
+            slices.setdefault(a2, []).append(x)
         workers = min(len(slices), _available_cpus())
         if (
             workers >= 2

@@ -17,7 +17,6 @@ point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 
@@ -449,7 +448,7 @@ def hfk_paths(
     if skip not in ("auto", "none"):
         raise ValueError(f"unknown skip policy {skip!r}")
     engine = PathEngine(g, omit)
-    sizes = Counter(a2 for _, a2 in engine.short_gens)
+    sizes = engine.slice_sizes
     skipped = auto_skip(sizes, g.n) if skip == "auto" else set()
     keep = set(sizes) - skipped if skipped else None
     cx = engine.short_complex(ring, keep_a2=keep)
@@ -501,7 +500,7 @@ def top_invariants(
     equal to ``H(a2_top, m)``; otherwise `CrosscheckFailed` is raised.
     """
     engine = PathEngine(g, omit)
-    slices = sorted({a2 for _, a2 in engine.short_gens})
+    slices = list(engine.slice_sizes)
     top_a2, top = _first_nonzero_slice(engine, ring, reversed(slices))
     bot_a2, bot = _first_nonzero_slice(engine, ring, slices)
     shift = top_a2 + g.n - 1

@@ -79,7 +79,7 @@ def unmirrored_bottom_slice(monkeypatch):
 
     def patched(self, ring="Z", keep_a2=None):
         cx = short_complex(self, ring, keep_a2)
-        lowest = min(a2 for _, a2 in self.short_gens)
+        lowest = min(self.slice_sizes)
         if keep_a2 is not None and lowest in keep_a2:
             cx.add_generator((), lowest, 0)
         return cx

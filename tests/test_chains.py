@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from math import factorial
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from gridhfk.chains import (
     mos_complex,
     mos_generators,
     oval_generators,
+    slice_sizes,
 )
 from gridhfk.errors import (
     AlexanderConstantInvalid,
@@ -43,8 +45,11 @@ from gridhfk.ovalgeo import (
     build_config,
     generator_count,
     omission_candidates,
+    on_boundary,
     select_best_config,
 )
+from gridhfk.reducer import auto_skip
+from gridhfk.simplifier import minimize
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
 # Grids that historically exposed sign errors; pinned as regressions.
@@ -298,6 +303,91 @@ class TestOvalComplex:
         assert set(sub.grading) == {x for x, (a2, _) in full.grading.items() if a2 in keep}
         for x in sub.rows:
             assert sub.rows[x] == full.rows[x]
+
+
+def knot_and_mirror_grids(words):
+    """Minimized grids of each braid word and of its mirror."""
+    return [
+        minimize(parse_braid(braid))
+        for word in words
+        for braid in (word, [-a for a in word])
+    ]
+
+
+def walk_calls(config, keep):
+    """``(oval_generators(config, keep), calls of its recursive walk)``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "walk" and code.co_filename == chains.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        gens = oval_generators(config, keep)
+    finally:
+        sys.setprofile(None)
+    return gens, calls
+
+
+class TestSliceSizes:
+    """Slice sizes and the pruned walk, both read from the row-mask table."""
+
+    def test_counts_every_short_configuration(self):
+        for g in knot_and_mirror_grids(BRAIDS.values()):
+            for omit in omission_candidates(g):
+                if not on_boundary(g, omit):
+                    continue
+                config = build_config(g, omit, "short")
+                counted = Counter(a2 for _, a2 in oval_generators(config))
+                assert slice_sizes(config) == counted, (g, omit)
+
+    def test_counts_long_configurations(self):
+        for g in knot_and_mirror_grids(BRAIDS.values()):
+            if g.n > 6:
+                continue
+            config = build_config(g, omission_candidates(g)[0], "long")
+            counted = Counter(a2 for _, a2 in oval_generators(config))
+            assert slice_sizes(config) == counted, g
+
+    def test_ascending_and_nonempty(self):
+        sizes = slice_sizes(select_best_config(minimize(parse_braid(BRAIDS["8_20"]))))
+        assert list(sizes) == sorted(sizes)
+        assert min(sizes.values()) > 0
+
+    @pytest.mark.parametrize(
+        "word", [[1] * 7, [1, 2] * 7, [1] * 9], ids=["7_1", "T(3,7)", "T(2,9)"]
+    )
+    def test_total_is_the_generator_count(self, word):
+        config = select_best_config(minimize(parse_braid(word)))
+        assert sum(slice_sizes(config).values()) == generator_count(config)
+
+    @pytest.mark.parametrize("name", ["trefoil", "5_2", "8_20", "8_21"])
+    def test_pruned_walk_is_the_filtered_walk(self, name):
+        for g in knot_and_mirror_grids([BRAIDS[name]]):
+            config = select_best_config(g)
+            full = oval_generators(config)
+            sizes = slice_sizes(config)
+            keeps = [{a2} for a2 in sizes]
+            keeps += [set(sizes) - auto_skip(sizes, g.n), set(), {min(sizes) - 2}]
+            for keep in keeps:
+                expected = [(x, a2) for x, a2 in full if a2 in keep]
+                assert oval_generators(config, keep) == expected, (g, keep)
+
+    def test_pruned_walk_calls_lead_to_generators(self):
+        # every walked branch emits: a generator's root-to-leaf path is
+        # k + 1 calls, so no more calls than that per emitted generator
+        for g in knot_and_mirror_grids([BRAIDS["8_20"], [1] * 7]):
+            config = select_best_config(g)
+            k = len(config.kept_cols())
+            sizes = slice_sizes(config)
+            for keep in [{max(sizes)}, {min(sizes)}, set(sizes) - auto_skip(sizes, g.n)]:
+                gens, calls = walk_calls(config, keep)
+                assert len(gens) == sum(sizes[a2] for a2 in keep)
+                assert 0 < calls <= (k + 1) * len(gens), (g, keep)
+            assert walk_calls(config, set()) == ([], 0)
 
 
 class TestTypedFailures:

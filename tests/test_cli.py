@@ -208,6 +208,30 @@ class TestAlexanderGenusCheck:
         assert "Traceback" not in err
 
 
+class TestTorusKnotPins:
+    """Genus and fiberedness past the rectangle crosscheck (n > 8), where
+    only the built-in checks run: T(p, q) is fibered with genus
+    (p-1)(q-1)/2, and so is its mirror."""
+
+    @pytest.mark.parametrize(
+        "word,n,genus", [([1, 2] * 7, 10, 6), ([1] * 9, 11, 4)], ids=["T(3,7)", "T(2,9)"]
+    )
+    def test_genus_and_fibered(self, word, n, genus, capsys):
+        checks = (
+            "check: lowest nonzero slice mirrors the highest: ok",
+            "check: Alexander polynomial against genus: ok",
+        )
+        for braid in (word, [-a for a in word]):
+            for coeff in ("z", "z2"):
+                argv = ["--braid", " ".join(map(str, braid)), "--coeff", coeff]
+                for mode, answer in (("genus", f"genus: {genus}"), ("fibered", "fibered: yes")):
+                    assert main(argv + ["--mode", mode]) == 0
+                    lines = capsys.readouterr().out.splitlines()
+                    assert f"grid size: {n} (input {n}), pipeline ovals-top-slice" in lines[1]
+                    assert answer in lines
+                    assert all(check in lines for check in checks)
+
+
 class TestUniversalCoefficientsCheck:
     def test_reported_on_paths_z_runs(self):
         for skip in ("none", "auto"):

@@ -1,7 +1,6 @@
 """Reduction, exact homology, tensor deconvolution, and the pipelines."""
 
 import re
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
@@ -446,7 +445,7 @@ class TestAutoSkip:
         grids += [minimize(parse_braid([-a for a in w])) for w in words]
         grids += [random_grid(rng.randrange(3, 8), rng) for _ in range(40)]
         for g in grids:
-            sizes = Counter(a2 for _, a2 in PathEngine(g).short_gens)
+            sizes = PathEngine(g).slice_sizes
             skipped = auto_skip(sizes, g.n)
             assert skipped == largest_slices(sizes, g.n), g
             assert max(skipped) - min(skipped) < 2 * (g.n - 1)
@@ -594,7 +593,8 @@ class TestTopInvariants:
 
 
 class TestOneWalk:
-    """A run enumerates the short generators once, inside its path engine."""
+    """A run counts its slices without listing a generator, then walks the
+    short configuration once per assembled complex, for its kept slices."""
 
     @pytest.fixture
     def short_walks(self, monkeypatch):
@@ -603,7 +603,7 @@ class TestOneWalk:
 
         def counting(config, keep_a2=None):
             if config.style == "short":
-                walks.append(keep_a2)
+                walks.append(None if keep_a2 is None else set(keep_a2))
             return walk(config, keep_a2)
 
         for module in (chains, domains_paths, reducer):
@@ -613,16 +613,31 @@ class TestOneWalk:
     def test_reducer_does_not_walk(self):
         assert not hasattr(reducer, "oval_generators")
 
+    def test_engine_lists_no_generator(self, short_walks):
+        engine = PathEngine(minimize(parse_braid([1] * 7)))
+        assert sum(engine.slice_sizes.values()) == 18176
+        assert short_walks == []
+
     @pytest.mark.parametrize("skip", ["none", "auto"])
     def test_hfk_paths(self, skip, short_walks):
+        # every slice with skip="none"; only the kept ones with skip="auto"
         g = minimize(parse_braid(BRAIDS["5_2"]))
+        sizes = PathEngine(g).slice_sizes
+        kept = set(sizes) - auto_skip(sizes, g.n) if skip == "auto" else None
         for _ in range(2):
             hfk_paths(g, skip=skip)
-        assert short_walks == [None, None]
+        assert short_walks == [kept, kept]
 
     def test_top_invariants(self, short_walks):
-        # an unknot grid whose scan passes an empty slice before the nonzero one
+        # an unknot grid whose scan passes an empty slice before the nonzero
+        # one; the scan stops at a2 = 0 from the top and at -2(n-1) from
+        # the bottom, and walks one slice per step
         g = GridDiagram((2, 4, 3, 0, 5, 1), (4, 0, 1, 5, 3, 2))
+        slices = list(PathEngine(g).slice_sizes)
+        expected = [{a2} for a2 in reversed(slices) if a2 >= 0]
+        expected += [{a2} for a2 in slices if a2 <= -2 * (g.n - 1)]
+        assert len(expected) > 2
         for ring in ("Z", "Z2"):
+            short_walks.clear()
             top_invariants(g, ring)
-        assert short_walks == [None, None]
+            assert short_walks == expected
