@@ -4,11 +4,13 @@ Two complexes are built from the same diagram:
 
 * the **cell complex** (`mos_complex`): generators are the ``n!`` ways to
   place one point on each vertical and horizontal grid line, and the
-  boundary counts empty rectangles on the torus.  It is built from arrays
-  over all permutations at once (gradings as dominance counts, emptiness
-  from one marking table per grid and comparisons on the columns inside
-  each rectangle), with signs read from a per-size table of spin lifts
-  (`_spin_lifts`) built once per process;
+  boundary counts empty rectangles on the torus.  Generators are keyed by
+  the lexicographic rank of their permutations.  It is built from arrays
+  over all permutations at once: gradings as dominance counts, and
+  emptiness from one marking table per grid against per-size tables of
+  swap targets and point-free rectangles (`_swap_tables`).  Signs come
+  from a per-size table of spin lifts (`_spin_lifts`).  Both per-size
+  tables are built once per process, on first use;
 * the **long oval complex** (`long_complex`): generators place one point on
   each intersection of a vertical with a horizontal oval, and the boundary
   counts empty bigons (cap flips) and empty planar rectangles.  Only the
@@ -29,6 +31,7 @@ reduction machinery needs.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from functools import lru_cache
 from itertools import permutations
 
@@ -50,11 +53,10 @@ from .gridkit import (
     GridDiagram,
     Point,
     dominance_count,
-    maslov,
 )
 from .ovalgeo import OvalConfig, build_config
 
-#: A generator: the sorted tuple of its points (scaled coordinates).
+#: An oval generator: the sorted tuple of its points (scaled coordinates).
 Gen = tuple[Point, ...]
 
 
@@ -93,7 +95,8 @@ class SparseComplex:
 
     ``rows[x][y]`` is the coefficient of ``y`` in the boundary of ``x``;
     ``cols`` is the transpose view kept in lockstep.  ``grading[x]`` is the
-    pair ``(a2, maslov)``.
+    pair ``(a2, maslov)``.  Generators are any hashable labels: point tuples
+    in the oval complexes, permutation ranks in the rectangle complex.
     """
 
     __slots__ = ("ring", "grading", "rows", "cols")
@@ -102,20 +105,20 @@ class SparseComplex:
         if ring not in ("Z", "Z2"):
             raise ValueError(f"unknown coefficient ring {ring!r}")
         self.ring = ring
-        self.grading: dict[Gen, tuple[int, int]] = {}
-        self.rows: dict[Gen, dict[Gen, int]] = {}
-        self.cols: dict[Gen, dict[Gen, int]] = {}
+        self.grading: dict[Hashable, tuple[int, int]] = {}
+        self.rows: dict[Hashable, dict[Hashable, int]] = {}
+        self.cols: dict[Hashable, dict[Hashable, int]] = {}
 
     # -- construction
 
-    def add_generator(self, gen: Gen, a2: int, m: int) -> None:
+    def add_generator(self, gen: Hashable, a2: int, m: int) -> None:
         if gen in self.grading:
             raise DuplicateGenerator(f"duplicate generator {gen}")
         self.grading[gen] = (a2, m)
         self.rows[gen] = {}
         self.cols[gen] = {}
 
-    def add_entry(self, x: Gen, y: Gen, coeff: int) -> None:
+    def add_entry(self, x: Hashable, y: Hashable, coeff: int) -> None:
         if self.ring == "Z2":
             coeff &= 1
         if not coeff:
@@ -133,7 +136,7 @@ class SparseComplex:
 
     # -- inspection
 
-    def entry(self, x: Gen, y: Gen) -> int:
+    def entry(self, x: Hashable, y: Hashable) -> int:
         return self.rows[x].get(y, 0)
 
     @property
@@ -144,7 +147,7 @@ class SparseComplex:
     def entry_count(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def generators(self) -> list[Gen]:
+    def generators(self) -> list[Hashable]:
         return list(self.grading)
 
     def mod2(self) -> "SparseComplex":
@@ -186,7 +189,7 @@ class SparseComplex:
         """Return ``(x, z, coeff)`` witnessing a nonzero entry of the square."""
         mod2 = self.ring == "Z2"
         for x, row in self.rows.items():
-            acc: dict[Gen, int] = {}
+            acc: dict[Hashable, int] = {}
             for y, c in row.items():
                 for z, d in self.rows[y].items():
                     acc[z] = acc.get(z, 0) + c * d
@@ -204,7 +207,7 @@ class SparseComplex:
 
     # -- reduction primitive
 
-    def cancel_pair(self, x: Gen, y: Gen) -> None:
+    def cancel_pair(self, x: Hashable, y: Hashable) -> None:
         """Cancel the edge ``x -> y``; its coefficient must be a unit.
 
         All other incoming edges of ``y`` are pushed through the inverse:
@@ -228,7 +231,7 @@ class SparseComplex:
             for v, cv in from_x:
                 self.add_entry(u, v, -cu * inv * cv)
 
-    def _drop(self, gen: Gen) -> None:
+    def _drop(self, gen: Hashable) -> None:
         for y in self.rows[gen]:
             del self.cols[y][gen]
         for u in self.cols[gen]:
@@ -408,6 +411,37 @@ def _cyclic_open(lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(lo < hi, (lo < v) & (v < hi), (lo < v) | (v < hi))
 
 
+@lru_cache(maxsize=None)
+def _swap_tables(n: int):
+    """What the rectangle complex needs of the permutations alone, per size.
+
+    Returns ``(pairs, target, inner_empty, wraps_empty)``.  ``pairs`` is the
+    tuple of column pairs ``i < j``; the arrays have one row per permutation
+    rank and one column per pair.  ``target`` is the rank with positions
+    ``i`` and ``j`` swapped, in the narrowest unsigned type that holds
+    ``n! - 1``.  ``inner_empty`` says that no point of the generator lies
+    strictly inside the rectangle with columns ``[i, j)`` and rows
+    ``[p[i], p[j])``, ``wraps_empty`` the same for the one with columns
+    ``[j, i)`` and rows ``[p[j], p[i])``.  The arrays are read-only.
+    """
+    perms, _codes = _permutations(n)
+    everything = np.arange(len(perms))
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    shape = (len(perms), len(pairs))
+    target = np.empty(shape, dtype=np.min_scalar_type(len(perms) - 1))
+    inner_empty = np.empty(shape, dtype=bool)
+    wraps_empty = np.empty(shape, dtype=bool)
+    for col, (i, j) in enumerate(pairs):
+        a, b = perms[:, i], perms[:, j]
+        outside = np.concatenate([perms[:, :i], perms[:, j + 1:]], axis=1)
+        inner_empty[:, col] = ~_cyclic_open(a, b, perms[:, i + 1:j]).any(axis=1)
+        wraps_empty[:, col] = ~_cyclic_open(b, a, outside).any(axis=1)
+        target[:, col] = _swap_ranks(n, everything, i, j)
+    for table in (target, inner_empty, wraps_empty):
+        table.flags.writeable = False
+    return pairs, target, inner_empty, wraps_empty
+
+
 def _marking_free(g: GridDiagram) -> np.ndarray:
     """``free[ci, cj, ra, rb]``: no marking in columns ``[ci, cj)``, rows ``[ra, rb)``.
 
@@ -428,7 +462,7 @@ def _marking_free(g: GridDiagram) -> np.ndarray:
 def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doubled Alexander and Maslov gradings of every cell generator.
 
-    The dominance counts of `alexander2_dominance` and `maslov`, with
+    The dominance counts of `alexander2_dominance` and `gridkit.maslov`, with
     generator ``p`` placing its points at ``(SCALE*k, SCALE*p[k])`` and the
     markings at cell centres: a point is southwest of the marking in column
     ``c`` and row ``r`` iff ``k <= c`` and ``p[k] <= r``, and the marking
@@ -455,48 +489,40 @@ def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.nd
     return a2, m
 
 
-def mos_generators(g: GridDiagram) -> list[Gen]:
-    """Cell generators in lexicographic order of their permutations."""
-    n = g.n
-    points = [[(SCALE * c, SCALE * r) for r in range(n)] for c in range(n)]
-    return [tuple(map(list.__getitem__, points, p)) for p in _permutations(n)[0].tolist()]
-
-
 def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
     """The rectangle complex of the diagram: ``n!`` generators.
 
-    Built from arrays over all permutations.  Swapping the points in
-    columns ``i < j`` is the boundary of two torus rectangles: columns
-    ``[i, j)`` with rows ``[p[i], p[j])``, and the one with the other
-    column and row intervals, columns ``[j, i)`` with rows ``[p[j], p[i])``
-    (both intervals cyclic).  A
-    rectangle counts when it holds no marking (`_marking_free`) and no point
-    of the generator strictly inside.  Over ``Z`` the edge carries the sign
-    of the spin lift (`_edge_signs`), negated for the rectangle that wraps
-    the seam where the torus was cut open.
+    Generators are keyed by the lexicographic rank of their permutations
+    (rank ``r`` places its point of column ``k`` in row ``p[k]``, ``p`` the
+    permutation of rank ``r``).  Swapping the points in columns ``i < j`` is
+    the boundary of two torus rectangles: columns ``[i, j)`` with rows
+    ``[p[i], p[j])``, and the one with the other column and row intervals,
+    columns ``[j, i)`` with rows ``[p[j], p[i])`` (both intervals cyclic).
+    A rectangle counts when it holds no marking (`_marking_free`) and no
+    point of the generator strictly inside (the per-size `_swap_tables`).
+    Over ``Z`` the edge carries the sign of the spin lift (`_edge_signs`),
+    negated for the rectangle that wraps the seam where the torus was cut
+    open.
     """
     n = g.n
     perms, _codes = _permutations(n)
     signed = ring == "Z"
     free = _marking_free(g)
-    everything = np.arange(len(perms))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    coeff = np.zeros((len(perms), len(pairs)), dtype=np.int64)
-    target = np.empty((len(perms), len(pairs)), dtype=np.int64)
+    pairs, target, inner_empty, wraps_empty = _swap_tables(n)
+    coeff = np.zeros(target.shape, dtype=np.int8)
     for col, (i, j) in enumerate(pairs):
         a, b = perms[:, i], perms[:, j]
-        outside = np.concatenate([perms[:, :i], perms[:, j + 1:]], axis=1)
-        inner = free[i, j, a, b] & ~_cyclic_open(a, b, perms[:, i + 1:j]).any(axis=1)
-        wraps = free[j, i, b, a] & ~_cyclic_open(b, a, outside).any(axis=1)
-        target[:, col] = _swap_ranks(n, everything, i, j)
+        inner = free[i, j, a, b] & inner_empty[:, col]
+        wraps = free[j, i, b, a] & wraps_empty[:, col]
         if signed:
             live = np.flatnonzero(inner | wraps)
             sign = _edge_signs(n, live, target[live, col], i, j)
-            coeff[live, col] = sign * (inner[live].astype(np.int64) - wraps[live])
+            coeff[live, col] = sign * (inner[live].astype(np.int8) - wraps[live])
         else:
             coeff[:, col] = inner ^ wraps
 
-    gens = mos_generators(g)
+    # one int object per rank, shared by every dict keyed by it
+    gens = list(range(len(perms)))
     a2, m = _cell_gradings(g, perms)
     cx = SparseComplex(ring)
     cx.grading = dict(zip(gens, zip(a2.tolist(), m.tolist())))
@@ -540,12 +566,19 @@ class _OvalFrame:
         # Alexander gradings force it
         if self.const2 % 2:
             raise AlexanderConstantInvalid("odd doubled-Alexander constant")
-        #: per-point doubled Alexander contribution
-        self.a2_of: dict[Point, int] = {
-            p: alexander2_dominance((p,), x_punct, self.o_punct, g.n) - self.const2
-            for pts in config.points.values()
-            for p in pts
-        }
+        #: per-point doubled Alexander contribution, and Maslov contribution:
+        #: minus the O's strictly northeast or southwest of the point
+        o_punct = self.o_punct
+        self.a2_of: dict[Point, int] = {}
+        self.m_of: dict[Point, int] = {}
+        for pts in config.points.values():
+            for p in pts:
+                with_o = dominance_count((p,), o_punct) + dominance_count(o_punct, (p,))
+                with_x = dominance_count((p,), x_punct) + dominance_count(x_punct, (p,))
+                self.a2_of[p] = with_x - with_o
+                self.m_of[p] = -with_o
+        #: the Maslov grading's constant, I(O, O)
+        self.m_const = dominance_count(o_punct, o_punct)
         #: puncture rows per column and columns per row (scaled centers)
         self.col_punct: dict[int, tuple[int, ...]] = {
             c: (SCALE * g.xs[c] + CENTER, SCALE * g.os[c] + CENTER) for c in range(g.n)
@@ -555,6 +588,23 @@ class _OvalFrame:
             row_of[g.xs[c]].append(SCALE * c + CENTER)
             row_of[g.os[c]].append(SCALE * c + CENTER)
         self.row_punct = {r: tuple(sorted(v)) for r, v in row_of.items()}
+
+    def maslov(self, x: Gen) -> int:
+        """Maslov grading of a generator whose points lie on this frame.
+
+        ``I(x, x) - I(x, O) - I(O, x) + I(O, O)``, in one pass over ``x``.
+        The points of ``x`` sort by column and lie on distinct horizontal
+        ovals, so ``I(x, x)`` counts, for each point, the earlier points in
+        lower rows: a popcount of the row bits seen so far.
+        """
+        m_of = self.m_of
+        seen = 0
+        total = self.m_const
+        for p in x:
+            bit = 1 << (p[1] // SCALE)
+            total += (seen & (bit - 1)).bit_count() + m_of[p]
+            seen |= bit
+        return total
 
 
 def _column_choices(frame: _OvalFrame):
@@ -746,7 +796,7 @@ class LongMoves:
         """(a2, maslov) of a generator whose points lie on this frame."""
         frame = self.frame
         a2 = sum(frame.a2_of[p] for p in x) + frame.const2
-        return a2, maslov(x, frame.o_punct, 0)
+        return a2, frame.maslov(x)
 
     def _new_corners(self, i: int, j: int) -> tuple[int, int] | None:
         """Corner ids of the rectangle from ``i`` up to ``j``; None if punctured."""
@@ -856,7 +906,7 @@ def long_complex(
     cx = SparseComplex(ring)
     gens = oval_generators(config, keep_a2)
     for x, a2 in gens:
-        cx.add_generator(x, a2, maslov(x, moves.frame.o_punct, 0))
+        cx.add_generator(x, a2, moves.frame.maslov(x))
     for x, _ in gens:
         for target, coeff in moves.row(moves.encode(x)).items():
             target = moves.decode(target)

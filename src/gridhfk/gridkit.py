@@ -16,7 +16,7 @@ evaluation points for winding numbers) then has exact integer coordinates and
 no floating point enters any computation.
 
 Besides the moves generating grid equivalence (cyclic permutation,
-commutation of adjacent parallel lines, stabilization and destabilization),
+commutation of adjacent parallel lines, destabilization),
 the module computes the Alexander polynomial from the matrix of winding
 numbers, used throughout the test-suite as an independent oracle: with
 ``w(i, j)`` the winding number of the curve around the lattice point
@@ -456,41 +456,6 @@ def destabilize_row(g: GridDiagram, r: int) -> GridDiagram:
     if abs(t.xs[r] - t.os[r]) != 1:
         raise ValueError(f"row {r} is not a destabilization site")
     return transpose(destabilize_column(t, r))
-
-
-def stabilize(g: GridDiagram, r0: int, ci: int, kind: str = "XO") -> GridDiagram:
-    """Split row ``r0`` into two rows and insert a fresh column at position ``ci``.
-
-    ``kind`` chooses the markings of the fresh column bottom-to-top: ``"XO"``
-    puts X at the lower new row (the old row's X moves to the upper one),
-    ``"OX"`` the reverse.  Every insertion position yields the same knot; the
-    new column is a destabilization site, inverting the move.
-    """
-    n = g.n
-    if not 0 <= r0 < n:
-        raise ValueError(f"row {r0} out of range")
-    if not 0 <= ci <= n:
-        raise ValueError(f"insertion position {ci} out of range")
-    if kind not in ("XO", "OX"):
-        raise ValueError(f"unknown stabilization kind {kind!r}")
-    xs = []
-    os = []
-    for c in range(n):
-        x = g.xs[c]
-        o = g.os[c]
-        if x > r0 or (x == r0 and kind == "XO"):
-            x += 1
-        if o > r0 or (o == r0 and kind == "OX"):
-            o += 1
-        xs.append(x)
-        os.append(o)
-    if kind == "XO":
-        xs.insert(ci, r0)
-        os.insert(ci, r0 + 1)
-    else:
-        xs.insert(ci, r0 + 1)
-        os.insert(ci, r0)
-    return GridDiagram(tuple(xs), tuple(os))
 
 
 def canonical_key(g: GridDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:

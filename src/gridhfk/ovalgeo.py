@@ -59,10 +59,6 @@ class Oval:
     y1: int
     y2: int
 
-    def contains(self, p: Point) -> bool:
-        """Strict interior membership."""
-        return self.x1 < p[0] < self.x2 and self.y1 < p[1] < self.y2
-
 
 @dataclass(frozen=True)
 class OvalConfig:
@@ -424,56 +420,3 @@ class Arrangement:
     def unbounded_piece(self) -> int:
         """Label of the region outside the window."""
         return self._piece[0][0]
-
-    def crossing_count(self) -> int:
-        return len(self.config.all_points())
-
-    def component_count(self) -> int:
-        """Connected components of the union of all ovals."""
-        ovals = self.config.ovals()
-        ids = {(o.kind, o.index): k for k, o in enumerate(ovals)}
-        parent = list(range(len(ovals)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (c, r) in self.config.points:
-            a, b = find(ids[("V", c)]), find(ids[("H", r)])
-            if a != b:
-                parent[a] = b
-        return len({find(k) for k in range(len(ovals))})
-
-    def euler_discrepancy(self) -> int:
-        """Zero when the piece count satisfies the transversal-curves Euler formula."""
-        return self.piece_count - (self.crossing_count() + self.component_count() + 1)
-
-    def periodic_domain(self, oval: Oval) -> dict[int, int]:
-        """Multiplicity-one domain filling the inside of one oval."""
-        domain: dict[int, int] = {}
-        for i in range(self.nx):
-            if not (oval.x1 <= self.bx[i] and self.bx[i + 1] <= oval.x2):
-                continue
-            for j in range(self.ny):
-                if oval.y1 <= self.by[j] and self.by[j + 1] <= oval.y2:
-                    domain[self._piece[i][j]] = 1
-        return domain
-
-    def validate_periodic_domains(self) -> None:
-        """Each oval's inside has zero corner indices and exactly two punctures."""
-        punctures = self.config.grid.punctures()
-        crossings = self.config.all_points()
-        for oval in self.config.ovals():
-            domain = self.periodic_domain(oval)
-            inside = [q for q in punctures if oval.contains(q)]
-            if len(inside) != 2:
-                raise ScheduleAssertionFailed(
-                    f"{oval.kind}{oval.index} contains {len(inside)} punctures, expected 2"
-                )
-            for p in crossings:
-                if self.corner_index(domain, p) != 0:
-                    raise ScheduleAssertionFailed(
-                        f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
-                    )

@@ -44,6 +44,41 @@ def random_grid(n: int, rng: random.Random) -> GridDiagram:
             return g
 
 
+def stabilize(g: GridDiagram, r0: int, ci: int, kind: str = "XO") -> GridDiagram:
+    """Split row ``r0`` into two rows and insert a fresh column at position ``ci``.
+
+    ``kind`` chooses the markings of the fresh column bottom-to-top: ``"XO"``
+    puts X at the lower new row (the old row's X moves to the upper one),
+    ``"OX"`` the reverse.  Every insertion position yields the same knot; the
+    new column is a destabilization site, inverting the move.
+    """
+    n = g.n
+    if not 0 <= r0 < n:
+        raise ValueError(f"row {r0} out of range")
+    if not 0 <= ci <= n:
+        raise ValueError(f"insertion position {ci} out of range")
+    if kind not in ("XO", "OX"):
+        raise ValueError(f"unknown stabilization kind {kind!r}")
+    xs = []
+    os = []
+    for c in range(n):
+        x = g.xs[c]
+        o = g.os[c]
+        if x > r0 or (x == r0 and kind == "XO"):
+            x += 1
+        if o > r0 or (o == r0 and kind == "OX"):
+            o += 1
+        xs.append(x)
+        os.append(o)
+    if kind == "XO":
+        xs.insert(ci, r0)
+        os.insert(ci, r0 + 1)
+    else:
+        xs.insert(ci, r0 + 1)
+        os.insert(ci, r0)
+    return GridDiagram(tuple(xs), tuple(os))
+
+
 def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
     """A nontrivial knot of grid size at most ``max_n``.
 

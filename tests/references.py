@@ -13,7 +13,13 @@ something independent to agree with:
   one small determinant; `enumerated_long_euler` sums it generator by
   generator, which is only affordable on small grids;
 * `short_complex_digest` fingerprints a complex, insertion order included,
-  so a short complex can be pinned bit for bit.
+  so a short complex can be pinned bit for bit;
+* `mos_generators` spells out the rectangle complex's generators as point
+  tuples, so a complex keyed by permutation rank can be compared with one
+  keyed by points;
+* `euler_discrepancy` and `validate_periodic_domains` check an oval
+  arrangement against the Euler formula and the periodic domains of its
+  ovals.
 """
 
 from __future__ import annotations
@@ -24,13 +30,19 @@ from gridhfk.chains import (
     LongMoves,
     SparseComplex,
     _OvalFrame,
+    _permutations,
     long_complex,
-    maslov,
     oval_generators,
 )
 from gridhfk.errors import NonUnitPivot, ScheduleAssertionFailed
-from gridhfk.gridkit import LaurentPoly, laurent_determinant
-from gridhfk.ovalgeo import build_config, retraction_schedule
+from gridhfk.gridkit import (
+    SCALE,
+    GridDiagram,
+    LaurentPoly,
+    laurent_determinant,
+    maslov,
+)
+from gridhfk.ovalgeo import Arrangement, Oval, build_config, retraction_schedule
 
 
 def reduce_faithful(
@@ -144,3 +156,69 @@ def short_complex_digest(cx: SparseComplex) -> str:
     h.update(repr([(x, list(row.items())) for x, row in cx.rows.items()]).encode())
     h.update(repr([(y, list(col.items())) for y, col in cx.cols.items()]).encode())
     return h.hexdigest()
+
+
+def mos_generators(g: GridDiagram) -> list[tuple]:
+    """Cell generators as point tuples, in lexicographic order of their permutations.
+
+    Entry ``r`` is the generator `chains.mos_complex` keys by rank ``r``.
+    """
+    n = g.n
+    points = [[(SCALE * c, SCALE * r) for r in range(n)] for c in range(n)]
+    return [tuple(map(list.__getitem__, points, p)) for p in _permutations(n)[0].tolist()]
+
+
+def euler_discrepancy(arr: Arrangement) -> int:
+    """Zero when the piece count satisfies the transversal-curves Euler formula.
+
+    The formula: pieces = crossings + connected components of the union of
+    the ovals + 1.
+    """
+    ovals = arr.config.ovals()
+    ids = {(o.kind, o.index): k for k, o in enumerate(ovals)}
+    parent = list(range(len(ovals)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for c, r in arr.config.points:
+        a, b = find(ids[("V", c)]), find(ids[("H", r)])
+        if a != b:
+            parent[a] = b
+    components = len({find(k) for k in range(len(ovals))})
+    return arr.piece_count - (len(arr.config.all_points()) + components + 1)
+
+
+def periodic_domain(arr: Arrangement, oval: Oval) -> dict[int, int]:
+    """Multiplicity-one domain filling the inside of one oval."""
+    domain: dict[int, int] = {}
+    for i in range(arr.nx):
+        if not (oval.x1 <= arr.bx[i] and arr.bx[i + 1] <= oval.x2):
+            continue
+        for j in range(arr.ny):
+            if oval.y1 <= arr.by[j] and arr.by[j + 1] <= oval.y2:
+                domain[arr._piece[i][j]] = 1
+    return domain
+
+
+def validate_periodic_domains(arr: Arrangement) -> None:
+    """Each oval's inside has zero corner indices and exactly two punctures."""
+    punctures = arr.config.grid.punctures()
+    crossings = arr.config.all_points()
+    for oval in arr.config.ovals():
+        domain = periodic_domain(arr, oval)
+        inside = [
+            q for q in punctures if oval.x1 < q[0] < oval.x2 and oval.y1 < q[1] < oval.y2
+        ]
+        if len(inside) != 2:
+            raise ScheduleAssertionFailed(
+                f"{oval.kind}{oval.index} contains {len(inside)} punctures, expected 2"
+            )
+        for p in crossings:
+            if arr.corner_index(domain, p) != 0:
+                raise ScheduleAssertionFailed(
+                    f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
+                )

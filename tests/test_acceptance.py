@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import BRAIDS, random_grid
+from conftest import BRAIDS, random_grid, stabilize
 from references import enumerated_long_euler, faithful_short, long_euler
 from test_domains_paths import NONZERO_SHORT
 
@@ -31,7 +31,6 @@ from gridhfk.gridkit import (
     cyclic_col_shift,
     cyclic_row_shift,
     parse_braid,
-    stabilize,
 )
 from gridhfk.ovalgeo import (
     Arrangement,

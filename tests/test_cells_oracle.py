@@ -2,33 +2,43 @@
 
 `reference_mos_complex` is the original per-edge builder: Python rectangle
 scans with `_cyc_in`, and signs from `_SpinSection`, which lifts each
-permutation to the Clifford algebra on demand.  `chains.mos_complex` must
-return the same rows and gradings, in the same order, and its lift table
-must give `_SpinSection.edge_sign` on every edge.
+permutation to the Clifford algebra on demand.  It keys generators by their
+points; `chains.mos_complex` keys them by permutation rank.  Relabelled
+through `mos_generators`, it must return the same rows and gradings, in the
+same order, and its lift table must give `_SpinSection.edge_sign` on every
+edge.  The per-size swap tables it reads must equal a per-pair
+recomputation.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
+from references import mos_generators
 from gridhfk import chains
 from gridhfk.chains import (
     SparseComplex,
+    _cyclic_open,
     _edge_signs,
     _permutations,
     _spin_lifts,
     _swap_ranks,
+    _swap_tables,
     alexander2_dominance,
-    maslov,
     mos_complex,
 )
 from gridhfk.errors import BoundarySquareNonzero
-from gridhfk.gridkit import SCALE, GridDiagram, parse_braid
+from gridhfk.gridkit import SCALE, GridDiagram, maslov, parse_braid
 from gridhfk.reducer import hfk_cells
 from gridhfk.simplifier import minimize
 
@@ -207,12 +217,25 @@ def assert_same_complex(new: SparseComplex, old: SparseComplex) -> None:
     ]
 
 
+def by_points(cx: SparseComplex, g: GridDiagram) -> SparseComplex:
+    """A rank-keyed rectangle complex relabelled by point tuples, order kept."""
+    gens = mos_generators(g)
+    assert list(cx.grading) == list(range(len(gens)))
+    out = SparseComplex(cx.ring)
+    out.grading = {gens[x]: gr for x, gr in cx.grading.items()}
+    out.rows = {gens[x]: {gens[y]: c for y, c in r.items()} for x, r in cx.rows.items()}
+    out.cols = {gens[y]: {gens[x]: c for x, c in r.items()} for y, r in cx.cols.items()}
+    return out
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("ring", ["Z", "Z2"])
     def test_random_grids(self, rng, ring):
         for n in (2, 3, 3, 4, 4, 5, 5, 6, 6):
             g = random_grid(n, rng)
-            assert_same_complex(mos_complex(g, ring), reference_mos_complex(g, ring))
+            assert_same_complex(
+                by_points(mos_complex(g, ring), g), reference_mos_complex(g, ring)
+            )
 
     @pytest.mark.parametrize("ring", ["Z", "Z2"])
     def test_benchmark_knots(self, ring):
@@ -220,7 +243,9 @@ class TestBitIdentity:
         for word in BRAIDS.values():
             g = minimize(parse_braid(word))
             if g.n <= 7:
-                assert_same_complex(mos_complex(g, ring), reference_mos_complex(g, ring))
+                assert_same_complex(
+                    by_points(mos_complex(g, ring), g), reference_mos_complex(g, ring)
+                )
                 checked += 1
         assert checked == 5
 
@@ -229,6 +254,53 @@ class TestBitIdentity:
             perms, codes = _permutations(n)
             assert perms.tolist() == [list(p) for p in permutations(range(n))]
             assert (np.diff(codes) > 0).all()
+
+
+class TestSwapTables:
+    def test_tables_match_a_per_pair_recomputation(self):
+        for n in range(2, 9):
+            perms, _codes = _permutations(n)
+            everything = np.arange(len(perms))
+            pairs, target, inner_empty, wraps_empty = _swap_tables(n)
+            assert pairs == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+            assert target.dtype == np.min_scalar_type(factorial(n) - 1)
+            assert target.shape == inner_empty.shape == wraps_empty.shape
+            assert target.shape == (factorial(n), n * (n - 1) // 2)
+            assert inner_empty.dtype == wraps_empty.dtype == np.dtype(bool)
+            for col, (i, j) in enumerate(pairs):
+                a, b = perms[:, i], perms[:, j]
+                outside = np.concatenate([perms[:, :i], perms[:, j + 1:]], axis=1)
+                assert (target[:, col] == _swap_ranks(n, everything, i, j)).all()
+                inner = ~_cyclic_open(a, b, perms[:, i + 1:j]).any(axis=1)
+                wraps = ~_cyclic_open(b, a, outside).any(axis=1)
+                assert (inner_empty[:, col] == inner).all()
+                assert (wraps_empty[:, col] == wraps).all()
+        assert _swap_tables(8)[1].dtype == np.uint16
+
+    def test_tables_are_read_only(self):
+        _pairs, *tables = _swap_tables(4)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = table[0, 1]
+
+    def test_import_builds_no_table(self):
+        src = str(Path(chains.__file__).resolve().parents[1])
+        probe = (
+            "import gridhfk.cli\n"
+            "from gridhfk import chains\n"
+            "print(chains._swap_tables.cache_info().currsize,"
+            " chains._spin_lifts.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestLiftTable:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import enumerated_long_euler, long_euler
+from references import enumerated_long_euler, long_euler, mos_generators
 from test_cells_oracle import reference_sign, table_sign
 from gridhfk import chains, domains_paths, ovalgeo
 from gridhfk.chains import (
@@ -19,9 +19,7 @@ from gridhfk.chains import (
     _OvalFrame,
     alexander2_dominance,
     long_complex,
-    maslov,
     mos_complex,
-    mos_generators,
     oval_generators,
     slice_sizes,
 )
@@ -38,6 +36,7 @@ from gridhfk.gridkit import (
     GridDiagram,
     LaurentPoly,
     alexander_polynomial,
+    maslov,
     parse_braid,
     winding_number,
 )
@@ -114,6 +113,25 @@ class TestGradings:
                     assert frame.a2_of == {
                         p: -2 * winding_number(g, p) for p in frame.a2_of
                     }
+
+    def test_frame_maslov_matches_dominance(self, rng):
+        # the frames count the Maslov grading in one pass over the points;
+        # gridkit.maslov counts every dominance pair
+        for n in (2, 3, 4, 5, 6):
+            g = random_grid(n, rng)
+            omit = rng.choice(omission_candidates(g))
+            for style in ("long", "short"):
+                frame = _OvalFrame(build_config(g, omit, style))
+                for x, _ in oval_generators(frame.config):
+                    assert frame.maslov(x) == maslov(x, frame.o_punct, 0)
+        # a path engine grades the short generators on its long frame
+        for word in BRAIDS.values():
+            g = minimize(parse_braid(word))
+            for omit in filter(lambda o: on_boundary(g, o), omission_candidates(g)):
+                moves = LongMoves(build_config(g, omit, "long"))
+                o_punct = moves.frame.o_punct
+                for x, a2 in oval_generators(build_config(g, omit, "short")):
+                    assert moves.gradings(x) == (a2, maslov(x, o_punct, 0))
 
     def test_grading_discipline(self):
         g = parse_braid(BRAIDS["trefoil"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import faithful_short, short_complex_digest
+from references import faithful_short, short_complex_digest, validate_periodic_domains
 
 from gridhfk import domains_paths
 from gridhfk.chains import SparseComplex, long_complex, oval_generators
@@ -199,7 +199,7 @@ class TestFindDomain:
             for style in ("long", "short"):
                 config = build_config(g, omit, style)
                 arr = Arrangement(config)
-                arr.validate_periodic_domains()
+                validate_periodic_domains(arr)
                 solver = DomainSolver(arr)
                 assert solver.rank == len(solver.free)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import BRAIDS, random_grid
+from conftest import BRAIDS, random_grid, stabilize
 from gridhfk import gridkit
 from gridhfk.errors import (
     CoincidentDecorations,
@@ -36,7 +36,6 @@ from gridhfk.gridkit import (
     parse_braid,
     parse_grid_text,
     row_destabilization_sites,
-    stabilize,
     transpose,
     validate,
     winding_number,

@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import random
 
-from conftest import BRAIDS, random_grid
+from conftest import BRAIDS, random_grid, stabilize
 from gridhfk.gridkit import (
     GridDiagram,
     alexander_polynomial,
     canonical_key,
     generalized_destabilizations,
     parse_braid,
-    stabilize,
     validate,
 )
 from gridhfk.simplifier import minimize
