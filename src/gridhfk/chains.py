@@ -54,7 +54,7 @@ from .gridkit import (
     Point,
     dominance_count,
 )
-from .ovalgeo import OvalConfig, build_config
+from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config
 
 #: An oval generator: the sorted tuple of its points (scaled coordinates).
 Gen = tuple[Point, ...]
@@ -215,21 +215,16 @@ class SparseComplex:
         ``-coeff(u,y) * coeff(x,y)^{-1} * coeff(x,v)``.
         """
         s = self.rows[x].get(y, 0)
-        if self.ring == "Z2":
-            if s != 1:
-                raise NonUnitPivot(f"pivot {s} at {x} -> {y}")
-            inv = 1
-        else:
-            if s not in (1, -1):
-                raise NonUnitPivot(f"pivot {s} at {x} -> {y}")
-            inv = s
+        # a unit is its own inverse, and a Z/2 entry is stored as 1
+        if s not in (1, -1):
+            raise NonUnitPivot(f"pivot {s} at {x} -> {y}")
         into_y = [(u, c) for u, c in self.cols[y].items() if u != x]
         from_x = [(v, c) for v, c in self.rows[x].items() if v != y]
         self._drop(x)
         self._drop(y)
         for u, cu in into_y:
             for v, cv in from_x:
-                self.add_entry(u, v, -cu * inv * cv)
+                self.add_entry(u, v, -cu * s * cv)
 
     def _drop(self, gen: Hashable) -> None:
         for y in self.rows[gen]:
@@ -699,24 +694,13 @@ def oval_generators(
 
 
 def a2_range(config: OvalConfig) -> tuple[int, int]:
-    """Closed interval certainly containing every generator's a2 grading.
+    """The least and the greatest a2 grading of the configuration's generators.
 
-    Sums the per-column extremes of the point contributions, ignoring the
-    row-matching constraint, so the bounds may be loose but never exclude a
-    realized value.  Both endpoints share the even parity of the gradings,
-    letting callers scan candidate slices in steps of two.
+    Exact: the extreme keys of `slice_sizes`.  Both share the even parity
+    of the gradings, letting callers scan slices in steps of two.
     """
-    frame = _OvalFrame(config)
-    lo = hi = frame.const2
-    for c in frame.cols:
-        vals = [
-            frame.a2_of[p]
-            for r in frame.rows
-            for p in config.points.get((c, r), ())
-        ]
-        lo += min(vals)
-        hi += max(vals)
-    return lo, hi
+    a2s = list(slice_sizes(config))
+    return a2s[0], a2s[-1]
 
 
 def _bigon_targets(frame: _OvalFrame, p: Point) -> list[tuple[Point, str, int]]:
@@ -771,8 +755,8 @@ class LongMoves:
         #: wall, on a right wall, and its flips as (new id, across a
         #: vertical oval?)
         self._bit = [1 << (y // SCALE) for _, y in self.points]
-        self._top = [y % SCALE == 6 for _, y in self.points]
-        self._right = [x % SCALE == 7 for x, _ in self.points]
+        self._top = [y % SCALE == CENTER + H_HALF for _, y in self.points]
+        self._right = [x % SCALE == CENTER + V_HALF for x, _ in self.points]
         self._flips = [
             [
                 (self.id_of[q], kind in ("top", "bottom"))
@@ -904,15 +888,17 @@ def long_complex(
     config = build_config(g, omit, "long")
     moves = LongMoves(config)
     cx = SparseComplex(ring)
-    gens = oval_generators(config, keep_a2)
-    for x, a2 in gens:
+    # point ids -> the point tuple of each kept generator
+    gens: dict[tuple[int, ...], Gen] = {}
+    for x, a2 in oval_generators(config, keep_a2):
         cx.add_generator(x, a2, moves.frame.maslov(x))
-    for x, _ in gens:
-        for target, coeff in moves.row(moves.encode(x)).items():
-            target = moves.decode(target)
-            if target not in cx.grading:
+        gens[moves.encode(x)] = x
+    for u, x in gens.items():
+        for target, coeff in moves.row(u).items():
+            y = gens.get(target)
+            if y is None:
                 raise GradingViolation("move target escapes the kept a2 slices")
-            cx.add_entry(x, target, coeff)
+            cx.add_entry(x, y, coeff)
     if ring == "Z":
         cx.assert_entries_unit()
     return cx

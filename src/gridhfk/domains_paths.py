@@ -240,12 +240,12 @@ class PathEngine:
         """Row of ``u`` after eliminating every pair ordered before ``limit``.
 
         Entries to targets of earlier pairs fold in the source's reduced
-        row (scaled through the unit pivot); entries to earlier sources
-        simply disappear with their generator.  Newly created entries always
-        die no earlier than the pair that created them, so a single heap
-        pass suffices.  A dying source is never folded, so it is dropped on
-        sight: removing it changes no other entry, nor the order of those
-        that stay.
+        row (scaled through the unit pivot; each source's row is reduced
+        once and kept in ``_rows``); entries to earlier sources disappear
+        with their generator.  New entries die no earlier than the pair that
+        created them, so a single heap pass suffices.  A dying source is
+        never folded, so it is dropped on sight: removing it changes no
+        other entry, nor the order of those that stay.
         """
         event_of = self._event_of.__getitem__
         raising = self._raising
@@ -280,7 +280,9 @@ class PathEngine:
             coeff = work.pop(v, 0)
             if not coeff:
                 continue
-            srow = self._source_row(key[1], key)
+            srow = self._rows.get(key[1])
+            if srow is None:
+                srow = self._rows[key[1]] = self._reduced_row(key[1], key)
             pivot = srow.get(v, 0)
             if pivot not in (1, -1):
                 raise ScheduleAssertionFailed(
@@ -304,13 +306,6 @@ class PathEngine:
                 work[w] = new
         return work
 
-    def _source_row(self, source: tuple[int, ...], key) -> dict[tuple[int, ...], int]:
-        row = self._rows.get(source)
-        if row is None:
-            row = self._reduced_row(source, key)
-            self._rows[source] = row
-        return row
-
     # -- public API
 
     def short_row(self, x: Gen) -> dict[Gen, int]:
@@ -321,18 +316,17 @@ class PathEngine:
         """
         moves = self.moves
         out: dict[Gen, int] = {}
-        for y, c in self._reduced_row(moves.encode(x), (self.event_count,)).items():
-            if self._death(y) is not None:
+        for v, c in self._reduced_row(moves.encode(x), (self.event_count,)).items():
+            y = moves.decode(v)
+            if self._death(v) is not None:
                 raise CancelledTargetReached(
-                    f"short row of {x} reaches the cancelled generator "
-                    f"{moves.decode(y)}"
+                    f"short row of {x} reaches the cancelled generator {y}"
                 )
-            out[moves.decode(y)] = c
-        for y, c in out.items():
             if find_domain(self._arr, x, y) is None:
                 raise MissingDomain(
                     f"nonzero entry {c} from {x} to {y} has no domain"
                 )
+            out[y] = c
         return out
 
     def _slice_rows(self, gens: list[Gen]) -> list[tuple[Gen, dict[Gen, int]]]:
@@ -395,7 +389,7 @@ class PathEngine:
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
         for x, a2 in oval_generators(self.short_cfg, keep_a2):
-            cx.add_generator(x, a2, self.moves.gradings(x)[1])
+            cx.add_generator(x, a2, self.moves.frame.maslov(x))
             slices.setdefault(a2, []).append(x)
         workers = min(len(slices), _available_cpus())
         if (

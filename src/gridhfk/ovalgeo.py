@@ -94,6 +94,12 @@ class OvalConfig:
         return sorted(out)
 
 
+def line_walls(k: int, half: int) -> tuple[int, int]:
+    """The two walls of an oval around grid line ``k`` with half-width ``half``."""
+    mid = SCALE * k + CENTER
+    return mid - half, mid + half
+
+
 def column_span(g: GridDiagram, c: int) -> tuple[int, int]:
     """(min, max) row of the two markings in column ``c``."""
     a, b = g.xs[c], g.os[c]
@@ -144,8 +150,8 @@ def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfi
             y1, y2 = 0, hi
         else:
             rmin, rmax = column_span(g, c)
-            y1, y2 = SCALE * rmin + CENTER - V_HALF, SCALE * rmax + CENTER + V_HALF
-        v_ovals[c] = Oval("V", c, SCALE * c + CENTER - V_HALF, SCALE * c + CENTER + V_HALF, y1, y2)
+            y1, y2 = line_walls(rmin, V_HALF)[0], line_walls(rmax, V_HALF)[1]
+        v_ovals[c] = Oval("V", c, *line_walls(c, V_HALF), y1, y2)
 
     h_ovals: dict[int, Oval] = {}
     for r in range(n):
@@ -155,8 +161,8 @@ def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfi
             x1, x2 = 0, hi
         else:
             cmin, cmax = row_span(g, r)
-            x1, x2 = SCALE * cmin + CENTER - H_HALF, SCALE * cmax + CENTER + H_HALF
-        h_ovals[r] = Oval("H", r, x1, x2, SCALE * r + CENTER - H_HALF, SCALE * r + CENTER + H_HALF)
+            x1, x2 = line_walls(cmin, H_HALF)[0], line_walls(cmax, H_HALF)[1]
+        h_ovals[r] = Oval("H", r, x1, x2, *line_walls(r, H_HALF))
 
     points: dict[tuple[int, int], tuple[Point, ...]] = {}
     for c, vo in v_ovals.items():
@@ -265,38 +271,25 @@ def retraction_schedule(
             )
         events.append(Event(kind, index, p1, p2))
 
-    hi = SCALE * g.n
-    h_walls = sorted(
-        w for r in short_cfg.kept_rows() for w in (SCALE * r + CENTER - H_HALF, SCALE * r + CENTER + H_HALF)
-    )
-    v_walls = sorted(
-        w for c in short_cfg.kept_cols() for w in (SCALE * c + CENTER - V_HALF, SCALE * c + CENTER + V_HALF)
-    )
+    h_walls = sorted(w for r in short_cfg.kept_rows() for w in line_walls(r, H_HALF))
+    v_walls = sorted(w for c in short_cfg.kept_cols() for w in line_walls(c, V_HALF))
+    size = SCALE * g.n
+
+    def swept(lo: int, hi: int, walls: list[int]) -> list[int]:
+        # the walls beyond the short oval [lo, hi], in sweep order: the tip
+        # with farther to travel retracts first (the higher one on a tie)
+        upper = [w for w in reversed(walls) if w > hi]
+        lower = [w for w in walls if w < lo]
+        return upper + lower if size - hi >= lo else lower + upper
 
     for c in short_cfg.kept_cols():
         vo = short_cfg.v_ovals[c]
-        xl, xr = vo.x1, vo.x2
-        top_travel = hi - vo.y2
-        bottom_travel = vo.y1 - 0
-        # (description, swept walls in sweep order)
-        top = [z for z in reversed(h_walls) if z > vo.y2]
-        bottom = [z for z in h_walls if z < vo.y1]
-        phases = [top, bottom] if top_travel >= bottom_travel else [bottom, top]
-        for walls in phases:
-            for z in walls:
-                emit("V", c, (xl, z), (xr, z))
-
+        for z in swept(vo.y1, vo.y2, h_walls):
+            emit("V", c, (vo.x1, z), (vo.x2, z))
     for r in short_cfg.kept_rows():
         ho = short_cfg.h_ovals[r]
-        yb, yt = ho.y1, ho.y2
-        right_travel = hi - ho.x2
-        left_travel = ho.x1 - 0
-        right = [w for w in reversed(v_walls) if w > ho.x2]
-        left = [w for w in v_walls if w < ho.x1]
-        phases = [right, left] if right_travel >= left_travel else [left, right]
-        for walls in phases:
-            for w in walls:
-                emit("H", r, (w, yb), (w, yt))
+        for w in swept(ho.x1, ho.x2, v_walls):
+            emit("H", r, (w, ho.y1), (w, ho.y2))
 
     survivors = set(short_cfg.all_points())
     if alive != survivors:
@@ -327,20 +320,18 @@ class Arrangement:
         breaks.add(hi)
         # Sentinel cells beyond the square represent the unbounded region,
         # which long ovals (whose caps lie on the window border) cut away
-        # from the interior pieces.
-        self.bx = [-CENTER] + sorted(breaks) + [hi + CENTER]
-        self.by = list(self.bx)
-        nx = len(self.bx) - 1
-        ny = len(self.by) - 1
-        self.nx, self.ny = nx, ny
+        # from the interior pieces.  Both axes are refined at the same
+        # coordinates.
+        self.coords = [-CENTER] + sorted(breaks) + [hi + CENTER]
+        m = self.cells = len(self.coords) - 1  # cells along either axis
 
         # Blocked cell adjacencies: wall_v[i][j] blocks (i-1,j)<->(i,j),
         # wall_h[i][j] blocks (i,j-1)<->(i,j).
-        wall_v = [[False] * ny for _ in range(nx + 1)]
-        wall_h = [[False] * (ny + 1) for _ in range(nx)]
+        wall_v = [[False] * m for _ in range(m + 1)]
+        wall_h = [[False] * (m + 1) for _ in range(m)]
         for oval in config.ovals():
-            ix1, ix2 = self._ix(oval.x1), self._ix(oval.x2)
-            iy1, iy2 = self._iy(oval.y1), self._iy(oval.y2)
+            ix1, ix2 = self._index(oval.x1), self._index(oval.x2)
+            iy1, iy2 = self._index(oval.y1), self._index(oval.y2)
             for ix in (ix1, ix2):
                 for j in range(iy1, iy2):
                     wall_v[ix][j] = True
@@ -349,10 +340,10 @@ class Arrangement:
                     wall_h[i][iy] = True
 
         # Label connected pieces of the complement by flood fill.
-        piece = [[-1] * ny for _ in range(nx)]
+        piece = [[-1] * m for _ in range(m)]
         count = 0
-        for i0 in range(nx):
-            for j0 in range(ny):
+        for i0 in range(m):
+            for j0 in range(m):
                 if piece[i0][j0] >= 0:
                     continue
                 stack = [(i0, j0)]
@@ -362,44 +353,38 @@ class Arrangement:
                     if i > 0 and not wall_v[i][j] and piece[i - 1][j] < 0:
                         piece[i - 1][j] = count
                         stack.append((i - 1, j))
-                    if i + 1 < nx and not wall_v[i + 1][j] and piece[i + 1][j] < 0:
+                    if i + 1 < m and not wall_v[i + 1][j] and piece[i + 1][j] < 0:
                         piece[i + 1][j] = count
                         stack.append((i + 1, j))
                     if j > 0 and not wall_h[i][j] and piece[i][j - 1] < 0:
                         piece[i][j - 1] = count
                         stack.append((i, j - 1))
-                    if j + 1 < ny and not wall_h[i][j + 1] and piece[i][j + 1] < 0:
+                    if j + 1 < m and not wall_h[i][j + 1] and piece[i][j + 1] < 0:
                         piece[i][j + 1] = count
                         stack.append((i, j + 1))
                 count += 1
         self._piece = piece
         self.piece_count = count
 
-    def _ix(self, x: int) -> int:
-        i = bisect_left(self.bx, x)
-        if i >= len(self.bx) or self.bx[i] != x:
-            raise ValueError(f"{x} is not a refinement coordinate")
+    def _index(self, z: int) -> int:
+        i = bisect_left(self.coords, z)
+        if i >= len(self.coords) or self.coords[i] != z:
+            raise ValueError(f"{z} is not a refinement coordinate")
         return i
-
-    def _iy(self, y: int) -> int:
-        j = bisect_left(self.by, y)
-        if j >= len(self.by) or self.by[j] != y:
-            raise ValueError(f"{y} is not a refinement coordinate")
-        return j
 
     def piece_of_point(self, p: Point) -> int:
         """Piece containing an interior point (never on a refinement line)."""
         x, y = p
-        i = bisect_left(self.bx, x)
-        j = bisect_left(self.by, y)
-        if (i < len(self.bx) and self.bx[i] == x) or (j < len(self.by) and self.by[j] == y):
+        coords = self.coords
+        i = bisect_left(coords, x)
+        j = bisect_left(coords, y)
+        if (i < len(coords) and coords[i] == x) or (j < len(coords) and coords[j] == y):
             raise ValueError(f"point {p} lies on a refinement line")
         return self._piece[i - 1][j - 1]
 
     def corner_pieces(self, p: Point) -> tuple[int, int, int, int]:
         """Pieces at the NE, NW, SW, SE quadrants of a crossing point."""
-        i = self._ix(p[0])
-        j = self._iy(p[1])
+        i, j = self._index(p[0]), self._index(p[1])
         return (
             self._piece[i][j],
             self._piece[i - 1][j],

@@ -486,12 +486,12 @@ def top_invariants(
 
     The stabilization factor in the computed homology only shifts gradings
     down, so at the globally highest nonzero Alexander slice the slice
-    homology already equals the invariant there: its a2/2 is the genus and
-    fiberedness is a single free generator.  The short complex has the
-    homology of the long one slice by slice, so the scan pulls short
-    slices from the path engine, from the top a2 of the short generators
-    downward, and stops at the first one with nonzero homology; the larger
-    middle slices are never built.
+    homology already equals the invariant there: `make_table` reads the
+    genus and fiberedness from it as from a full table.  The short complex
+    has the homology of the long one slice by slice, so the scan pulls
+    short slices from the path engine, from the top a2 of the short
+    generators downward, and stops at the first one with nonzero homology;
+    the larger middle slices are never built.
 
     The lowest nonzero slice is found the same way, from the bottom up.
     It holds the invariant's bottom group shifted by the whole factor, so
@@ -510,6 +510,5 @@ def top_invariants(
             f"the lowest nonzero slice (a2={bot_a2}) does not mirror the highest "
             f"(a2={top_a2}): {sorted(bot.items())} vs {sorted(mirror.items())}"
         )
-    rank = sum(r for r, _ in top.values())
-    torsion = any(t for _, t in top.values())
-    return top_a2 // 2, rank == 1 and not torsion
+    table = make_table(top, ring)
+    return table.genus, table.fibered

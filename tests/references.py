@@ -195,11 +195,12 @@ def euler_discrepancy(arr: Arrangement) -> int:
 def periodic_domain(arr: Arrangement, oval: Oval) -> dict[int, int]:
     """Multiplicity-one domain filling the inside of one oval."""
     domain: dict[int, int] = {}
-    for i in range(arr.nx):
-        if not (oval.x1 <= arr.bx[i] and arr.bx[i + 1] <= oval.x2):
+    coords = arr.coords
+    for i in range(arr.cells):
+        if not (oval.x1 <= coords[i] and coords[i + 1] <= oval.x2):
             continue
-        for j in range(arr.ny):
-            if oval.y1 <= arr.by[j] and arr.by[j + 1] <= oval.y2:
+        for j in range(arr.cells):
+            if oval.y1 <= coords[j] and coords[j + 1] <= oval.y2:
                 domain[arr._piece[i][j]] = 1
     return domain
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import permutations
 from math import factorial
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from gridhfk.chains import (
     LongMoves,
     SparseComplex,
     _OvalFrame,
+    a2_range,
     alexander2_dominance,
     long_complex,
     mos_complex,
@@ -406,6 +408,55 @@ class TestSliceSizes:
                 assert len(gens) == sum(sizes[a2] for a2 in keep)
                 assert 0 < calls <= (k + 1) * len(gens), (g, keep)
             assert walk_calls(config, set()) == ([], 0)
+
+
+def a2_extremes_by_matchings(config):
+    """(least, greatest) a2 of the configuration's generators, matching by matching.
+
+    `alexander2_dominance` is the constant of the empty tuple plus one term
+    per point, and a generator picks any point of each matched oval pair,
+    so a matching of kept columns to kept rows reaches exactly the sums of
+    the per-pair extremes.
+    """
+    g = config.grid
+    x_p, o_p = g.x_punctures(), g.o_punctures()
+    const = alexander2_dominance((), x_p, o_p, g.n)
+    span = {}
+    for key, pts in config.points.items():
+        terms = [alexander2_dominance((p,), x_p, o_p, g.n) - const for p in pts]
+        span[key] = (min(terms), max(terms))
+    cols = config.kept_cols()
+    lows, highs = [], []
+    for rows in permutations(config.kept_rows()):
+        pairs = [span.get(key) for key in zip(cols, rows)]
+        if None not in pairs:
+            lows.append(sum(lo for lo, _ in pairs))
+            highs.append(sum(hi for _, hi in pairs))
+    return const + min(lows), const + max(highs)
+
+
+class TestA2Range:
+    """`a2_range` is exact: the least and greatest a2 that a generator has."""
+
+    @pytest.mark.parametrize("name", sorted(BRAIDS))
+    def test_extremes_of_the_listed_gradings(self, name):
+        g = minimize(parse_braid(BRAIDS[name]))
+        omit = select_best_config(g).omit
+        for style in ("long", "short"):
+            config = build_config(g, omit, style)
+            lo, hi = a2_range(config)
+            assert (lo, hi) == a2_extremes_by_matchings(config), (name, style)
+            assert lo % 2 == hi % 2 == 0
+            # listing a long configuration beyond n = 6 takes minutes
+            if style == "short" or g.n <= 6:
+                a2s = [a2 for _, a2 in oval_generators(config)]
+                assert (lo, hi) == (min(a2s), max(a2s)), (name, style)
+
+    def test_seven_one_long_top(self):
+        # the sum of per-column extremes read (-22, 8) here
+        g = minimize(parse_braid([1] * 7))
+        config = build_config(g, select_best_config(g).omit, "long")
+        assert a2_range(config) == a2_extremes_by_matchings(config) == (-22, 6)
 
 
 class TestTypedFailures:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from gridhfk.ovalgeo import (
     row_span,
     select_best_config,
 )
+from gridhfk.simplifier import minimize
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
 
@@ -130,6 +132,57 @@ class TestSchedule:
                 g = random_grid(n, rng)
                 for omit in omission_candidates(g)[:2]:
                     retraction_schedule(g, omit)  # raises on any bookkeeping failure
+
+
+def schedule_digest(events) -> str:
+    """SHA-256 of the ordered events of a retraction schedule."""
+    text = repr([(e.oval_kind, e.oval_index, e.p1, e.p2) for e in events])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: `schedule_digest` of `retraction_schedule` on the minimized `BRAIDS`
+#: grids at every boundary omission, by knot and omitted cell, with the
+#: event count.  The short complex is the same for any valid elimination
+#: order, so its digests cannot catch a reordered schedule; these can
+RETRACTION_SCHEDULE_DIGESTS = {
+    ("unknot", (0, 1)): "73c067ae920bd99a8b83f3c2a2d6ca9ba32402679b93292ae907b0e9ce3c33cd",  # 1
+    ("unknot", (1, 0)): "ed449fda8742bcfe62a51a95e7361fbebdcd9107a1d6f5d3f1f714053e0d002e",  # 1
+    ("trefoil", (0, 3)): "491bff8bfa449f72200326ed3ebb57fd430017b2f70887c9f4058ef036589930",  # 21
+    ("trefoil", (1, 4)): "8c05e5e8af1b77a6f22804ced75cf5991d1a0241ff5043856b068e5123ce3c54",  # 21
+    ("trefoil", (2, 0)): "31dae1cf45455105e2116d90d0a64d578c4fd60b0f5c759994512d0ec114f9b8",  # 21
+    ("trefoil", (4, 2)): "684d6293c55c2850f13ffd20d001cf4c00429255455919a4a629aa4206fe8e16",  # 21
+    ("figure8", (0, 2)): "61efcc107aee280d4b0d1d9f8baf749cbaae6d6ced94544e58983ab2b20cc01d",  # 35
+    ("figure8", (1, 5)): "053e1ce172ff9d82cdce6d96d95ed0c7d550bab334babe03bff36201ea20b590",  # 33
+    ("figure8", (2, 0)): "f382fe3cfb569b058b94db7df2553d5bbf443ac38451b5248aa130dd9bded1da",  # 35
+    ("figure8", (5, 1)): "b21c7105f41f78222049630d743793d4b55edfa7506b15a719f88b52443ae036",  # 33
+    ("5_2", (0, 4)): "26d4f27ec6bfd0c84f42159d51854a0fd8f9bd38b606d43eb42efb4ec6f4679d",  # 53
+    ("5_2", (1, 6)): "1b40ee227d19d568f9f7529a3aef06a6e21fd6a305645bd8a89e9456988cd544",  # 51
+    ("5_2", (2, 0)): "549a4cb18115fd010de1c2e73072c007ffb184adb80d2de28e9972f5159010ad",  # 51
+    ("5_2", (6, 2)): "82b002074a36ae2c3fdae380b9eacf314a94eb8002b9694bd90f8beea307dd41",  # 51
+    ("8_19", (0, 4)): "c302c6923a49d34ab5cb92bb5fa40abd90eefb78f051c7287d750b226f9af1de",  # 49
+    ("8_19", (2, 6)): "af0b7e15845ea6862ed179a01d839dfc173e708ef7f5d4cb91d72610d9e97e74",  # 49
+    ("8_19", (3, 0)): "05bc81f1e74e26b3793292ea9d2b030f0be839859bdebed825518d93fac4ac97",  # 49
+    ("8_19", (6, 3)): "6b5407b509ca2aa110b2d97707e53d9ffc765249d64751311997a02671c71513",  # 49
+    ("8_20", (0, 5)): "0d33a047bd9c9f7831fb3783eb6114557bb48c8897b518ae943fec7d36a286e4",  # 73
+    ("8_20", (2, 0)): "488df87c1f867565e7cbf7f0915d86d055f69f8f035897404585bc6346b50586",  # 71
+    ("8_20", (7, 7)): "cc62814a70793b6b5db892a0a23092f52e6f97f2b4bb33f081c9f678048ad9c9",  # 69
+    ("8_21", (0, 5)): "571236f98aaaba16178599ea41640873e404d08ecbd15a93dbcf09b24e197f61",  # 71
+    ("8_21", (1, 7)): "a1d1267974d97bed2a1e63e3e40618a110abf43102833cdc6d7811afb68e65bc",  # 67
+    ("8_21", (2, 0)): "3d669b73bc3f2e738862ec43332a5362f903cff3a38e6de584397f72f14b46de",  # 67
+    ("8_21", (7, 4)): "5c8f77fcd3a45d640590b7fc5b5318b9e94fd3bdcada0268a1c630ca7a37fd71",  # 69
+}
+
+
+class TestSchedulePins:
+    @pytest.mark.parametrize("name", sorted(BRAIDS))
+    def test_events_are_pinned(self, name):
+        g = minimize(parse_braid(BRAIDS[name]))
+        omits = [omit for omit in omission_candidates(g) if on_boundary(g, omit)]
+        pinned = {o: d for (knot, o), d in RETRACTION_SCHEDULE_DIGESTS.items() if knot == name}
+        assert sorted(pinned) == omits
+        for omit in omits:
+            events = retraction_schedule(g, omit)[2]
+            assert schedule_digest(events) == pinned[omit], (name, omit)
 
 
 class TestArrangement:
