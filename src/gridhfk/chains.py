@@ -14,8 +14,9 @@ Two complexes are built from the same diagram:
 * the **long oval complex** (`long_complex`): generators place one point on
   each intersection of a vertical with a horizontal oval, and the boundary
   counts empty bigons (cap flips) and empty planar rectangles.  Only the
-  tests and `hfkbench` build it, as a reference: a run pulls its rows one
-  generator at a time (`LongMoves`, in `domains_paths.PathEngine`).
+  tests and `hfkbench` build it, as a reference: a run forms only the rows
+  its short rows reach, a batch of generators at a time (`LongMoves`, in
+  `domains_paths.PathEngine`).
 
 Both carry a Maslov grading (homological) and a doubled Alexander grading
 ``a2`` (stored doubled so that every value is an integer).  The Maslov
@@ -32,7 +33,7 @@ reduction machinery needs.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import (
     BoundarySquareNonzero,
     DuplicateGenerator,
     GradingViolation,
+    GridTooLarge,
     InvalidOmission,
     NonUnitPivot,
     RectangleCornerMissing,
@@ -733,17 +735,19 @@ def _bigon_targets(frame: _OvalFrame, p: Point) -> list[tuple[Point, str, int]]:
 
 
 class LongMoves:
-    """On-demand rows of the full-height oval complex's differential.
+    """The differential of the full-height oval complex, in batches of rows.
 
-    Enumerates the moves leaving one generator — cap flips and empty
-    rectangles — without touching the rest of the complex, so path
-    strategies can pull single rows lazily.  Rows are keyed by point ids:
-    the configuration's points are numbered in sorted order, so a
-    generator's id tuple sorts like its point tuple, and `encode` and
-    `decode` convert at the edges.  What depends on one point (its row bit,
-    its walls, its flips) is tabulated by id up front; whether the rectangle
-    between two points misses every puncture is worked out on first use and
-    kept under ``i * P + j``, with ``P`` points.
+    Generators are arrays of point ids: the configuration's points are
+    numbered in sorted order, so a generator's id tuple sorts like its point
+    tuple, and `encode` and `decode` convert at the edges.  A point sits on
+    one vertical oval, whose points have consecutive ids, so a generator
+    also packs into one integer (`pack`), with one base-``R`` digit per
+    column (``R`` points on a column): the id minus the column's first id.
+    Packed keys sort like point tuples.  What depends on one point (its
+    horizontal oval, its walls, its flips) is tabulated by id up front, and
+    the empty rectangles between two points on first use (`_corners`).
+    Tables of ids are ``int16``: a configuration has at most ``4(n-1)^2``
+    points, and keys pack only up to ``n = 12``.
     """
 
     def __init__(self, config: OvalConfig):
@@ -751,22 +755,28 @@ class LongMoves:
         #: id -> point, in sorted order, and back
         self.points = sorted(p for pts in config.points.values() for p in pts)
         self.id_of = {p: i for i, p in enumerate(self.points)}
+        xs, ys = np.array(self.points, dtype=np.int64).reshape(-1, 2).T
         #: id -> the bit of its horizontal oval, whether it sits on a top
-        #: wall, on a right wall, and its flips as (new id, across a
-        #: vertical oval?)
-        self._bit = [1 << (y // SCALE) for _, y in self.points]
-        self._top = [y % SCALE == CENTER + H_HALF for _, y in self.points]
-        self._right = [x % SCALE == CENTER + V_HALF for x, _ in self.points]
-        self._flips = [
-            [
-                (self.id_of[q], kind in ("top", "bottom"))
-                for q, kind, _ in _bigon_targets(frame, p)
-            ]
-            for p in self.points
-        ]
-        #: i * P + j for a rising pair -> the new corners (nw, se), or None
-        #: when punctured
-        self._corners: dict[int, tuple[int, int] | None] = {}
+        #: wall, on a right wall, and its flips (across its vertical oval,
+        #: then across its horizontal one; -1 where the cap is punctured)
+        self._bit = (1 << ys // SCALE).astype(np.int32)
+        self._top = ys % SCALE == CENTER + H_HALF
+        self._right = xs % SCALE == CENTER + V_HALF
+        self._flips = np.full((len(self.points), 2), -1, dtype=np.int16)
+        for i, p in enumerate(self.points):
+            for q, kind, _ in _bigon_targets(frame, p):
+                self._flips[i, int(kind not in ("top", "bottom"))] = self.id_of[q]
+        #: per column, its first id; the digit weights of `pack`
+        column = xs // SCALE
+        self._first = np.searchsorted(column, frame.cols)
+        radix = int(np.bincount(column).max(initial=1))
+        k = len(frame.cols)
+        if radix**k >= 2**63:
+            raise GridTooLarge(
+                f"{k} columns of {radix} points each do not pack into 63 bits"
+            )
+        self._weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self._radix = radix
 
     def encode(self, x: Gen) -> tuple[int, ...]:
         """The point ids of a generator, in the same (sorted) order."""
@@ -776,33 +786,54 @@ class LongMoves:
         """The generator whose point ids are ``x``."""
         return tuple(map(self.points.__getitem__, x))
 
-    def gradings(self, x: Gen) -> tuple[int, int]:
-        """(a2, maslov) of a generator whose points lie on this frame."""
-        frame = self.frame
-        a2 = sum(frame.a2_of[p] for p in x) + frame.const2
-        return a2, frame.maslov(x)
+    def pack(self, ids: np.ndarray) -> np.ndarray:
+        """One ``int64`` key per row of generator ids; keys sort like the rows."""
+        return (ids - self._first) @ self._weights
 
-    def _new_corners(self, i: int, j: int) -> tuple[int, int] | None:
-        """Corner ids of the rectangle from ``i`` up to ``j``; None if punctured."""
-        (x1, y1), (x2, y2) = p, q = self.points[i], self.points[j]
-        corners = None
-        if not any(x1 < u < x2 and y1 < v < y2 for u, v in self.frame.punctures):
-            nw, se = self.id_of.get((x1, y2)), self.id_of.get((x2, y1))
-            if nw is None or se is None:
-                raise RectangleCornerMissing(
-                    f"rectangle from {p} to {q}: corner missing from config"
-                )
-            corners = nw, se
-        self._corners[i * len(self.points) + j] = corners
-        return corners
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The generator ids of packed keys, one generator per row."""
+        return keys[:, None] // self._weights % self._radix + self._first
 
-    def row(self, x: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """All boundary entries leaving ``x``, keyed by target, both as ids.
+    @cached_property
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nw, se)``: new corner ids of the rectangle from id ``i`` up to ``j``.
 
-        Each point of ``x`` sits on its own vertical oval, so ``x`` is sorted
-        by x-coordinate, a point of ``x`` is southwest of another exactly
+        Indexed ``[i, j]``; meaningful where ``j`` lies northeast of ``i``.
+        Both read -1 where a puncture lies inside, and ``nw`` reads -2 where
+        a corner is not a point of the configuration.
+        """
+        x, y = np.array(self.points, dtype=np.int64).reshape(-1, 2).T
+        id_at = np.full((x.max(initial=0) + 1, y.max(initial=0) + 1), -1, dtype=np.int16)
+        for (px, py), i in self.id_of.items():
+            id_at[px, py] = i
+        nw = id_at[x[:, None], y[None, :]]
+        se = id_at[x[None, :], y[:, None]]
+        u, v = np.array(self.frame.punctures, dtype=np.int64).reshape(-1, 2).T
+        # a puncture lies inside when it is northeast of i and southwest of j
+        ne_of_i = ((x[:, None] < u) & (y[:, None] < v)).astype(np.int16)
+        sw_of_j = ((u < x[:, None]) & (v < y[:, None])).astype(np.int16)
+        punctured = ne_of_i @ sw_of_j.T > 0
+        nw[(nw < 0) | (se < 0)] = -2
+        nw[punctured] = se[punctured] = -1
+        return nw, se
+
+    def rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every boundary entry leaving the generators ``x``, one per row.
+
+        ``x`` holds the point ids of one generator per row.  Returns
+        ``(owner, target, sign)``: the row of ``x`` each entry leaves, the
+        target's ids and the coefficient.  Entries are grouped by owner, in
+        the order of ``x``; within a row come first the flips of each point
+        in turn (across its vertical oval, then across its horizontal one),
+        then the rectangles from ``x[i]`` to ``x[j]``, pairs ``i < j`` in
+        lexicographic order.  No target repeats within a row.
+
+        Each point of a generator sits on its own vertical oval, so ids are
+        sorted by x-coordinate, a point is southwest of another exactly
         when it comes earlier and lies lower, and every move keeps each new
         point in the column of the point it replaces: targets need no sort.
+        The points lie on distinct horizontal ovals, whose indices order
+        them by height.
 
         Signs.  A flip of ``x[i]`` across its vertical oval has sign parity
         ``I(x, x)`` plus the number of earlier points on a right wall; a flip
@@ -811,65 +842,63 @@ class LongMoves:
         ``x[j]`` (lower-left ``(a, b)``, upper-right ``(c, d)``) has parity
         ``I(x, x[y <= d])``, plus ``I(x, x[b < y <= d]) + 1`` when an odd
         number of points of ``x`` lie between the two columns below ``b``.
-        ``I`` counts southwest pairs.  Only parities matter, so one pass per
-        row records them as bitmasks over the horizontal ovals, and each sign
-        is then a few bit counts.  The points of ``x`` lie on distinct
-        horizontal ovals, so their bits order them by height.
+        ``I`` counts southwest pairs; only parities matter, and a point
+        adds to ``I(x, ·)`` the parity of the points southwest of it.  Sets
+        of points are bitmasks over the horizontal ovals, one per generator;
+        the points lie on distinct ovals, so sums are unions.
         """
-        k = len(x)
-        top, right = self._top, self._right
-        bits = [self._bit[p] for p in x]
-        # `odd` marks the points with an odd number of points southwest of
-        # them, `tops` the points on a top wall
-        seen = odd = tops = right_walls = 0
-        for bit, p in zip(bits, x):
-            if (seen & (bit - 1)).bit_count() % 2:
-                odd |= bit
-            seen |= bit
-            if top[p]:
-                tops |= bit
-            if right[p]:
-                right_walls += 1
-        total = odd.bit_count()  # has the parity of I(x, x)
-        rights = 0  # right-wall points before x[i]
-        out: dict[tuple[int, ...], int] = {}
-        for i, p in enumerate(x):
-            for q, vertical in self._flips[p]:
-                if vertical:
-                    e = total + rights
-                else:
-                    e = total + right_walls + (tops & (bits[i] - 1)).bit_count()
-                out[x[:i] + (q,) + x[i + 1 :]] = -1 if e % 2 else 1
-            if right[p]:
-                rights += 1
-        cached_corners = self._corners
-        count = len(self.points)
-        for i in range(k - 1):
-            b = bits[i]
-            base = x[i] * count
-            lowest_above = 0  # bit of the lowest point passed so far above x[i]
-            below = 0  # points passed so far below x[i]
-            for j in range(i + 1, k):
-                d = bits[j]
-                if d < b:
-                    below += 1
-                    continue
-                if lowest_above and d > lowest_above:
-                    continue  # the rectangle contains that point of x
-                lowest_above = d
-                corners = cached_corners.get(base + x[j], False)
-                if corners is False:
-                    corners = self._new_corners(x[i], x[j])
-                if corners is None:
-                    continue
-                upto_d = odd & ((d << 1) - 1)
-                e = upto_d.bit_count()
-                if below % 2:
-                    e += (upto_d & -(b << 1)).bit_count() + 1
-                nw, se = corners
-                sign = -1 if e % 2 else 1
-                out[x[:i] + (nw,) + x[i + 1 : j] + (se,) + x[j + 1 :]] = sign
-        return out
+        count, k = x.shape
+        bit = self._bit[x]
+        upto = np.cumsum(bit, axis=1, dtype=np.int32)  # bits of x[0..i]
+        i, j = np.triu_indices(k, 1)
+        low, high = bit[:, i], bit[:, j]
+        between = upto[:, j] - high - upto[:, i]  # bits of x[i+1..j-1]
+        # rising, with no point of x inside (the others lie on other rows)
+        rising = (high > low) & (between & -(low << 1) & ((high << 1) - 1) == 0)
+        nw, se = self._corners
+        corner = nw[x[:, i], x[:, j]]
+        if (rising & (corner == -2)).any():
+            b, q = np.argwhere(rising & (corner == -2))[0]
+            p1, p2 = self.points[x[b, i[q]]], self.points[x[b, j[q]]]
+            raise RectangleCornerMissing(
+                f"rectangle from {p1} to {p2}: corner missing from config"
+            )
+        flip_to = self._flips[x].reshape(count, 2 * k)
+        live = np.concatenate([flip_to >= 0, rising & (corner >= 0)], axis=1)
+        owner, move = np.nonzero(live)
+        target = x[owner]
+        parity = np.empty(len(owner), dtype=np.int64)
+
+        # odd: an odd number of points lies southwest of the point
+        odd = np.bitwise_count((upto - bit) & (bit - 1)).astype(np.int32) & 1
+        odd_bits = (odd * bit).sum(axis=1)
+        total = odd.sum(axis=1)  # has the parity of I(x, x)
+        right = self._right[x]
+
+        flip = np.flatnonzero(move < 2 * k)
+        o, m = owner[flip], move[flip]
+        slot = m // 2
+        target[flip, slot] = flip_to[o, m]
+        across_vertical = np.cumsum(right, axis=1)[o, slot] - right[o, slot]
+        top_bits = (self._top[x] * bit).sum(axis=1)[o]
+        across_horizontal = right.sum(axis=1)[o] + np.bitwise_count(
+            top_bits & (bit[o, slot] - 1)
+        )
+        parity[flip] = total[o] + np.where(m & 1, across_horizontal, across_vertical)
+
+        rect = np.flatnonzero(move >= 2 * k)
+        o, q = owner[rect], move[rect] - 2 * k
+        a, c = i[q], j[q]
+        target[rect, a] = corner[o, q]
+        target[rect, c] = se[x[o, a], x[o, c]]
+        low, high = low[o, q], high[o, q]
+        odd_upto = odd_bits[o] & ((high << 1) - 1)
+        below = np.bitwise_count(between[o, q] & (low - 1)) & 1
+        parity[rect] = np.bitwise_count(odd_upto) + below * (
+            np.bitwise_count(odd_upto & -(low << 1)) + 1
+        )
+        sign = 1 - 2 * (parity & 1)
+        return owner, target, sign
 
 
 def long_complex(
@@ -881,24 +910,29 @@ def long_complex(
     """The oval complex with full-height/width ovals, built directly.
 
     Boundary entries: empty cap flips (bigons) and empty planar rectangles
-    spanned by a rising pair of points.  When ``keep_a2`` restricts the
-    generators, the boundary preserves a2, so the restriction is a genuine
-    subcomplex and no entries are lost.
+    spanned by a rising pair of points, all rows formed in one
+    `LongMoves.rows` batch.  When ``keep_a2`` restricts the generators, the
+    boundary preserves a2, so the restriction is a genuine subcomplex and no
+    entries are lost.
     """
     config = build_config(g, omit, "long")
     moves = LongMoves(config)
     cx = SparseComplex(ring)
-    # point ids -> the point tuple of each kept generator
-    gens: dict[tuple[int, ...], Gen] = {}
-    for x, a2 in oval_generators(config, keep_a2):
+    listed = oval_generators(config, keep_a2)
+    for x, a2 in listed:
         cx.add_generator(x, a2, moves.frame.maslov(x))
-        gens[moves.encode(x)] = x
-    for u, x in gens.items():
-        for target, coeff in moves.row(u).items():
-            y = gens.get(target)
-            if y is None:
-                raise GradingViolation("move target escapes the kept a2 slices")
-            cx.add_entry(x, y, coeff)
+    gens = [x for x, _ in listed]
+    ids = np.array([moves.encode(x) for x in gens], dtype=np.int64)
+    ids = ids.reshape(len(gens), len(moves.frame.cols))
+    owner, target, sign = moves.rows(ids)
+    # the kept generator of each target, found among the sorted keys
+    keys, wanted = moves.pack(ids), moves.pack(target)
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
+    if len(wanted) and not np.array_equal(keys[found], wanted):
+        raise GradingViolation("move target escapes the kept a2 slices")
+    for o, y, c in zip(owner.tolist(), found.tolist(), sign.tolist()):
+        cx.add_entry(gens[o], gens[y], c)
     if ring == "Z":
         cx.assert_entries_unit()
     return cx

@@ -12,11 +12,11 @@ whole complex:
   contributions still cancels.
 
 * `PathEngine` computes rows of the reduced (short-configuration)
-  differential by expanding the pair-cancellation recursion lazily: each
-  cancelled generator's reduced row is pulled on demand — following the
-  retraction schedule's ordering — and cached for the current Alexander
-  slice, so only generators actually reachable from the queried row are
-  ever visited.
+  differential by the pair-cancellation recursion, following the
+  retraction schedule's ordering.  The long rows the queried rows can reach
+  are formed breadth first, a frontier of generators per numpy batch, and
+  the recursion then runs on integer numbers of those generators, so only
+  generators reachable from the queried rows are ever visited.
 
 Everything is exact integer arithmetic.
 """
@@ -24,8 +24,13 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import os
+from array import array
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import chain, islice
+from typing import NamedTuple
+
+import numpy as np
 
 from .chains import Gen, LongMoves, SparseComplex, oval_generators, slice_sizes
 from .errors import (
@@ -150,18 +155,26 @@ def find_domain(arr: Arrangement, x: Gen, y: Gen) -> Domain | None:
 
 
 class PathEngine:
-    """Rows of the short differential by lazy cancellation paths.
+    """Rows of the short differential by cancellation paths, in batches.
 
     The retraction schedule orders the cancelled pairs (by event, then by
     the source generator); eliminating them all transforms the long
     differential into the short one.  A queried row folds in the reduced
-    rows of cancelled generators only as their targets actually appear,
-    depth-first with caching, so the complex is never materialized.  The
-    result is exactly the faithful reduction's output: eliminating an
-    invertible block yields the same complement in any order.  Inside, rows
-    are keyed by the point ids of `LongMoves`; `short_row` takes and returns
-    point tuples.  The omitted marking must lie on the boundary of the
-    square (`on_boundary`); any other omission raises `InvalidOmission`.
+    rows of cancelled generators only as their targets actually appear, so
+    the complex is never materialized.  The result is exactly the faithful
+    reduction's output: eliminating an invertible block yields the same
+    complement in any order.
+
+    The rows of a batch of short generators are found in three phases
+    (`_short_rows`).  A breadth-first closure forms the long rows of a whole
+    frontier of generators at once (`LongMoves.rows`), together with every
+    target's elimination key (`_deaths`); the next frontier is the sources
+    of the cancelled targets that are not sources themselves.  One sort
+    then numbers every generator of the closure by its key, so that the
+    integers order like the keys.  The cancellation recursion then runs on
+    those integers, and only the short rows are turned back into point
+    tuples.  The omitted marking must lie on the boundary of the square
+    (`on_boundary`); any other omission raises `InvalidOmission`.
     """
 
     def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
@@ -181,13 +194,13 @@ class PathEngine:
         self.event_count = len(events)
         #: point id -> the event killing it; survivors get the event count,
         #: which comes after every event
-        self._event_of = [self.event_count] * len(self.moves.points)
-        #: event -> (position of its vertical oval in a generator, the id of
-        #: its Maslov-raising point)
+        event_of = [self.event_count] * len(self.moves.points)
+        #: event -> the position of its vertical oval in a generator, and the
+        #: id of its Maslov-raising point
         slot_of = {c: i for i, c in enumerate(long_cfg.kept_cols())}
         a2_of = self.moves.frame.a2_of
         id_of = self.moves.id_of
-        self._raising: list[tuple[int, int]] = []
+        raising: list[tuple[int, int]] = []
         for t, ev in enumerate(events):
             column = ev.p1[0] // SCALE
             if ev.p2[0] // SCALE != column:
@@ -200,16 +213,15 @@ class PathEngine:
                     f"event {t} changes the Alexander grading"
                 )
             p1, p2 = id_of[ev.p1], id_of[ev.p2]
-            if self._event_of[p1] < t or self._event_of[p2] < t:
+            if event_of[p1] < t or event_of[p2] < t:
                 raise ScheduleAssertionFailed(
                     f"event {t} kills a point a second time"
                 )
-            self._event_of[p1] = self._event_of[p2] = t
-            self._raising.append((slot_of[column], p1))
+            event_of[p1] = event_of[p2] = t
+            raising.append((slot_of[column], p1))
+        self._event_of = np.array(event_of, dtype=np.int16)
+        self._raising = np.array(raising, dtype=np.int64).reshape(-1, 2)
         self._arr = Arrangement(short_cfg)
-        #: reduced row of each cancelled source at its elimination step, in
-        #: point ids
-        self._rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     @cached_property
     def slice_sizes(self) -> dict[int, int]:
@@ -218,128 +230,212 @@ class PathEngine:
 
     # -- schedule bookkeeping
 
-    def _death(self, v: tuple[int, ...]):
-        """(event, source) elimination key of ids ``v``; None for survivors.
+    def _deaths(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(event, source)``: the elimination key of each row of ``ids``.
 
-        A generator dies at the first event killing one of its points; the
-        pair's source is the generator holding the Maslov-raising point.
-        Both points of an event lie on one vertical oval, which fixes the
-        position of the dying point in ``v`` and keeps the source sorted.
+        A generator dies at the first event killing one of its points;
+        survivors get the event count and themselves as source.  The pair's
+        source is the generator holding the Maslov-raising point.  Both
+        points of an event lie on one vertical oval, which fixes the
+        position of the dying point and keeps the source sorted.
         """
-        t = min(map(self._event_of.__getitem__, v))
-        if t == self.event_count:
-            return None
-        slot, source_point = self._raising[t]
-        if v[slot] == source_point:
-            return (t, v)
-        return (t, v[:slot] + (source_point,) + v[slot + 1 :])
+        event = self._event_of[ids].min(axis=1, initial=self.event_count).astype(np.int64)
+        source = ids.copy()
+        dying = np.flatnonzero(event < self.event_count)
+        slot, point = self._raising[event[dying]].T
+        source[dying, slot] = point
+        return event, source
 
-    # -- the cancellation recursion
+    # -- the three phases
 
-    def _reduced_row(self, u: tuple[int, ...], limit) -> dict[tuple[int, ...], int]:
-        """Row of ``u`` after eliminating every pair ordered before ``limit``.
+    def _closure(self, gens: list[Gen]) -> _Closure:
+        """The long rows that the short rows of ``gens`` can fold in, numbered.
 
-        Entries to targets of earlier pairs fold in the source's reduced
-        row (scaled through the unit pivot; each source's row is reduced
-        once and kept in ``_rows``); entries to earlier sources disappear
-        with their generator.  New entries die no earlier than the pair that
-        created them, so a single heap pass suffices.  A dying source is
-        never folded, so it is dropped on sight: removing it changes no
-        other entry, nor the order of those that stay.
+        Breadth first: each level forms the long rows of its frontier in one
+        batch; the sources of its cancelled targets that are not sources
+        themselves, and have no row yet, make the next frontier.  Then every
+        generator met is numbered by its elimination key and its packed key,
+        in that order: the cancelled generators come first, in the order the
+        recursion eliminates them, and the survivors last.  Per entry only
+        the target's key and the sign are kept; the elimination keys are
+        worked out again for each distinct generator.
+
+        An entry to a dying source (a cancelled generator that is its own
+        source) is not kept at all.  Such an entry is never folded and adds
+        to no other entry, and every short row drops it with its generator,
+        so without it every short row is the same, order included.
         """
-        event_of = self._event_of.__getitem__
-        raising = self._raising
-        count = self.event_count
-        limit_t = limit[0]
+        moves, count = self.moves, self.event_count
+        frontier = np.array([moves.encode(x) for x in gens], dtype=np.int64)
+        frontier = frontier.reshape(len(gens), len(moves.frame.cols))
+        # per level the owners' keys, whose rows are formed in that order;
+        # per row its length, per entry the target's key and the sign
+        owners, lengths = [moves.pack(frontier)], array("i")
+        target_keys, signs = array("q"), array("b")
+        known = [np.sort(owners[0])]
+        while len(frontier):
+            wanted = []
+            for lo in range(0, len(frontier), _ROW_BATCH):
+                batch = frontier[lo : lo + _ROW_BATCH]
+                owner, target, sign = moves.rows(batch)
+                event, source = self._deaths(target)
+                key, source_key = moves.pack(target), moves.pack(source)
+                keep = (event == count) | (source_key != key)  # no dying source
+                wanted.append(source_key[keep & (event < count)])
+                _extend(lengths, np.bincount(owner[keep], minlength=len(batch)))
+                _extend(target_keys, key[keep])
+                _extend(signs, sign[keep])
+            fresh = _distinct(np.concatenate(wanted))
+            fresh = fresh[~_among(fresh, known)]
+            known.append(fresh)
+            owners.append(fresh)
+            frontier = moves.unpack(fresh)
+        owner_key = np.concatenate(owners)
+        del owners, known
 
-        def fold_key(v):
-            # `_death(v)` when it precedes `limit`, else None; the event is
-            # tested before the source is built
-            t = min(map(event_of, v))
-            if t > limit_t or t == count:
-                return None
-            slot, point = raising[t]
-            if v[slot] == point:
-                key = (t, v)
-            else:
-                key = (t, v[:slot] + (point,) + v[slot + 1 :])
-            return key if t < limit_t or key < limit else None
+        keys = _distinct(np.concatenate([owner_key, np.frombuffer(target_keys, np.int64)]))
+        size = len(keys)
+        owner_at = _positions(keys, owner_key)
+        target_at = _positions(keys, np.frombuffer(target_keys, np.int64))
+        del owner_key, target_keys
+        # elimination key of every generator: its event, then its source
+        rank = np.empty(size, dtype=np.int64)
+        source_at = np.empty(size, dtype=np.int32)
+        for lo in range(0, size, _BATCH):
+            event, source = self._deaths(moves.unpack(keys[lo : lo + _BATCH]))
+            source_at[lo : lo + _BATCH] = np.searchsorted(keys, moves.pack(source))
+            rank[lo : lo + _BATCH] = event * size + source_at[lo : lo + _BATCH]
+        # survivors are their own sources, and come last in key order
+        survivors = keys[rank >= count * size]
+        del keys
+        # number by event, then source, then the generator itself
+        order = np.argsort(rank, kind="stable")
+        del rank
+        number = np.empty(size, dtype=np.int32)
+        number[order] = np.arange(size, dtype=np.int32)
+        link = number[source_at][order]
+        del source_at, order
+        # a generator that is its own source needs no link but to its row
+        link[link == np.arange(size)] = -1
+        link[number[owner_at]] = -2 - np.arange(len(owner_at), dtype=np.int32)
+        targets = array("i")
+        for lo in range(0, len(target_at), _BATCH):
+            _extend(targets, number[target_at[lo : lo + _BATCH]])
+        return _Closure(
+            survivors=survivors,
+            link=_extend(array("i"), link),
+            roots=number[owner_at[: len(gens)]].tolist(),
+            bounds=_extend(array("i", [0]), np.cumsum(np.frombuffer(lengths, np.int32))),
+            targets=targets,
+            signs=signs,
+        )
 
-        work = self.moves.row(u)
-        heap: list[tuple] = []
-        for v in list(work):
-            key = fold_key(v)
-            if key is None:
-                continue
-            if key[1] is v:
-                del work[v]  # a dying source's column vanishes outright
-            else:
-                heappush(heap, (key, v))
-        while heap:
-            key, v = heappop(heap)
-            coeff = work.pop(v, 0)
-            if not coeff:
-                continue
-            srow = self._rows.get(key[1])
-            if srow is None:
-                srow = self._rows[key[1]] = self._reduced_row(key[1], key)
-            pivot = srow.get(v, 0)
-            if pivot not in (1, -1):
-                raise ScheduleAssertionFailed(
-                    f"event {key[0]}: path pivot {pivot} is not a unit"
-                )
-            factor = -coeff * pivot
-            for w, cw in srow.items():
-                if w == v:
+    def _reduce(self, cl: _Closure, groups: list[int]) -> list[dict[int, int]]:
+        """The reduced row of each root of the closure, on its numbers.
+
+        The row of a generator after eliminating every pair ordered before
+        ``limit`` (a number): entries to targets of earlier pairs fold in the
+        source's reduced row, scaled through the unit pivot; each source's
+        row is reduced once, at its own pair, and kept until the roots of
+        the current group (``groups`` counts them) are done.  New entries
+        die no earlier than the pair that created them, so a single heap
+        pass suffices.  The closure keeps no entry to a dying source, so
+        every earlier target folds.  A pair's two members are its source and
+        the target that names it, and they come first among the numbers of
+        its key: the smaller of the two is the limit of the source's row.
+        """
+        link, bounds, targets, signs = cl.link, cl.bounds, cl.targets, cl.signs
+        # per source, its pivot and then the other entries of its reduced
+        # row, flattened: a third of the memory of a dict
+        reduced: dict[int, tuple[int, ...]] = {}
+
+        def reduce(u: int, limit: int) -> dict[int, int]:
+            row = -2 - link[u]
+            lo, hi = bounds[row], bounds[row + 1]
+            work = dict(zip(targets[lo:hi], signs[lo:hi]))
+            heap = [v for v in work if v < limit]
+            heapify(heap)
+            while heap:
+                v = heappop(heap)
+                coeff = work.pop(v, 0)
+                if not coeff:
                     continue
-                old = work.get(w, 0)
-                new = old + factor * cw
-                if not new:
-                    work.pop(w, None)
-                    continue
-                if not old:
-                    wkey = fold_key(w)
-                    if wkey is not None:
-                        if wkey[1] is w:
-                            continue  # a dying source never enters
-                        heappush(heap, (wkey, w))
-                work[w] = new
-        return work
+                s = link[v]
+                folded = reduced.get(s)
+                if folded is None:
+                    srow = reduce(s, min(s, v))
+                    pivot = srow.pop(v, 0)
+                    if pivot not in (1, -1):
+                        raise ScheduleAssertionFailed(
+                            f"path pivot {pivot} is not a unit, at the pair of "
+                            f"source {s} in the elimination order"
+                        )
+                    folded = reduced[s] = (pivot, *chain.from_iterable(srow.items()))
+                entries = iter(folded)
+                factor = -coeff * next(entries)
+                for w, cw in zip(entries, entries):
+                    old = work.get(w, 0)
+                    new = old + factor * cw
+                    if not new:
+                        work.pop(w, None)
+                        continue
+                    if not old and w < limit:
+                        heappush(heap, w)
+                    work[w] = new
+            return work
+
+        rows = []
+        roots = iter(cl.roots)
+        for size in groups:
+            rows.extend(reduce(u, cl.cancelled) for u in islice(roots, size))
+            reduced.clear()
+        del reduce  # a recursive closure is a cycle; free the tables now
+        return rows
+
+    def _short_rows(self, slices: list[list[Gen]]) -> list[tuple[Gen, dict[Gen, int]]]:
+        """``(x, short_row(x))`` for the generators of some Alexander slices.
+
+        One closure serves every slice; the reduced rows of the sources are
+        dropped after each slice, as the differential and every retraction
+        event preserve a2.  Every nonzero entry must join ``x`` to a
+        surviving generator through a domain of the short arrangement;
+        either failure raises.  Nothing is kept once the rows are returned.
+        """
+        gens = [x for xs in slices for x in xs]
+        if not gens:
+            return []
+        cl = self._closure(gens)
+        rows = self._reduce(cl, [len(xs) for xs in slices])
+        cancelled = cl.cancelled
+        numbers = [v for row in rows for v in row if v >= cancelled]
+        ids = self.moves.unpack(cl.survivors[np.array(numbers, dtype=np.int64) - cancelled])
+        decoded = dict(zip(numbers, map(self.moves.decode, map(tuple, ids.tolist()))))
+        out = []
+        for x, row in zip(gens, rows):
+            short: dict[Gen, int] = {}
+            for v, c in row.items():
+                if v < cancelled:
+                    raise CancelledTargetReached(
+                        f"short row of {x} reaches the cancelled generator "
+                        f"number {v} of the elimination order"
+                    )
+                y = decoded[v]
+                if find_domain(self._arr, x, y) is None:
+                    raise MissingDomain(
+                        f"nonzero entry {c} from {x} to {y} has no domain"
+                    )
+                short[y] = c
+            out.append((x, short))
+        return out
 
     # -- public API
 
     def short_row(self, x: Gen) -> dict[Gen, int]:
         """The row of the short differential at a short-config generator.
 
-        Every nonzero entry must join ``x`` to a surviving generator through
-        a domain of the short arrangement; either failure raises.
+        A batch of one `_short_rows`, with the same checks.
         """
-        moves = self.moves
-        out: dict[Gen, int] = {}
-        for v, c in self._reduced_row(moves.encode(x), (self.event_count,)).items():
-            y = moves.decode(v)
-            if self._death(v) is not None:
-                raise CancelledTargetReached(
-                    f"short row of {x} reaches the cancelled generator {y}"
-                )
-            if find_domain(self._arr, x, y) is None:
-                raise MissingDomain(
-                    f"nonzero entry {c} from {x} to {y} has no domain"
-                )
-            out[y] = c
-        return out
-
-    def _slice_rows(self, gens: list[Gen]) -> list[tuple[Gen, dict[Gen, int]]]:
-        """``(x, short_row(x))`` for the generators of one Alexander slice.
-
-        The row cache is emptied before and after: the differential and
-        every retraction event preserve a2, so no cached row serves
-        another slice, and peak memory follows the largest slice.
-        """
-        self._rows.clear()
-        rows = [(x, self.short_row(x)) for x in gens]
-        self._rows.clear()
-        return rows
+        return self._short_rows([[x]])[0][1]
 
     def _pooled_rows(self, slices: dict[int, list[Gen]], workers: int):
         """Every slice's rows, pulled on ``workers`` forked processes.
@@ -375,16 +471,16 @@ class PathEngine:
     def short_complex(self, ring: str = "Z", keep_a2=None) -> SparseComplex:
         """The short complex with its differential counted along paths.
 
-        The differential and every retraction event preserve a2, so rows are
-        pulled one Alexander slice at a time (`_slice_rows`).  When the
-        kept complex has at least `PARALLEL_MIN_GENS` generators and the
-        process may run on two or more CPUs, the slices are pulled on a
-        pool of forked workers, one per CPU and at most one per slice
+        Only the generators of the kept slices (None keeps all) are listed,
+        by one `oval_generators` walk of the short configuration, and their
+        rows come from one closure (`_short_rows`).  The differential and
+        every retraction event preserve a2, so when the kept complex has at
+        least `PARALLEL_MIN_GENS` generators and the process may run on two
+        or more CPUs, the slices are pulled apart instead, one closure each,
+        on a pool of forked workers, one per CPU and at most one per slice
         (none where the ``fork`` start method is missing).  Either way the
         entries are added in slice order and, within a slice, in generator
         order, so the complex is the same, insertion order included.
-        Only the generators of the kept slices (None keeps all) are
-        listed, by one `oval_generators` walk of the short configuration.
         """
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
@@ -399,12 +495,77 @@ class PathEngine:
         ):
             rows = self._pooled_rows(slices, workers)
         else:
-            rows = map(self._slice_rows, slices.values())
+            rows = [self._short_rows(list(slices.values()))]
         for slice_rows in rows:
             for x, row in slice_rows:
                 for y, coeff in row.items():
                     cx.add_entry(x, y, coeff)
         return cx
+
+
+class _Closure(NamedTuple):
+    """What the cancellation recursion reads, on the numbers of `_closure`."""
+
+    #: the packed keys of the survivors, which take the last numbers
+    survivors: np.ndarray
+    #: per number: the number of its source, when that is another generator;
+    #: else ``-2 - r`` when its long row is row ``r``, and -1 without one
+    #: (a survivor met only as a target)
+    link: array
+    #: the numbers of the queried generators
+    roots: list[int]
+    #: row ``r`` is ``targets[bounds[r]:bounds[r + 1]]``, with coefficients
+    #: ``signs[...]``
+    bounds: array
+    targets: array
+    signs: array
+
+    @property
+    def cancelled(self) -> int:
+        """How many generators are cancelled: the first survivor's number."""
+        return len(self.link) - len(self.survivors)
+
+
+def _extend(out: array, values: np.ndarray) -> array:
+    """``out`` with ``values`` appended, converted to its item type.
+
+    A compact array of integers that reads back as Python ints, as fast as
+    a list does, in a fraction of the memory.
+    """
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=out.typecode)).cast("B"))
+    return out
+
+
+def _positions(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each of ``keys`` in ``sorted_keys``, batch by batch."""
+    out = np.empty(len(keys), dtype=np.int32)
+    for lo in range(0, len(keys), _BATCH):
+        out[lo : lo + _BATCH] = np.searchsorted(sorted_keys, keys[lo : lo + _BATCH])
+    return out
+
+
+#: generators whose long rows `_closure` forms in one set of arrays, and
+#: keys it looks up in one go
+_ROW_BATCH = 1024
+_BATCH = 4096
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending; ``keys`` is sorted in place."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _among(keys: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
+    """Whether each of ``keys`` lies in one of the sorted arrays ``known``."""
+    hit = np.zeros(len(keys), dtype=bool)
+    for sorted_keys in known:
+        if len(sorted_keys):
+            at = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+            hit |= sorted_keys[at] == keys
+    return hit
 
 
 def _available_cpus() -> int:
@@ -425,4 +586,4 @@ def _adopt_engine(engine: PathEngine, slices: dict[int, list[Gen]]) -> None:
 
 def _pooled_slice_rows(a2: int):
     engine, slices = _worker_job
-    return engine._slice_rows(slices[a2])
+    return engine._short_rows([slices[a2]])

@@ -119,3 +119,7 @@ class MissingDomain(GridHfkError):
 
 class SliceWorkerDied(GridHfkError):
     """A worker process assembling Alexander slices ended without a result."""
+
+
+class GridTooLarge(GridHfkError):
+    """The long oval generators of the grid do not pack into 63-bit keys."""

@@ -9,6 +9,7 @@ something independent to agree with:
   pair in the order the retraction schedule prescribes, asserting every
   matched entry is a unit; `faithful_short` applies them to the whole long
   complex or to some of its Alexander slices;
+* `long_gradings` grades a generator on the frame of a `LongMoves`;
 * `long_euler` is the graded Euler characteristic of the long complex as
   one small determinant; `enumerated_long_euler` sums it generator by
   generator, which is only affordable on small grids;
@@ -102,12 +103,19 @@ def faithful_short(g, omit, keep_a2=None) -> SparseComplex:
     return reduce_faithful(cx, tuple_event_pairs(cx.generators(), events))
 
 
+def long_gradings(moves: LongMoves, x) -> tuple[int, int]:
+    """(a2, maslov) of a generator whose points lie on the frame of ``moves``."""
+    frame = moves.frame
+    a2 = sum(frame.a2_of[p] for p in x) + frame.const2
+    return a2, frame.maslov(x)
+
+
 def enumerated_long_euler(g, omit) -> LaurentPoly:
     """Graded Euler characteristic of the long complex, one generator at a time."""
     moves = LongMoves(build_config(g, omit, "long"))
     terms: dict[int, int] = {}
     for x, _ in oval_generators(moves.frame.config):
-        a2, m = moves.gradings(x)
+        a2, m = long_gradings(moves, x)
         terms[a2 // 2] = terms.get(a2 // 2, 0) + 1 - 2 * (m % 2)
     return LaurentPoly(terms)
 

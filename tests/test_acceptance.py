@@ -11,7 +11,12 @@ import time
 import pytest
 
 from conftest import BRAIDS, random_grid, stabilize
-from references import enumerated_long_euler, faithful_short, long_euler
+from references import (
+    enumerated_long_euler,
+    faithful_short,
+    long_euler,
+    long_gradings,
+)
 from test_domains_paths import NONZERO_SHORT
 
 from gridhfk.chains import (
@@ -147,7 +152,7 @@ def test_criterion_02_size_two_micro_complexes():
 
     assert sum(len(pts) for pts in short_cfg.points.values()) == 2
     moves = LongMoves(long_cfg)
-    short_gradings = {moves.gradings(x) for x, _ in oval_generators(short_cfg)}
+    short_gradings = {long_gradings(moves, x) for x, _ in oval_generators(short_cfg)}
     assert short_gradings == {(0, 0), (-2, -1)}
     announce(2, "size-two complexes match the hand computation exactly")
 

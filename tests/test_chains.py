@@ -8,10 +8,11 @@ from itertools import permutations
 from math import factorial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import enumerated_long_euler, long_euler, mos_generators
+from references import enumerated_long_euler, long_euler, long_gradings, mos_generators
 from test_cells_oracle import reference_sign, table_sign
 from gridhfk import chains, domains_paths, ovalgeo
 from gridhfk.chains import (
@@ -133,7 +134,7 @@ class TestGradings:
                 moves = LongMoves(build_config(g, omit, "long"))
                 o_punct = moves.frame.o_punct
                 for x, a2 in oval_generators(build_config(g, omit, "short")):
-                    assert moves.gradings(x) == (a2, maslov(x, o_punct, 0))
+                    assert long_gradings(moves, x) == (a2, maslov(x, o_punct, 0))
 
     def test_grading_discipline(self):
         g = parse_braid(BRAIDS["trefoil"])
@@ -474,9 +475,12 @@ class TestTypedFailures:
         for x, a2 in oval_generators(build_config(g, omit, "long")):
             by_a2.setdefault(a2, x)
         top, other = max(by_a2), min(by_a2)
-        monkeypatch.setattr(
-            LongMoves, "row", lambda self, x: {self.encode(by_a2[other]): 1}
-        )
+        def rows(self, x):
+            # one entry, from the first row to a generator of another slice
+            target = np.array([self.encode(by_a2[other])])
+            return np.zeros(1, dtype=np.int64), target, np.ones(1, dtype=np.int64)
+
+        monkeypatch.setattr(LongMoves, "rows", rows)
         with pytest.raises(GradingViolation, match="kept a2 slices"):
             long_complex(g, omit, keep_a2={top})
 

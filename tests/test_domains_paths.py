@@ -2,18 +2,30 @@
 
 import concurrent.futures
 import os
+from array import array
 from fractions import Fraction
 
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import faithful_short, short_complex_digest, validate_periodic_domains
+from references import (
+    faithful_short,
+    long_gradings,
+    short_complex_digest,
+    validate_periodic_domains,
+)
 
 from gridhfk import domains_paths
 from gridhfk.chains import SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
-from gridhfk.errors import DomainSystemSingular, MissingDomain, SliceWorkerDied
+from gridhfk.errors import (
+    CancelledTargetReached,
+    DomainSystemSingular,
+    MissingDomain,
+    ScheduleAssertionFailed,
+    SliceWorkerDied,
+)
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
@@ -225,13 +237,15 @@ class TestPathEngine:
     def test_matches_faithful_on_trefoil(self):
         cx, eng = self.assert_matches_faithful(parse_braid(BRAIDS["trefoil"]))
         assert cx.entry_count == 0
-        # short_complex empties its row cache; pulling the rows one by one
-        # keeps it, and shows only a fraction of the cancelled generators
-        # was explored
-        assert not eng._rows
-        for x in cx.rows:
-            eng.short_row(x)
-        assert 0 < len(eng._rows) < 1000
+        # short_complex keeps nothing on the engine, and the closure of the
+        # short generators forms the long rows of only a fraction of the
+        # long generators (229 of 6,144)
+        state = engine_state(eng)
+        eng.short_complex()
+        assert engine_state(eng) == state
+        long_count = len(oval_generators(build_config(eng.grid, eng.omit, "long")))
+        closure = eng._closure(list(cx.rows))
+        assert len(cx.rows) < len(closure.bounds) - 1 < long_count // 20
 
     def test_matches_faithful_on_nonzero_short(self):
         cx, _ = self.assert_matches_faithful(NONZERO_SHORT)
@@ -283,10 +297,12 @@ class TestPathEngine:
             eng.short_row(x)
 
     def test_slices_are_assembled_apart(self):
-        # clearing the row cache between Alexander slices changes no entry
+        # dropping the reduced rows between Alexander slices, and forming
+        # one closure per row, change no entry
         eng = PathEngine(NONZERO_SHORT)
+        state = engine_state(eng)
         pcx = eng.short_complex()
-        assert not eng._rows
+        assert engine_state(eng) == state
         for x in pcx.rows:
             assert eng.short_row(x) == pcx.rows[x]
 
@@ -295,6 +311,35 @@ class TestPathEngine:
             pcx = PathEngine(g).short_complex()
             table = make_table(deconvolve(homology(pcx), g.n), "Z")
             assert table.groups == hfk_cells(g).table.groups
+
+
+class TestRecursionChecks:
+    """The checks of the cancellation recursion raise through the batched engine."""
+
+    def test_non_unit_pivot_is_a_typed_failure(self, monkeypatch):
+        closure = PathEngine._closure
+
+        def doubled(self, gens):
+            # every long entry doubled: every pivot is even
+            cl = closure(self, gens)
+            return cl._replace(signs=array("b", [2 * c for c in cl.signs]))
+
+        monkeypatch.setattr(PathEngine, "_closure", doubled)
+        with pytest.raises(ScheduleAssertionFailed, match="path pivot .* is not a unit"):
+            PathEngine(NONZERO_SHORT).short_complex()
+
+    def test_cancelled_target_is_a_typed_failure(self, monkeypatch):
+        reduce = PathEngine._reduce
+
+        def leaky(self, cl, groups):
+            rows = reduce(self, cl, groups)
+            assert cl.cancelled > 0
+            rows[0][0] = 1  # number 0 is the first cancelled generator
+            return rows
+
+        monkeypatch.setattr(PathEngine, "_reduce", leaky)
+        with pytest.raises(CancelledTargetReached):
+            PathEngine(NONZERO_SHORT).short_complex()
 
 
 class TestMod2Route:
@@ -321,12 +366,16 @@ def walk_order_complex(eng, ring, keep):
     cx = SparseComplex(ring)
     gens = oval_generators(eng.short_cfg, keep)
     for x, a2 in gens:
-        cx.add_generator(x, a2, eng.moves.gradings(x)[1])
-    for x, _ in gens:
-        for y, coeff in eng.short_row(x).items():
+        cx.add_generator(x, a2, long_gradings(eng.moves, x)[1])
+    for x, row in eng._short_rows([[x for x, _ in gens]]):
+        for y, coeff in row.items():
             cx.add_entry(x, y, coeff)
-    eng._rows.clear()
     return cx
+
+
+def engine_state(eng):
+    """The engine's attributes, by identity: unchanged by a call that keeps nothing."""
+    return {name: id(value) for name, value in vars(eng).items()}
 
 
 def kept_by_auto_skip(eng, n):
@@ -364,6 +413,54 @@ SHORT_COMPLEX_DIGESTS = {
     ("8_19", "Z2", "top"): "516f0e2c60027817390a4c00cc98f5bc8189254dc81b9955e6c33545cbe28a9b",
     ("8_20", "Z", "all"): "22175d444b40acb19eeba94a3520985dcdbcdff6e2e8fc0c2387bcf826a47afb",
 }
+
+
+#: SHA-256 (`short_complex_digest`) over Z of single Alexander slices of the
+#: grids the command line reaches past the crosscheck, at their default
+#: placement: the lowest and highest slices and the third from each end
+#: (which carry entries), recorded before the path engine was batched;
+#: packed keys and their order are checked at n = 9, 10 and 11
+LARGE_SLICE_DIGESTS = {
+    "7_1": (
+        ([1] * 7, 9),
+        {
+            -22: "ec3f62b66947f36644b98744bd3399cd922fef8d26742b543cb8710dcca036a4",
+            -18: "fca7fb7106cfc2de641d4eb2b835c37cf15f986fc06c9a8cc2039435bd14bfe4",
+            2: "f01a33712f87c663cac731204749287af9596346c163faa87af88c8d38faa7c3",
+            6: "af955fecb48c0ef4ec0e2a6a444e8c4347b3441dfe8fe0e744c50c1e64f00385",
+        },
+    ),
+    "T(3,7)": (
+        ([1, 2] * 7, 10),
+        {
+            -30: "19ffe603423e72dcc3a5e9dfc19043c8987516c1f4973ac92468265eda98a6b2",
+            -26: "797d2aaad4b1d44626aa3eea36e596e6e26cd04388fb7850a6a67a6e829133ed",
+            8: "857fa63e81ae294f48dd7fba329a72a25b0a96f62cdac2e07497be287f0998c3",
+            12: "c9134b159a76e0f5579a589ecfb7d1459ce31189f25f368199539dd3cd8edc0d",
+        },
+    ),
+    "T(2,9)": (
+        ([1] * 9, 11),
+        {
+            -28: "b6e979fca32a259bf2d5d51832d8042a1e3e6838780040ec5a36707e6249149d",
+            -24: "f9a49d60e9af277411ad357a5bc4f929dbb84d33706cf04f02b8edbefcca7f0c",
+            4: "1ac03d93b7b8af60eb0a3c50811f552462c2a3df223fb78d62d0164aa58fa1bf",
+            8: "36e34c99c6f988dc2e62988d75f392c6eaad60afd914e89d18cb0ec1701282e8",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_SLICE_DIGESTS))
+def test_large_grid_slices_are_pinned(name):
+    (word, n), pins = LARGE_SLICE_DIGESTS[name]
+    g = minimize(parse_braid(word))
+    assert g.n == n
+    eng = PathEngine(g)
+    a2s = list(eng.slice_sizes)
+    assert set(pins) == {a2s[0], a2s[2], a2s[-3], a2s[-1]}
+    for a2, digest in pins.items():
+        assert short_complex_digest(eng.short_complex("Z", {a2})) == digest, a2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
@@ -405,6 +502,7 @@ class TestPooledSlices:
             "all": None,
         }
         assert keeps["auto"] < slices
+        state = engine_state(eng)
         for ring in ("Z", "Z2"):
             for kept, keep in keeps.items():
                 pinned = SHORT_COMPLEX_DIGESTS[name, ring, kept]
@@ -420,7 +518,7 @@ class TestPooledSlices:
                 assert pools == ([(2,)] if len(keep or slices) > 1 else [])
                 pools.clear()
                 assert short_complex_digest(pooled) == pinned
-                assert not eng._rows
+                assert engine_state(eng) == state
         if name == "8_19":
             assert pooled.entry_count
 
@@ -470,7 +568,7 @@ class TestPooledSlices:
 
     def test_dead_worker_is_a_typed_failure(self, monkeypatch, two_cpus, capsys):
         monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
-        monkeypatch.setattr(PathEngine, "_slice_rows", lambda self, gens: os._exit(3))
+        monkeypatch.setattr(PathEngine, "_short_rows", lambda self, slices: os._exit(3))
         with pytest.raises(SliceWorkerDied):
             PathEngine(NONZERO_SHORT).short_complex()
         argv = ["--braid", "1 1 1 2 -1 2", "--strategy", "paths", "--crosscheck", "off"]

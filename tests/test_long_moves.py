@@ -1,10 +1,10 @@
-"""`LongMoves.row` against a direct per-target implementation.
+"""`LongMoves.rows` against a direct per-target implementation.
 
 The reference below recomputes every sign from dominance counts of the
 whole generator and scans every point and puncture for emptiness, target by
-target, with no per-row or per-point caching.  `LongMoves.row`, read
-through `encode` and `decode`, must agree with it entry for entry; Z/2
-complexes take these rows mod 2.
+target, with no per-row or per-point caching.  The batched rows of
+`LongMoves.rows`, read through `encode` and `decode`, must agree with it
+entry for entry and in the same order; Z/2 complexes take these rows mod 2.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
 from gridhfk.chains import Gen, LongMoves, _bigon_targets, oval_generators
-from gridhfk.errors import RectangleCornerMissing
+from gridhfk.errors import GridTooLarge, RectangleCornerMissing
 from gridhfk.gridkit import SCALE, dominance_count, parse_braid
 from gridhfk.ovalgeo import build_config, select_best_config
 from gridhfk.simplifier import minimize
@@ -79,9 +80,22 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
     return out
 
 
-def decoded_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
-    """`LongMoves.row` of a generator given and returned as point tuples."""
-    return {moves.decode(y): c for y, c in moves.row(moves.encode(x)).items()}
+def decoded_rows(moves: LongMoves, gens: list[Gen]) -> list[list[tuple[Gen, int]]]:
+    """`LongMoves.rows` of some generators, one batch, as ordered point-tuple entries."""
+    ids = np.array([moves.encode(x) for x in gens]).reshape(len(gens), -1)
+    owner, target, sign = moves.rows(ids)
+    assert (np.diff(owner) >= 0).all()  # grouped by owner, in order
+    rows: list[list[tuple[Gen, int]]] = [[] for _ in gens]
+    for o, y, c in zip(owner.tolist(), target.tolist(), sign.tolist()):
+        rows[o].append((moves.decode(tuple(y)), c))
+    return rows
+
+
+def assert_rows_match(moves: LongMoves, gens: list[Gen]) -> list[list]:
+    rows = decoded_rows(moves, gens)
+    for x, row in zip(gens, rows):
+        assert row == list(reference_row(moves, x).items()), x
+    return rows
 
 
 def random_generator(config, rng: random.Random) -> Gen:
@@ -113,36 +127,59 @@ def test_every_generator_of_random_long_configs(n, rng):
         assert g.n == n
         config = build_config(g, select_best_config(g).omit, "long")
         moves = LongMoves(config)
-        rows = 0
-        for x, _ in oval_generators(config):
-            assert decoded_row(moves, x) == reference_row(moves, x), (g, x)
-            rows += 1
-        assert rows == 4 ** (n - 1) * factorial(n - 1)
+        gens = [x for x, _ in oval_generators(config)]
+        assert_rows_match(moves, gens)
+        assert len(gens) == 4 ** (n - 1) * factorial(n - 1)
+
+
+def test_sampled_generators_of_random_size_six_configs(rng):
+    for _ in range(2):
+        g = random_knot_grid(rng, 6)
+        config = build_config(g, select_best_config(g).omit, "long")
+        moves = LongMoves(config)
+        assert_rows_match(moves, [random_generator(config, rng) for _ in range(500)])
+
+
+def test_packed_keys_sort_like_point_tuples(rng):
+    g = random_knot_grid(rng, 6)
+    config = build_config(g, select_best_config(g).omit, "long")
+    moves = LongMoves(config)
+    gens = sorted({random_generator(config, rng) for _ in range(2000)})
+    ids = np.array([moves.encode(x) for x in gens])
+    keys = moves.pack(ids)
+    assert (np.diff(keys) > 0).all()
+    assert (moves.unpack(keys) == ids).all()
 
 
 @pytest.mark.parametrize(
     "word, n",
-    [(BRAIDS["5_2"], 7), (BRAIDS["8_20"], 8), ([1] * 7, 9)],
-    ids=["5_2", "8_20", "7_1"],
+    [(word, None) for word in BRAIDS.values()] + [([1] * 7, 9)],
+    ids=[*BRAIDS, "7_1"],
 )
 def test_sampled_generators(word, n):
     g = minimize(parse_braid(word))
-    assert g.n == n
+    assert n is None or g.n == n
     config = build_config(g, select_best_config(g).omit, "long")
     moves = LongMoves(config)
     rng = random.Random(52)
-    entries = rectangles = 0
-    signs: set[int] = set()
-    for _ in range(3000):
-        x = random_generator(config, rng)
-        row = decoded_row(moves, x)
-        assert row == reference_row(moves, x), x
-        entries += len(row)
-        rectangles += sum(1 for y in row if len(set(x) - set(y)) == 2)
-        signs |= set(row.values())
-    # both move kinds and both signs are exercised
-    assert 0 < rectangles < entries
-    assert signs == {-1, 1}
+    gens = [random_generator(config, rng) for _ in range(3000)]
+    rows = assert_rows_match(moves, gens)
+    entries = sum(map(len, rows))
+    rectangles = sum(
+        1 for x, row in zip(gens, rows) for y, _ in row if len(set(x) - set(y)) == 2
+    )
+    signs = {c for row in rows for _, c in row}
+    # both move kinds and both signs are exercised, past the one-column
+    # unknot
+    assert (0 < rectangles < entries and signs == {-1, 1}) or g.n == 2
+
+
+def test_grids_past_the_packing_limit_are_refused():
+    # 13 columns: 12 kept columns of 48 points each need more than 63 bits
+    g = parse_braid([1] * 11)
+    assert g.n == 13
+    with pytest.raises(GridTooLarge):
+        LongMoves(build_config(g, select_best_config(g).omit, "long"))
 
 
 def test_missing_corner_is_a_typed_failure(rng):
@@ -154,6 +191,7 @@ def test_missing_corner_is_a_typed_failure(rng):
         for x, _ in oval_generators(config)
         if any(len(set(x) - set(y)) == 2 for y in reference_row(moves, x))
     )
+    # the empty rectangles are tabulated on first use, from the point ids
     moves.id_of = {}
     with pytest.raises(RectangleCornerMissing):
-        moves.row(x)
+        moves.rows(np.array([x]))

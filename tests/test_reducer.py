@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
 
+import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
@@ -266,10 +267,11 @@ class TestReduction:
                 for t, (srcs, dsts) in enumerate(pairs):
                     for a, b in zip(srcs, dsts):
                         expected[a] = expected[b] = (t, a)
+                event, source = engine._deaths(np.array([encode(x) for x in gens]))
                 deaths = {}
-                for x in gens:
-                    key = engine._death(encode(x))
-                    deaths[x] = key and (key[0], decode(key[1]))
+                for x, t, s in zip(gens, event.tolist(), source.tolist()):
+                    survives = t == engine.event_count
+                    deaths[x] = None if survives else (t, decode(tuple(s)))
                 assert deaths == {x: expected.get(x) for x in gens}
 
 
