@@ -23,7 +23,6 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import os
 from array import array
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -39,7 +38,6 @@ from .errors import (
     InvalidOmission,
     MissingDomain,
     ScheduleAssertionFailed,
-    SliceWorkerDied,
 )
 from .gridkit import SCALE, GridDiagram, Point
 from .ovalgeo import (
@@ -50,10 +48,6 @@ from .ovalgeo import (
 )
 
 Domain = dict[int, int]
-
-#: the fewest kept short generators whose slices are assembled on a
-#: process pool; below it, forking costs more than a second core saves
-PARALLEL_MIN_GENS = 2000
 
 
 class DomainSolver:
@@ -437,69 +431,22 @@ class PathEngine:
         """
         return self._short_rows([[x]])[0][1]
 
-    def _pooled_rows(self, slices: dict[int, list[Gen]], workers: int):
-        """Every slice's rows, pulled on ``workers`` forked processes.
-
-        The workers inherit this engine and the slices, so only a2 keys go
-        in and rows come out.  Slices are submitted largest first and
-        returned in the order of ``slices``.  A worker's exception reaches
-        the caller as it was raised, after pending slices are cancelled.
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_engine,
-            initargs=(self, slices),
-        )
-        try:
-            order = sorted(slices, key=lambda a2: len(slices[a2]), reverse=True)
-            futures = {a2: pool.submit(_pooled_slice_rows, a2) for a2 in order}
-            for future in as_completed(futures.values()):
-                future.result()
-            return [futures[a2].result() for a2 in slices]
-        except BrokenProcessPool as exc:
-            raise SliceWorkerDied(
-                f"a worker assembling Alexander slices died: {exc}"
-            ) from exc
-        finally:
-            pool.shutdown(cancel_futures=True)
-
     def short_complex(self, ring: str = "Z", keep_a2=None) -> SparseComplex:
         """The short complex with its differential counted along paths.
 
         Only the generators of the kept slices (None keeps all) are listed,
         by one `oval_generators` walk of the short configuration, and their
-        rows come from one closure (`_short_rows`).  The differential and
-        every retraction event preserve a2, so when the kept complex has at
-        least `PARALLEL_MIN_GENS` generators and the process may run on two
-        or more CPUs, the slices are pulled apart instead, one closure each,
-        on a pool of forked workers, one per CPU and at most one per slice
-        (none where the ``fork`` start method is missing).  Either way the
-        entries are added in slice order and, within a slice, in generator
-        order, so the complex is the same, insertion order included.
+        rows come from one closure (`_short_rows`), all in this process, in
+        slice order and, within a slice, in generator order.
         """
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
         for x, a2 in oval_generators(self.short_cfg, keep_a2):
             cx.add_generator(x, a2, self.moves.frame.maslov(x))
             slices.setdefault(a2, []).append(x)
-        workers = min(len(slices), _available_cpus())
-        if (
-            workers >= 2
-            and hasattr(os, "fork")
-            and cx.generator_count >= PARALLEL_MIN_GENS
-        ):
-            rows = self._pooled_rows(slices, workers)
-        else:
-            rows = [self._short_rows(list(slices.values()))]
-        for slice_rows in rows:
-            for x, row in slice_rows:
-                for y, coeff in row.items():
-                    cx.add_entry(x, y, coeff)
+        for x, row in self._short_rows(list(slices.values())):
+            for y, coeff in row.items():
+                cx.add_entry(x, y, coeff)
         return cx
 
 
@@ -566,24 +513,3 @@ def _among(keys: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
             at = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
             hit |= sorted_keys[at] == keys
     return hit
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-#: the engine and slices of the pool a forked worker belongs to
-_worker_job: tuple = ()
-
-
-def _adopt_engine(engine: PathEngine, slices: dict[int, list[Gen]]) -> None:
-    global _worker_job
-    _worker_job = (engine, slices)
-
-
-def _pooled_slice_rows(a2: int):
-    engine, slices = _worker_job
-    return engine._short_rows([slices[a2]])

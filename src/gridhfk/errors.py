@@ -118,7 +118,7 @@ class MissingDomain(GridHfkError):
 
 
 class SliceWorkerDied(GridHfkError):
-    """A worker process assembling Alexander slices ended without a result."""
+    """A worker process reducing Alexander slices ended without a result."""
 
 
 class GridTooLarge(GridHfkError):

@@ -15,8 +15,8 @@ later construction (intersection points of auxiliary curves, sub-cell
 evaluation points for winding numbers) then has exact integer coordinates and
 no floating point enters any computation.
 
-Besides the moves generating grid equivalence (cyclic permutation,
-commutation of adjacent parallel lines, destabilization),
+Besides the moves generating grid equivalence (commutation of adjacent
+parallel lines, destabilization; cyclic permutation through `canonical_key`),
 the module computes the Alexander polynomial from the matrix of winding
 numbers, used throughout the test-suite as an independent oracle: with
 ``w(i, j)`` the winding number of the curve around the lattice point
@@ -352,26 +352,6 @@ def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
 
 # --------------------------------------------------------------------------
 # Moves generating grid equivalence.
-
-
-def cyclic_row_shift(g: GridDiagram, k: int = 1) -> GridDiagram:
-    """Move every marking up by ``k`` rows around the torus."""
-    n = g.n
-    k %= n
-    return GridDiagram(
-        tuple((r + k) % n for r in g.xs),
-        tuple((r + k) % n for r in g.os),
-    )
-
-
-def cyclic_col_shift(g: GridDiagram, k: int = 1) -> GridDiagram:
-    """Move every marking right by ``k`` columns around the torus."""
-    n = g.n
-    k %= n
-    return GridDiagram(
-        tuple(g.xs[(c - k) % n] for c in range(n)),
-        tuple(g.os[(c - k) % n] for c in range(n)),
-    )
 
 
 def transpose(g: GridDiagram) -> GridDiagram:

@@ -178,42 +178,21 @@ def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfi
     return OvalConfig(g, omit, style, v_ovals, h_ovals, points)
 
 
-def generator_count(config: OvalConfig) -> int:
-    """Number of matchings weighted by available points: a small permanent."""
-    cols = config.kept_cols()
-    rows = config.kept_rows()
-    m = len(rows)
-    weights = [[len(config.points.get((c, r), ())) for r in rows] for c in cols]
-    dp = [0] * (1 << m)
-    dp[0] = 1
-    for mask in range(1 << m):
-        if dp[mask] == 0:
-            continue
-        i = bin(mask).count("1")
-        if i == len(cols):
-            continue
-        row_w = weights[i]
-        for j in range(m):
-            bit = 1 << j
-            if mask & bit or row_w[j] == 0:
-                continue
-            dp[mask | bit] += dp[mask] * row_w[j]
-    return dp[(1 << m) - 1]
-
-
 def select_best_config(g: GridDiagram) -> OvalConfig:
     """The short configuration with the fewest generators over the boundary O's.
 
     Only O's `on_boundary` are tried: at most four, and column 0 always
-    holds one.  Ties break toward the lexicographically least omitted cell, making the
-    choice deterministic.
+    holds one.  Generators are counted as the path engine counts its slices
+    (`chains.slice_sizes`).  Ties go to the lexicographically least cell.
     """
+    from .chains import slice_sizes  # chains builds on this module
+
     configs = (
         build_config(g, omit, "short")
         for omit in omission_candidates(g)
         if on_boundary(g, omit)
     )
-    return min(configs, key=generator_count)
+    return min(configs, key=lambda config: sum(slice_sizes(config).values()))
 
 
 # --------------------------------------------------------------------------
@@ -391,12 +370,6 @@ class Arrangement:
             self._piece[i - 1][j - 1],
             self._piece[i][j - 1],
         )
-
-    def corner_index(self, domain: dict[int, int], p: Point) -> int:
-        """``a_NE + a_SW - a_NW - a_SE`` of a domain at a crossing point."""
-        ne, nw, sw, se = self.corner_pieces(p)
-        get = domain.get
-        return get(ne, 0) + get(sw, 0) - get(nw, 0) - get(se, 0)
 
     def puncture_pieces(self) -> dict[Point, int]:
         """Piece containing each marking of the grid."""

@@ -9,7 +9,9 @@ The pipeline stages live here:
   once per grid size beyond one, leaving the knot invariant itself: one
   back-substitution from both ends of each diagonal, which also rebuilds
   up to n−1 consecutive Alexander slices that were never computed;
-* the derived invariants: Seifert genus, fiberedness, torsion-freeness.
+* the derived invariants: Seifert genus, fiberedness, torsion-freeness;
+* `slice_groups`, the one slice routine of `hfk_paths` (on a pool of
+  forked workers for large inputs) and `top_invariants`.
 
 Every computation is exact integer arithmetic; nothing here is floating
 point.
@@ -17,6 +19,7 @@ point.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 
@@ -27,6 +30,7 @@ from .errors import (
     InconsistentHomology,
     InconsistentTensor,
     InvalidInvariant,
+    SliceWorkerDied,
     UnderdeterminedSkip,
 )
 from .gridkit import GridDiagram
@@ -431,19 +435,91 @@ def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     return PipelineReport(table, h, "cells")
 
 
+#: the fewest kept short generators whose slices are reduced on a process
+#: pool; below it, forking costs more than a second core saves
+PARALLEL_MIN_GENS = 2000
+
+
+def slice_groups(engine: PathEngine, ring: str, keep_a2: set[int] | None) -> dict:
+    """The homology groups of some Alexander slices of the short complex.
+
+    The kept slices (None keeps all) are assembled in this process, reduced,
+    and their homology taken.  Over Z the reduced complex is also taken mod
+    2, and the two homologies must satisfy the universal coefficient theorem,
+    which holds slice by slice.
+    """
+    cx = engine.short_complex(ring, keep_a2)
+    reduce_fast(cx)
+    h = homology(cx)
+    if ring == "Z" and not universal_coefficients_consistent(h, homology(cx.mod2())):
+        raise CrosscheckFailed(
+            "integer and mod-2 homology of the short complex break the "
+            "universal coefficient theorem"
+        )
+    return h.groups
+
+
+#: in a forked worker, the engine and ring of its pool, set as it starts
+_worker_job: list = []
+
+
+def _kept_groups(engine: PathEngine, ring: str, keep_a2: set[int] | None) -> dict:
+    """`slice_groups` of the kept slices: in one call, or one task per slice.
+
+    The pool has one forked worker per CPU, at most one per slice, and runs
+    when the slices hold at least `PARALLEL_MIN_GENS` generators and two or
+    more CPUs are free (never without ``fork``).  Workers inherit the engine:
+    a2 keys go in, groups come out, merged in a2 order.  Slices go largest
+    first; a worker's exception reaches the caller as it was raised, after
+    pending slices are cancelled.
+    """
+    sizes = engine.slice_sizes
+    kept = [a2 for a2 in sizes if keep_a2 is None or a2 in keep_a2]
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(len(kept), cpus) if hasattr(os, "fork") else 1
+    if workers < 2 or sum(map(sizes.get, kept)) < PARALLEL_MIN_GENS:
+        return slice_groups(engine, ring, keep_a2)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_worker_job.extend,
+        initargs=((engine, ring),),
+    )
+    try:
+        order = sorted(kept, key=sizes.get, reverse=True)
+        futures = {a2: pool.submit(_pooled_slice_groups, a2) for a2 in order}
+        for future in as_completed(futures.values()):
+            future.result()
+        return {k: grp for a2 in kept for k, grp in futures[a2].result().items()}
+    except BrokenProcessPool as exc:
+        raise SliceWorkerDied(f"a worker reducing Alexander slices died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pooled_slice_groups(a2: int) -> dict:
+    return slice_groups(*_worker_job, {a2})
+
+
 def hfk_paths(
     g: GridDiagram,
     ring: str = "Z",
     skip: str = "none",
     omit: tuple[int, int] | None = None,
 ) -> PipelineReport:
-    """The cancellation-path pipeline: short rows pulled lazily.
+    """The cancellation-path pipeline: short rows pulled lazily, slice by slice.
 
-    Short-complex generators are enumerated directly; each row of the
-    differential is assembled by following cancellation paths through the
-    long complex on demand, so the long complex is never materialized.
-    Over Z the reduced complex is also taken mod 2, and the two homologies
-    must satisfy the universal coefficient theorem.
+    The engine counts the generators of each Alexander slice without listing
+    any.  The differential and every retraction event preserve a2, so the
+    homology is the direct sum of the slices' (`slice_groups`, which over Z
+    also checks the universal coefficient theorem).  Large inputs reduce
+    each slice on its own forked worker (`_kept_groups`), so this process
+    never lists a generator.
     """
     if skip not in ("auto", "none"):
         raise ValueError(f"unknown skip policy {skip!r}")
@@ -451,17 +527,8 @@ def hfk_paths(
     sizes = engine.slice_sizes
     skipped = auto_skip(sizes, g.n) if skip == "auto" else set()
     keep = set(sizes) - skipped if skipped else None
-    cx = engine.short_complex(ring, keep_a2=keep)
-    reduce_fast(cx)
-    h = homology(cx)
-    checks: tuple[str, ...] = ()
-    if ring == "Z":
-        if not universal_coefficients_consistent(h, homology(cx.mod2())):
-            raise CrosscheckFailed(
-                "integer and mod-2 homology of the short complex break the "
-                "universal coefficient theorem"
-            )
-        checks = ("universal coefficients Z vs Z/2: ok",)
+    h = HomologyResult(ring, _kept_groups(engine, ring, keep))
+    checks = ("universal coefficients Z vs Z/2: ok",) if ring == "Z" else ()
     table = make_table(reconstruct_skipped(h, skipped, g.n), ring)
     return PipelineReport(table, h, "ovals-paths", checks=checks)
 
@@ -469,10 +536,7 @@ def hfk_paths(
 def _first_nonzero_slice(engine: PathEngine, ring: str, order) -> tuple[int, dict]:
     """The first a2 in ``order`` whose short slice has nonzero homology."""
     for a2 in order:
-        cx = engine.short_complex(ring, keep_a2={a2})
-        reduce_fast(cx)
-        groups = homology(cx).groups
-        if groups:
+        if groups := slice_groups(engine, ring, {a2}):
             return a2, groups
     raise InvalidInvariant("every Alexander slice has zero homology")
 
@@ -488,10 +552,10 @@ def top_invariants(
     down, so at the globally highest nonzero Alexander slice the slice
     homology already equals the invariant there: `make_table` reads the
     genus and fiberedness from it as from a full table.  The short complex
-    has the homology of the long one slice by slice, so the scan pulls
-    short slices from the path engine, from the top a2 of the short
-    generators downward, and stops at the first one with nonzero homology;
-    the larger middle slices are never built.
+    has the homology of the long one slice by slice, so the scan runs
+    `slice_groups` (over Z with its universal-coefficients check) on one
+    short slice at a time, from the top a2 downward, and stops at the first
+    one with nonzero homology; the larger middle slices are never built.
 
     The lowest nonzero slice is found the same way, from the bottom up.
     It holds the invariant's bottom group shifted by the whole factor, so

@@ -79,6 +79,26 @@ def stabilize(g: GridDiagram, r0: int, ci: int, kind: str = "XO") -> GridDiagram
     return GridDiagram(tuple(xs), tuple(os))
 
 
+def cyclic_row_shift(g: GridDiagram, k: int = 1) -> GridDiagram:
+    """Move every marking up by ``k`` rows around the torus."""
+    n = g.n
+    k %= n
+    return GridDiagram(
+        tuple((r + k) % n for r in g.xs),
+        tuple((r + k) % n for r in g.os),
+    )
+
+
+def cyclic_col_shift(g: GridDiagram, k: int = 1) -> GridDiagram:
+    """Move every marking right by ``k`` columns around the torus."""
+    n = g.n
+    k %= n
+    return GridDiagram(
+        tuple(g.xs[(c - k) % n] for c in range(n)),
+        tuple(g.os[(c - k) % n] for c in range(n)),
+    )
+
+
 def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
     """A nontrivial knot of grid size at most ``max_n``.
 

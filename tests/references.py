@@ -18,7 +18,11 @@ something independent to agree with:
 * `mos_generators` spells out the rectangle complex's generators as point
   tuples, so a complex keyed by permutation rank can be compared with one
   keyed by points;
-* `euler_discrepancy` and `validate_periodic_domains` check an oval
+* `generator_count` counts the generators of an oval configuration as a
+  small permanent, independently of the row-mask table of
+  `chains.slice_sizes`;
+* `corner_index` reads a domain's corner index at a crossing, and
+  `euler_discrepancy` and `validate_periodic_domains` check an oval
   arrangement against the Euler formula and the periodic domains of its
   ovals.
 """
@@ -43,7 +47,13 @@ from gridhfk.gridkit import (
     laurent_determinant,
     maslov,
 )
-from gridhfk.ovalgeo import Arrangement, Oval, build_config, retraction_schedule
+from gridhfk.ovalgeo import (
+    Arrangement,
+    Oval,
+    OvalConfig,
+    build_config,
+    retraction_schedule,
+)
 
 
 def reduce_faithful(
@@ -176,6 +186,36 @@ def mos_generators(g: GridDiagram) -> list[tuple]:
     return [tuple(map(list.__getitem__, points, p)) for p in _permutations(n)[0].tolist()]
 
 
+def generator_count(config: OvalConfig) -> int:
+    """Number of matchings weighted by available points: a small permanent."""
+    cols = config.kept_cols()
+    rows = config.kept_rows()
+    m = len(rows)
+    weights = [[len(config.points.get((c, r), ())) for r in rows] for c in cols]
+    dp = [0] * (1 << m)
+    dp[0] = 1
+    for mask in range(1 << m):
+        if dp[mask] == 0:
+            continue
+        i = bin(mask).count("1")
+        if i == len(cols):
+            continue
+        row_w = weights[i]
+        for j in range(m):
+            bit = 1 << j
+            if mask & bit or row_w[j] == 0:
+                continue
+            dp[mask | bit] += dp[mask] * row_w[j]
+    return dp[(1 << m) - 1]
+
+
+def corner_index(arr: Arrangement, domain: dict[int, int], p) -> int:
+    """``a_NE + a_SW - a_NW - a_SE`` of a domain at a crossing point."""
+    ne, nw, sw, se = arr.corner_pieces(p)
+    get = domain.get
+    return get(ne, 0) + get(sw, 0) - get(nw, 0) - get(se, 0)
+
+
 def euler_discrepancy(arr: Arrangement) -> int:
     """Zero when the piece count satisfies the transversal-curves Euler formula.
 
@@ -227,7 +267,7 @@ def validate_periodic_domains(arr: Arrangement) -> None:
                 f"{oval.kind}{oval.index} contains {len(inside)} punctures, expected 2"
             )
         for p in crossings:
-            if arr.corner_index(domain, p) != 0:
+            if corner_index(arr, domain, p) != 0:
                 raise ScheduleAssertionFailed(
                     f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
                 )

@@ -10,7 +10,13 @@ import time
 
 import pytest
 
-from conftest import BRAIDS, random_grid, stabilize
+from conftest import (
+    BRAIDS,
+    cyclic_col_shift,
+    cyclic_row_shift,
+    random_grid,
+    stabilize,
+)
 from references import (
     enumerated_long_euler,
     faithful_short,
@@ -33,8 +39,6 @@ from gridhfk.gridkit import (
     alexander_polynomial,
     castle_columns,
     castle_rows,
-    cyclic_col_shift,
-    cyclic_row_shift,
     parse_braid,
 )
 from gridhfk.ovalgeo import (

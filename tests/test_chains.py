@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import enumerated_long_euler, long_euler, long_gradings, mos_generators
+from references import (
+    enumerated_long_euler,
+    generator_count,
+    long_euler,
+    long_gradings,
+    mos_generators,
+)
 from test_cells_oracle import reference_sign, table_sign
 from gridhfk import chains, domains_paths, ovalgeo
 from gridhfk.chains import (
@@ -45,7 +51,6 @@ from gridhfk.gridkit import (
 )
 from gridhfk.ovalgeo import (
     build_config,
-    generator_count,
     omission_candidates,
     on_boundary,
     select_best_config,

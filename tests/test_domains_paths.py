@@ -9,13 +9,14 @@ import pytest
 
 from conftest import BRAIDS, random_grid
 from references import (
+    corner_index,
     faithful_short,
     long_gradings,
     short_complex_digest,
     validate_periodic_domains,
 )
 
-from gridhfk import domains_paths
+from gridhfk import domains_paths, reducer
 from gridhfk.chains import SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
@@ -39,8 +40,10 @@ from gridhfk.reducer import (
     auto_skip,
     deconvolve,
     hfk_cells,
+    hfk_paths,
     homology,
     make_table,
+    reduce_fast,
 )
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
@@ -115,10 +118,10 @@ class TestFindDomain:
         assert sorted(domain.values()) == [1]
         # corner indices of the found domain: +1 at the source point,
         # -1 at the target point, 0 at the other two crossings
-        assert arr.corner_index(domain, (3, 6)) == 1
-        assert arr.corner_index(domain, (3, 4)) == -1
-        assert arr.corner_index(domain, (7, 4)) == 0
-        assert arr.corner_index(domain, (7, 6)) == 0
+        assert corner_index(arr, domain, (3, 6)) == 1
+        assert corner_index(arr, domain, (3, 4)) == -1
+        assert corner_index(arr, domain, (7, 4)) == 0
+        assert corner_index(arr, domain, (7, 6)) == 0
 
     def test_punctured_cap_has_no_domain(self):
         # the reverse of the bigon flip would sweep the punctured cap
@@ -465,7 +468,8 @@ def test_large_grid_slices_are_pinned(name):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
 class TestPooledSlices:
-    """`short_complex` on a process pool: same complex, same checks."""
+    """`hfk_paths` on a process pool: each worker reduces its own slices, and
+    the groups, the checks and the failures are those of one process."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
@@ -473,7 +477,7 @@ class TestPooledSlices:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Counts the executors `short_complex` creates."""
+        """Counts the executors `hfk_paths` creates."""
         created = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -491,6 +495,24 @@ class TestPooledSlices:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
+    @pytest.fixture
+    def in_workers_only(self, monkeypatch):
+        """Makes ``name`` of ``owner`` raise in this process; forked workers
+        inherit the patch and run the original."""
+        parent = os.getpid()
+
+        def patch(owner, name):
+            original = getattr(owner, name)
+
+            def guarded(*args, **kwargs):
+                if os.getpid() == parent:
+                    raise RuntimeError(f"{name} ran in the main process")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, guarded)
+
+        return patch
+
     @pytest.mark.parametrize("name", ["figure8", "5_2", "8_19"])
     def test_pooled_complex_is_identical(self, name, monkeypatch, two_cpus, pools):
         g = minimize(parse_braid(BRAIDS[name]))
@@ -502,62 +524,97 @@ class TestPooledSlices:
             "all": None,
         }
         assert keeps["auto"] < slices
+        # the pool reads the slice sizes, which the engine caches
+        assert set(eng.slice_sizes) == slices
         state = engine_state(eng)
         for ring in ("Z", "Z2"):
             for kept, keep in keeps.items():
                 pinned = SHORT_COMPLEX_DIGESTS[name, ring, kept]
-                monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 10**9)
+                monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 10**9)
                 sequential = eng.short_complex(ring, keep)
                 assert not pools
                 assert short_complex_digest(sequential) == pinned
                 # the engine's one walk, filtered, is the pruned walk
                 assert ordered(sequential) == ordered(walk_order_complex(eng, ring, keep))
-                monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
-                pooled = eng.short_complex(ring, keep)
+                inline = reducer._kept_groups(eng, ring, keep)
+                assert not pools
+                assert inline == reducer.slice_groups(eng, ring, keep)
+                monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
+                pooled = reducer._kept_groups(eng, ring, keep)
                 # a single slice is never pooled
                 assert pools == ([(2,)] if len(keep or slices) > 1 else [])
                 pools.clear()
-                assert short_complex_digest(pooled) == pinned
+                assert pooled == inline
                 assert engine_state(eng) == state
         if name == "8_19":
-            assert pooled.entry_count
+            assert sequential.entry_count and pooled
 
     def test_pooled_8_20_is_pinned(self, two_cpus, pools):
-        eng = PathEngine(minimize(parse_braid(BRAIDS["8_20"])))
-        cx = eng.short_complex("Z")
-        assert pools == [(2,)]
+        g = minimize(parse_braid(BRAIDS["8_20"]))
+        cx = PathEngine(g).short_complex("Z")
+        assert not pools  # the engine assembles in this process
         assert (cx.generator_count, cx.entry_count) == (4480, 4464)
         assert short_complex_digest(cx) == SHORT_COMPLEX_DIGESTS["8_20", "Z", "all"]
+        report = hfk_paths(g, "Z")
+        assert pools == [(2,)]
+        reduce_fast(cx)
+        assert report.homology.groups == homology(cx).groups
+
+    def test_main_process_lists_no_generator(
+        self, monkeypatch, two_cpus, pools, in_workers_only
+    ):
+        g = minimize(parse_braid(BRAIDS["5_2"]))
+        inline = {
+            (ring, skip): hfk_paths(g, ring, skip)
+            for ring in ("Z", "Z2")
+            for skip in ("none", "auto")
+        }
+        assert not pools
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
+        in_workers_only(PathEngine, "short_complex")
+        in_workers_only(domains_paths, "oval_generators")
+        for (ring, skip), report in inline.items():
+            pooled = hfk_paths(g, ring, skip)
+            assert pooled.table == report.table and pooled.checks == report.checks
+            assert pooled.homology == report.homology
+        assert pools == [(2,)] * len(inline)
+        # the guard is in place: an inline run reaches it
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 10**9)
+        with pytest.raises(RuntimeError, match="short_complex ran in the main process"):
+            hfk_paths(g)
 
     def test_one_cpu_never_pools(self, monkeypatch, no_pool):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
-        assert PathEngine(NONZERO_SHORT).short_complex().entry_count == 32
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
+        assert hfk_paths(NONZERO_SHORT).table == hfk_cells(NONZERO_SHORT).table
 
     def test_small_complex_never_pools(self, monkeypatch, two_cpus, no_pool):
-        eng = PathEngine(minimize(parse_braid(BRAIDS["8_19"])))
-        assert eng.short_complex().generator_count < domains_paths.PARALLEL_MIN_GENS
+        g = minimize(parse_braid(BRAIDS["8_19"]))
+        assert sum(PathEngine(g).slice_sizes.values()) < reducer.PARALLEL_MIN_GENS
+        table = hfk_paths(g).table
         # the refusing executor is in place: lowering the threshold reaches it
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
         with pytest.raises(RuntimeError, match="executor was created"):
-            eng.short_complex()
+            hfk_paths(g)
+        assert table == hfk_cells(g).table
 
     def test_one_slice_never_pools(self, monkeypatch, two_cpus, no_pool):
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
         eng = PathEngine(NONZERO_SHORT)
         a2 = next(a2 for _, a2 in oval_generators(eng.short_cfg))
         assert eng.short_complex(keep_a2={a2}).generator_count
+        assert reducer._kept_groups(eng, "Z", {a2}) == reducer.slice_groups(eng, "Z", {a2})
 
     def test_worker_failure_keeps_its_type(self, monkeypatch, two_cpus):
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
         monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
         with pytest.raises(MissingDomain, match="has no domain") as info:
-            PathEngine(NONZERO_SHORT).short_complex()
+            hfk_paths(NONZERO_SHORT)
         # raised in a worker: the pool attaches the worker's traceback
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
     def test_worker_failure_through_main(self, monkeypatch, two_cpus, capsys):
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
         monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
         word = " ".join(map(str, BRAIDS["8_19"]))
         argv = ["--braid", word, "--strategy", "paths", "--crosscheck", "off"]
@@ -567,10 +624,19 @@ class TestPooledSlices:
         assert "Traceback" not in err
 
     def test_dead_worker_is_a_typed_failure(self, monkeypatch, two_cpus, capsys):
-        monkeypatch.setattr(domains_paths, "PARALLEL_MIN_GENS", 0)
-        monkeypatch.setattr(PathEngine, "_short_rows", lambda self, slices: os._exit(3))
+        parent = os.getpid()
+
+        def die(self, slices):
+            # only ever reached in a forked worker: exiting here in the
+            # main process would end the test run
+            if os.getpid() == parent:
+                raise RuntimeError("short rows pulled in the main process")
+            os._exit(3)
+
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
+        monkeypatch.setattr(PathEngine, "_short_rows", die)
         with pytest.raises(SliceWorkerDied):
-            PathEngine(NONZERO_SHORT).short_complex()
+            hfk_paths(NONZERO_SHORT)
         argv = ["--braid", "1 1 1 2 -1 2", "--strategy", "paths", "--crosscheck", "off"]
         assert main(argv) == 1
         err = capsys.readouterr().err

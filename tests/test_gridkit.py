@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import BRAIDS, random_grid, stabilize
+from conftest import (
+    BRAIDS,
+    cyclic_col_shift,
+    cyclic_row_shift,
+    random_grid,
+    stabilize,
+)
 from gridhfk import gridkit
 from gridhfk.errors import (
     CoincidentDecorations,
@@ -26,8 +32,6 @@ from gridhfk.gridkit import (
     castle_rows,
     column_destabilization_sites,
     component_count,
-    cyclic_col_shift,
-    cyclic_row_shift,
     destabilize_column,
     destabilize_row,
     format_grid_text,

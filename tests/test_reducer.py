@@ -593,6 +593,26 @@ class TestTopInvariants:
             with pytest.raises(CrosscheckFailed, match="mirror"):
                 top_invariants(g, ring)
 
+    def test_wrong_mod2_homology_fails_over_z(self, monkeypatch):
+        # every slice the scan reads is checked against its mod-2 homology
+        mod2 = SparseComplex.mod2
+        copies = []
+
+        def extra_generator(self):
+            other = mod2(self)
+            other.add_generator(("extra",), 0, 0)
+            copies.append(other)
+            return other
+
+        monkeypatch.setattr(SparseComplex, "mod2", extra_generator)
+        g = minimize(parse_braid(BRAIDS["trefoil"]))
+        with pytest.raises(CrosscheckFailed, match="universal coefficient"):
+            top_invariants(g, "Z")
+        assert len(copies) == 1  # the first slice read fails the run
+        # over Z/2 there is no second ring to compare with
+        assert top_invariants(g, "Z2") == (1, True)
+        assert len(copies) == 1
+
 
 class TestOneWalk:
     """A run counts its slices without listing a generator, then walks the
