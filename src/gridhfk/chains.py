@@ -39,12 +39,10 @@ from itertools import permutations
 import numpy as np
 
 from .errors import (
-    AlexanderConstantInvalid,
     BoundarySquareNonzero,
     DuplicateGenerator,
     GradingViolation,
     GridTooLarge,
-    InvalidOmission,
     NonUnitPivot,
     RectangleCornerMissing,
     SignAssignmentFailed,
@@ -54,38 +52,13 @@ from .gridkit import (
     SCALE,
     GridDiagram,
     Point,
+    alexander2_dominance,
     dominance_count,
 )
-from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config
+from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config, column_span, row_span
 
 #: An oval generator: the sorted tuple of its points (scaled coordinates).
 Gen = tuple[Point, ...]
-
-
-# --------------------------------------------------------------------------
-# gradings
-
-
-def alexander2_dominance(
-    points: tuple[Point, ...],
-    x_punct: tuple[Point, ...],
-    o_punct: tuple[Point, ...],
-    n: int,
-) -> int:
-    """Doubled Alexander grading of a cell or oval generator, by dominance counts.
-
-    Linear in ``points`` beyond the ``points == ()`` constant, so each point
-    adds a term of its own: minus twice its winding number.
-    """
-    return (
-        dominance_count(points, x_punct)
-        + dominance_count(x_punct, points)
-        - dominance_count(points, o_punct)
-        - dominance_count(o_punct, points)
-        - dominance_count(x_punct, x_punct)
-        + dominance_count(o_punct, o_punct)
-        - (n - 1)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +85,32 @@ class SparseComplex:
         self.cols: dict[Hashable, dict[Hashable, int]] = {}
 
     # -- construction
+
+    @classmethod
+    def from_arrays(cls, ring, gens, gradings, src, dst, coeff) -> "SparseComplex":
+        """The complex on ``gens``, graded by ``gradings`` in the same order,
+        with the entry ``gens[src[k]] -> gens[dst[k]]`` of ``coeff[k]`` for
+        each ``k`` (integer arrays; no pair may repeat).
+
+        The same dicts, in the same order, as `add_generator` and then
+        `add_entry` would build, in one pass: over Z/2 the coefficients are
+        reduced mod 2, and zero entries are dropped.
+        """
+        cx = cls(ring)
+        cx.grading = dict(zip(gens, gradings))
+        if len(cx.grading) != len(gens):
+            raise DuplicateGenerator("a generator is listed twice")
+        cx.rows = {x: {} for x in gens}
+        cx.cols = {x: {} for x in gens}
+        # rows and columns by position: an entry hashes only the labels it stores
+        rows, cols = list(cx.rows.values()), list(cx.cols.values())
+        if ring == "Z2":
+            coeff = coeff & 1
+        live = np.flatnonzero(coeff)
+        for s, t, c in zip(src[live].tolist(), dst[live].tolist(), coeff[live].tolist()):
+            rows[s][gens[t]] = c
+            cols[t][gens[s]] = c
+        return cx
 
     def add_generator(self, gen: Hashable, a2: int, m: int) -> None:
         if gen in self.grading:
@@ -356,7 +355,7 @@ def _spin_lifts(n: int) -> np.ndarray:
             parents = table[_swap_ranks(n, sub, k, k + 1)].astype(work)
             lifted = _times_diff(parents, action, k, k + 1)
             if np.abs(lifted).max() > limit:
-                raise OverflowError(f"spin lift coefficient exceeds {store.__name__}")
+                raise SignAssignmentFailed(f"spin lift exceeds {store.__name__}")
             table[sub] = lifted
     table.flags.writeable = False
     return table
@@ -459,11 +458,12 @@ def _marking_free(g: GridDiagram) -> np.ndarray:
 def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doubled Alexander and Maslov gradings of every cell generator.
 
-    The dominance counts of `alexander2_dominance` and `gridkit.maslov`, with
-    generator ``p`` placing its points at ``(SCALE*k, SCALE*p[k])`` and the
-    markings at cell centres: a point is southwest of the marking in column
-    ``c`` and row ``r`` iff ``k <= c`` and ``p[k] <= r``, and the marking
-    is southwest of the point iff ``c < k`` and ``r < p[k]``.
+    The dominance counts of `alexander2_dominance` and of the Maslov grading
+    ``I(x, x) - I(x, O) - I(O, x) + I(O, O) + 1``, with generator ``p``
+    placing its points at ``(SCALE*k, SCALE*p[k])`` and the markings at cell
+    centres: a point is southwest of the marking in column ``c`` and row
+    ``r`` iff ``k <= c`` and ``p[k] <= r``, and the marking is southwest of
+    the point iff ``c < k`` and ``r < p[k]``.
     """
     n = g.n
     k = np.arange(n)[:, None, None]
@@ -477,12 +477,10 @@ def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.nd
         return table[cols, perms].sum(axis=1)
 
     x_p, o_p = g.x_punctures(), g.o_punctures()
-    oo = dominance_count(o_p, o_p)
-    xx = dominance_count(x_p, x_p)
     with_o = against(g.os)
     rising = n * (n - 1) // 2 - _inversions(perms)
-    a2 = against(g.xs) - with_o - xx + oo - (n - 1)
-    m = rising - with_o + oo + 1
+    a2 = against(g.xs) - with_o + alexander2_dominance((), x_p, o_p, n)
+    m = rising - with_o + dominance_count(o_p, o_p) + 1
     return a2, m
 
 
@@ -511,25 +509,17 @@ def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
         a, b = perms[:, i], perms[:, j]
         inner = free[i, j, a, b] & inner_empty[:, col]
         wraps = free[j, i, b, a] & wraps_empty[:, col]
-        if signed:
-            live = np.flatnonzero(inner | wraps)
-            sign = _edge_signs(n, live, target[live, col], i, j)
-            coeff[live, col] = sign * (inner[live].astype(np.int8) - wraps[live])
-        else:
-            coeff[:, col] = inner ^ wraps
+        # over Z/2 a lone wrapping rectangle's -1 is reduced to 1 (`from_arrays`)
+        live = np.flatnonzero(inner | wraps)
+        sign = _edge_signs(n, live, target[live, col], i, j) if signed else 1
+        coeff[live, col] = sign * (inner[live].astype(np.int8) - wraps[live])
 
-    # one int object per rank, shared by every dict keyed by it
-    gens = list(range(len(perms)))
     a2, m = _cell_gradings(g, perms)
-    cx = SparseComplex(ring)
-    cx.grading = dict(zip(gens, zip(a2.tolist(), m.tolist())))
-    rows = cx.rows = {x: {} for x in gens}
-    cols = cx.cols = {x: {} for x in gens}
     src, col = np.nonzero(coeff)
-    for s, t, c in zip(src.tolist(), target[src, col].tolist(), coeff[src, col].tolist()):
-        x, y = gens[s], gens[t]
-        rows[x][y] = c
-        cols[y][x] = c
+    # one int object per rank, shared by every dict keyed by it
+    gens, gradings = list(range(len(perms))), zip(a2.tolist(), m.tolist())
+    dst, coeff = target[src, col], coeff[src, col]
+    cx = SparseComplex.from_arrays(ring, gens, gradings, src, dst, coeff)
     if signed:
         cx.assert_entries_unit()
     return cx
@@ -537,118 +527,6 @@ def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
 
 # --------------------------------------------------------------------------
 # oval complex
-
-
-class _OvalFrame:
-    """Per-configuration tables shared by generator and boundary builders."""
-
-    def __init__(self, config: OvalConfig):
-        self.config = config
-        g = config.grid
-        self.grid = g
-        self.cols = config.kept_cols()
-        self.rows = config.kept_rows()
-        # a generator matches every kept column to its own kept row
-        if len(self.cols) != len(self.rows):
-            raise InvalidOmission(
-                f"omitting {config.omit} leaves {len(self.cols)} vertical and "
-                f"{len(self.rows)} horizontal ovals; the configuration must be square"
-            )
-        self.o_punct = g.o_punctures()
-        self.punctures = g.punctures()
-        x_punct = g.x_punctures()
-        self.const2 = alexander2_dominance((), x_punct, self.o_punct, g.n)
-        # every point contributes an even amount (minus twice its winding
-        # number), so all generators share the constant's parity; integral
-        # Alexander gradings force it
-        if self.const2 % 2:
-            raise AlexanderConstantInvalid("odd doubled-Alexander constant")
-        #: per-point doubled Alexander contribution, and Maslov contribution:
-        #: minus the O's strictly northeast or southwest of the point
-        o_punct = self.o_punct
-        self.a2_of: dict[Point, int] = {}
-        self.m_of: dict[Point, int] = {}
-        for pts in config.points.values():
-            for p in pts:
-                with_o = dominance_count((p,), o_punct) + dominance_count(o_punct, (p,))
-                with_x = dominance_count((p,), x_punct) + dominance_count(x_punct, (p,))
-                self.a2_of[p] = with_x - with_o
-                self.m_of[p] = -with_o
-        #: the Maslov grading's constant, I(O, O)
-        self.m_const = dominance_count(o_punct, o_punct)
-        #: puncture rows per column and columns per row (scaled centers)
-        self.col_punct: dict[int, tuple[int, ...]] = {
-            c: (SCALE * g.xs[c] + CENTER, SCALE * g.os[c] + CENTER) for c in range(g.n)
-        }
-        row_of: dict[int, list[int]] = {r: [] for r in range(g.n)}
-        for c in range(g.n):
-            row_of[g.xs[c]].append(SCALE * c + CENTER)
-            row_of[g.os[c]].append(SCALE * c + CENTER)
-        self.row_punct = {r: tuple(sorted(v)) for r, v in row_of.items()}
-
-    def maslov(self, x: Gen) -> int:
-        """Maslov grading of a generator whose points lie on this frame.
-
-        ``I(x, x) - I(x, O) - I(O, x) + I(O, O)``, in one pass over ``x``.
-        The points of ``x`` sort by column and lie on distinct horizontal
-        ovals, so ``I(x, x)`` counts, for each point, the earlier points in
-        lower rows: a popcount of the row bits seen so far.
-        """
-        m_of = self.m_of
-        seen = 0
-        total = self.m_const
-        for p in x:
-            bit = 1 << (p[1] // SCALE)
-            total += (seen & (bit - 1)).bit_count() + m_of[p]
-            seen |= bit
-        return total
-
-
-def _column_choices(frame: _OvalFrame):
-    """Per kept column, ``(row index, [(point, a2 contribution)])`` of each
-    kept row whose oval meets it: the branches of the generator walk."""
-    choices: list[list[tuple[int, list[tuple[Point, int]]]]] = []
-    for c in frame.cols:
-        per_row = []
-        for ri, r in enumerate(frame.rows):
-            pts = frame.config.points.get((c, r), ())
-            if pts:
-                per_row.append((ri, [(p, frame.a2_of[p]) for p in pts]))
-        choices.append(per_row)
-    return choices
-
-
-def _rest_sums(choices) -> list[dict[int, int]]:
-    """For each bitmask of used rows, the a2 sums the remaining columns reach.
-
-    Columns are matched in order, so a mask with ``d`` bits set has matched
-    the first ``d`` columns; its entry maps each sum of the contributions
-    of columns ``d..k-1`` over the unused rows to its number of generators.
-    Built bottom-up from the full mask: setting a bit raises the mask.
-    """
-    k = len(choices)
-    full = (1 << k) - 1
-    table: list[dict[int, int]] = [{} for _ in range(full)] + [{0: 1}]
-    for mask in range(full - 1, -1, -1):
-        sums = table[mask]
-        for ri, pts in choices[mask.bit_count()]:
-            if mask >> ri & 1:
-                continue
-            below = table[mask | 1 << ri]
-            for _, w in pts:
-                for s, count in below.items():
-                    sums[s + w] = sums.get(s + w, 0) + count
-    return table
-
-
-def slice_sizes(config: OvalConfig) -> dict[int, int]:
-    """Number of generators in each nonempty a2 slice, by a2, ascending.
-
-    Read from the row-mask table of `_rest_sums`, so no generator is listed.
-    """
-    frame = _OvalFrame(config)
-    sums = _rest_sums(_column_choices(frame))[0]
-    return {frame.const2 + s: sums[s] for s in sorted(sums)}
 
 
 def oval_generators(
@@ -659,26 +537,29 @@ def oval_generators(
     A generator chooses a bijection from kept columns to kept rows and one
     intersection point of each matched oval pair.  When ``keep_a2`` is
     given, a branch is pruned exactly when none of its completions has a
-    kept a2 (read from the row-mask table of `_rest_sums`; the a2 grading
-    is a sum of per-point contributions plus a diagram constant), so every
-    branch walked emits a generator.  The order is the same either way.
+    kept a2, so every branch walked emits a generator.  The order is the
+    same either way.  The branches (`OvalConfig.column_choices`) and the
+    row-mask table the pruning reads (`OvalConfig.rest_sums`; the a2
+    grading is a sum of per-point terms plus a diagram constant) are the
+    configuration's own, built on first use and kept, so walking one
+    configuration slice by slice builds them once.
     """
-    frame = _OvalFrame(config)
-    choices = _column_choices(frame)
+    choices = config.column_choices
+    const2 = config.const2
     k = len(choices)
     # per row mask, the a2 sums of the matched columns from which the
     # remaining ones can still reach a kept a2
     allowed = None
     if keep_a2 is not None:
-        targets = {a2 - frame.const2 for a2 in keep_a2}
-        allowed = [{t - s for s in sums for t in targets} for sums in _rest_sums(choices)]
+        targets = {a2 - const2 for a2 in keep_a2}
+        allowed = [{t - s for s in sums for t in targets} for sums in config.rest_sums]
 
     out: list[tuple[Gen, int]] = []
     picked: list[Point] = []
 
     def walk(depth: int, used: int, acc: int) -> None:
         if depth == k:
-            out.append((tuple(sorted(picked)), acc + frame.const2))
+            out.append((tuple(sorted(picked)), acc + const2))
             return
         for ri, pts in choices[depth]:
             bit = 1 << ri
@@ -698,14 +579,14 @@ def oval_generators(
 def a2_range(config: OvalConfig) -> tuple[int, int]:
     """The least and the greatest a2 grading of the configuration's generators.
 
-    Exact: the extreme keys of `slice_sizes`.  Both share the even parity
-    of the gradings, letting callers scan slices in steps of two.
+    Exact: the extreme keys of `OvalConfig.slice_sizes`.  Both share the even
+    parity of the gradings, letting callers scan slices in steps of two.
     """
-    a2s = list(slice_sizes(config))
+    a2s = list(config.slice_sizes)
     return a2s[0], a2s[-1]
 
 
-def _bigon_targets(frame: _OvalFrame, p: Point) -> list[tuple[Point, str, int]]:
+def _bigon_targets(config: OvalConfig, p: Point) -> list[tuple[Point, str, int]]:
     """Flip moves available to the single point ``p``.
 
     Returns ``(new_point, kind, oval_key)`` triples where ``kind`` names the
@@ -713,23 +594,25 @@ def _bigon_targets(frame: _OvalFrame, p: Point) -> list[tuple[Point, str, int]]:
     (column index for vertical ovals, row index for horizontal ones).
     An entry appears only if the swept region contains no puncture.
     """
-    cfg = frame.config
     px, py = p
     c, r = px // SCALE, py // SCALE
-    vo = cfg.v_ovals[c]
-    ho = cfg.h_ovals[r]
+    vo = config.v_ovals[c]
+    ho = config.h_ovals[r]
+    # the heights of the punctures in column c, the abscissae of those in row r
+    ys = [SCALE * row + CENTER for row in column_span(config.grid, c)]
+    xs = [SCALE * col + CENTER for col in row_span(config.grid, r)]
     out = []
     if px == vo.x1:  # left wall: may flip right across the top cap
-        if all(not (py < q < vo.y2) for q in frame.col_punct[c]):
+        if all(not (py < q < vo.y2) for q in ys):
             out.append(((vo.x2, py), "top", c))
     else:  # right wall: may flip left across the bottom cap
-        if all(not (vo.y1 < q < py) for q in frame.col_punct[c]):
+        if all(not (vo.y1 < q < py) for q in ys):
             out.append(((vo.x1, py), "bottom", c))
     if py == ho.y1:  # bottom wall: may flip up across the right cap
-        if all(not (px < q < ho.x2) for q in frame.row_punct[r]):
+        if all(not (px < q < ho.x2) for q in xs):
             out.append(((px, ho.y2), "right", r))
     else:  # top wall: may flip down across the left cap
-        if all(not (ho.x1 < q < px) for q in frame.row_punct[r]):
+        if all(not (ho.x1 < q < px) for q in xs):
             out.append(((px, ho.y1), "left", r))
     return out
 
@@ -751,9 +634,9 @@ class LongMoves:
     """
 
     def __init__(self, config: OvalConfig):
-        frame = self.frame = _OvalFrame(config)
+        self.config = config
         #: id -> point, in sorted order, and back
-        self.points = sorted(p for pts in config.points.values() for p in pts)
+        self.points = config.all_points()
         self.id_of = {p: i for i, p in enumerate(self.points)}
         xs, ys = np.array(self.points, dtype=np.int64).reshape(-1, 2).T
         #: id -> the bit of its horizontal oval, whether it sits on a top
@@ -764,13 +647,13 @@ class LongMoves:
         self._right = xs % SCALE == CENTER + V_HALF
         self._flips = np.full((len(self.points), 2), -1, dtype=np.int16)
         for i, p in enumerate(self.points):
-            for q, kind, _ in _bigon_targets(frame, p):
+            for q, kind, _ in _bigon_targets(config, p):
                 self._flips[i, int(kind not in ("top", "bottom"))] = self.id_of[q]
         #: per column, its first id; the digit weights of `pack`
         column = xs // SCALE
-        self._first = np.searchsorted(column, frame.cols)
+        self._first = np.searchsorted(column, config.kept_cols())
         radix = int(np.bincount(column).max(initial=1))
-        k = len(frame.cols)
+        k = len(self._first)
         if radix**k >= 2**63:
             raise GridTooLarge(
                 f"{k} columns of {radix} points each do not pack into 63 bits"
@@ -778,9 +661,10 @@ class LongMoves:
         self._weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._radix = radix
 
-    def encode(self, x: Gen) -> tuple[int, ...]:
-        """The point ids of a generator, in the same (sorted) order."""
-        return tuple(map(self.id_of.__getitem__, x))
+    def encode(self, gens: list[Gen]) -> np.ndarray:
+        """The point ids of some generators, one generator per row, in point order."""
+        ids = [tuple(map(self.id_of.__getitem__, x)) for x in gens]
+        return np.array(ids, dtype=np.int64).reshape(len(gens), len(self._first))
 
     def decode(self, x: tuple[int, ...]) -> Gen:
         """The generator whose point ids are ``x``."""
@@ -808,7 +692,7 @@ class LongMoves:
             id_at[px, py] = i
         nw = id_at[x[:, None], y[None, :]]
         se = id_at[x[None, :], y[:, None]]
-        u, v = np.array(self.frame.punctures, dtype=np.int64).reshape(-1, 2).T
+        u, v = np.array(self.config.grid.punctures(), dtype=np.int64).reshape(-1, 2).T
         # a puncture lies inside when it is northeast of i and southwest of j
         ne_of_i = ((x[:, None] < u) & (y[:, None] < v)).astype(np.int16)
         sw_of_j = ((u < x[:, None]) & (v < y[:, None])).astype(np.int16)
@@ -917,13 +801,9 @@ def long_complex(
     """
     config = build_config(g, omit, "long")
     moves = LongMoves(config)
-    cx = SparseComplex(ring)
     listed = oval_generators(config, keep_a2)
-    for x, a2 in listed:
-        cx.add_generator(x, a2, moves.frame.maslov(x))
     gens = [x for x, _ in listed]
-    ids = np.array([moves.encode(x) for x in gens], dtype=np.int64)
-    ids = ids.reshape(len(gens), len(moves.frame.cols))
+    ids = moves.encode(gens)
     owner, target, sign = moves.rows(ids)
     # the kept generator of each target, found among the sorted keys
     keys, wanted = moves.pack(ids), moves.pack(target)
@@ -931,8 +811,8 @@ def long_complex(
     found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
     if len(wanted) and not np.array_equal(keys[found], wanted):
         raise GradingViolation("move target escapes the kept a2 slices")
-    for o, y, c in zip(owner.tolist(), found.tolist(), sign.tolist()):
-        cx.add_entry(gens[o], gens[y], c)
+    gradings = [(a2, config.maslov(x)) for x, a2 in listed]
+    cx = SparseComplex.from_arrays(ring, gens, gradings, owner, found, sign)
     if ring == "Z":
         cx.assert_entries_unit()
     return cx

@@ -24,14 +24,13 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .chains import Gen, LongMoves, SparseComplex, oval_generators, slice_sizes
+from .chains import Gen, LongMoves, SparseComplex, oval_generators
 from .errors import (
     CancelledTargetReached,
     DomainSystemSingular,
@@ -168,12 +167,16 @@ class PathEngine:
     integers order like the keys.  The cancellation recursion then runs on
     those integers, and only the short rows are turned back into point
     tuples.  The omitted marking must lie on the boundary of the square
-    (`on_boundary`); any other omission raises `InvalidOmission`.
+    (`on_boundary`); any other omission raises `InvalidOmission`.  Without
+    one, the engine keeps the configuration `select_best_config` chose, and
+    with it that configuration's slice count.
     """
 
     def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
+        chosen = None
         if omit is None:
-            omit = select_best_config(g).omit
+            chosen = select_best_config(g)
+            omit = chosen.omit
         elif not on_boundary(g, omit):
             raise InvalidOmission(
                 f"omitting {omit} leaves the region outside the square without "
@@ -183,7 +186,7 @@ class PathEngine:
         self.grid = g
         self.omit = omit
         long_cfg, short_cfg, events = retraction_schedule(g, omit)
-        self.short_cfg = short_cfg
+        self.short_cfg = short_cfg = short_cfg if chosen is None else chosen
         self.moves = LongMoves(long_cfg)
         self.event_count = len(events)
         #: point id -> the event killing it; survivors get the event count,
@@ -192,7 +195,7 @@ class PathEngine:
         #: event -> the position of its vertical oval in a generator, and the
         #: id of its Maslov-raising point
         slot_of = {c: i for i, c in enumerate(long_cfg.kept_cols())}
-        a2_of = self.moves.frame.a2_of
+        a2_of = long_cfg.a2_of
         id_of = self.moves.id_of
         raising: list[tuple[int, int]] = []
         for t, ev in enumerate(events):
@@ -216,11 +219,6 @@ class PathEngine:
         self._event_of = np.array(event_of, dtype=np.int16)
         self._raising = np.array(raising, dtype=np.int64).reshape(-1, 2)
         self._arr = Arrangement(short_cfg)
-
-    @cached_property
-    def slice_sizes(self) -> dict[int, int]:
-        """Short generators per nonempty a2 slice, counted without listing."""
-        return slice_sizes(self.short_cfg)
 
     # -- schedule bookkeeping
 
@@ -260,8 +258,7 @@ class PathEngine:
         so without it every short row is the same, order included.
         """
         moves, count = self.moves, self.event_count
-        frontier = np.array([moves.encode(x) for x in gens], dtype=np.int64)
-        frontier = frontier.reshape(len(gens), len(moves.frame.cols))
+        frontier = moves.encode(gens)
         # per level the owners' keys, whose rows are formed in that order;
         # per row its length, per entry the target's key and the sign
         owners, lengths = [moves.pack(frontier)], array("i")
@@ -442,7 +439,7 @@ class PathEngine:
         cx = SparseComplex(ring)
         slices: dict[int, list[Gen]] = {}
         for x, a2 in oval_generators(self.short_cfg, keep_a2):
-            cx.add_generator(x, a2, self.moves.frame.maslov(x))
+            cx.add_generator(x, a2, self.moves.config.maslov(x))
             slices.setdefault(a2, []).append(x)
         for x, row in self._short_rows(list(slices.values())):
             for y, coeff in row.items():

@@ -165,17 +165,25 @@ def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
     return total
 
 
-def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) -> int:
-    """Maslov grading from dominance counts against the O punctures.
+def alexander2_dominance(
+    points: tuple[Point, ...],
+    x_punct: tuple[Point, ...],
+    o_punct: tuple[Point, ...],
+    n: int,
+) -> int:
+    """Doubled Alexander grading of a cell or oval generator, by dominance counts.
 
-    ``shift`` is +1 for cell generators and 0 for oval generators.
+    Linear in ``points`` beyond the ``points == ()`` constant, so each point
+    adds a term of its own: minus twice its winding number.
     """
     return (
-        dominance_count(points, points)
+        dominance_count(points, x_punct)
+        + dominance_count(x_punct, points)
         - dominance_count(points, o_punct)
         - dominance_count(o_punct, points)
+        - dominance_count(x_punct, x_punct)
         + dominance_count(o_punct, o_punct)
-        + shift
+        - (n - 1)
     )
 
 

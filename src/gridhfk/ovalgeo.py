@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import InvalidOmission, ScheduleAssertionFailed
-from .gridkit import CENTER, SCALE, GridDiagram, Point, maslov
+from .errors import AlexanderConstantInvalid, InvalidOmission, ScheduleAssertionFailed
+from .gridkit import CENTER, SCALE, GridDiagram, Point, alexander2_dominance, dominance_count
 
 #: Half-widths of the vertical / horizontal ovals in scaled coordinates.
 V_HALF = 2
@@ -62,7 +63,11 @@ class Oval:
 
 @dataclass(frozen=True)
 class OvalConfig:
-    """A full system of ovals for one grid, omission and style."""
+    """A full system of ovals for one grid, omission and style.
+
+    Its gradings and generator counts are built on first use and kept (a
+    `cached_property` writes to ``__dict__``, which freezing leaves open).
+    """
 
     grid: GridDiagram
     omit: tuple[int, int]  # (column, row) of the omitted marking
@@ -71,10 +76,6 @@ class OvalConfig:
     h_ovals: dict[int, Oval]
     #: intersection points per (column, row) pair, sorted
     points: dict[tuple[int, int], tuple[Point, ...]]
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
 
     def kept_cols(self) -> list[int]:
         return sorted(self.v_ovals)
@@ -88,10 +89,110 @@ class OvalConfig:
         ]
 
     def all_points(self) -> list[Point]:
-        out = []
-        for pts in self.points.values():
-            out.extend(pts)
-        return sorted(out)
+        return sorted(p for pts in self.points.values() for p in pts)
+
+    # -- gradings: a constant plus one term per point
+
+    @cached_property
+    def m_of(self) -> dict[Point, int]:
+        """Per point, its Maslov term: minus the O's strictly NE or SW of it."""
+        o_punct = self.grid.o_punctures()
+        return {
+            p: -dominance_count((p,), o_punct) - dominance_count(o_punct, (p,))
+            for p in self.all_points()
+        }
+
+    @cached_property
+    def a2_of(self) -> dict[Point, int]:
+        """Per point, its doubled Alexander term: minus twice its winding number."""
+        x_punct = self.grid.x_punctures()
+        return {
+            p: m + dominance_count((p,), x_punct) + dominance_count(x_punct, (p,))
+            for p, m in self.m_of.items()
+        }
+
+    @cached_property
+    def const2(self) -> int:
+        """The doubled Alexander grading of the empty tuple: even, as every
+        point adds an even term and Alexander gradings are integers."""
+        g = self.grid
+        const2 = alexander2_dominance((), g.x_punctures(), g.o_punctures(), g.n)
+        if const2 % 2:
+            raise AlexanderConstantInvalid("odd doubled-Alexander constant")
+        return const2
+
+    @cached_property
+    def m_const(self) -> int:
+        """The Maslov grading's constant, I(O, O)."""
+        o_punct = self.grid.o_punctures()
+        return dominance_count(o_punct, o_punct)
+
+    def maslov(self, x: tuple[Point, ...]) -> int:
+        """``I(x, x) - I(x, O) - I(O, x) + I(O, O)`` of a generator, in one pass.
+
+        The points of ``x`` sort by column and lie on distinct horizontal
+        ovals, so ``I(x, x)`` counts, for each point, the earlier points in
+        lower rows: a popcount of the row bits seen so far.
+        """
+        m_of = self.m_of
+        seen = 0
+        total = self.m_const
+        for p in x:
+            bit = 1 << (p[1] // SCALE)
+            total += (seen & (bit - 1)).bit_count() + m_of[p]
+            seen |= bit
+        return total
+
+    # -- counting generators
+
+    @cached_property
+    def column_choices(self) -> list[list[tuple[int, list[tuple[Point, int]]]]]:
+        """Per kept column, ``(row index, [(point, a2 term)])`` of each kept
+        row whose oval meets it: the branches of the generator walk."""
+        cols, rows = self.kept_cols(), self.kept_rows()
+        # a generator matches every kept column to its own kept row
+        if len(cols) != len(rows):
+            raise InvalidOmission(
+                f"omitting {self.omit} leaves {len(cols)} vertical and "
+                f"{len(rows)} horizontal ovals; the configuration must be square"
+            )
+        return [
+            [
+                (ri, [(p, self.a2_of[p]) for p in self.points[c, r]])
+                for ri, r in enumerate(rows)
+                if (c, r) in self.points
+            ]
+            for c in cols
+        ]
+
+    @cached_property
+    def rest_sums(self) -> list[dict[int, int]]:
+        """For each bitmask of used rows, the a2 sums the remaining columns reach.
+
+        Columns are matched in order, so a mask with ``d`` bits set has matched
+        the first ``d`` columns; its entry maps each sum of the terms of
+        columns ``d..k-1`` over the unused rows to its number of generators.
+        Built bottom-up from the full mask: setting a bit raises the mask.
+        """
+        choices = self.column_choices
+        full = (1 << len(choices)) - 1
+        table: list[dict[int, int]] = [{} for _ in range(full)] + [{0: 1}]
+        for mask in range(full - 1, -1, -1):
+            sums = table[mask]
+            for ri, pts in choices[mask.bit_count()]:
+                if mask >> ri & 1:
+                    continue
+                below = table[mask | 1 << ri]
+                for _, w in pts:
+                    for s, count in below.items():
+                        sums[s + w] = sums.get(s + w, 0) + count
+        return table
+
+    @cached_property
+    def slice_sizes(self) -> dict[int, int]:
+        """Generators per nonempty a2 slice, by a2 ascending, listing none."""
+        sums = self.rest_sums[0]
+        return {self.const2 + s: sums[s] for s in sorted(sums)}
 
 
 def line_walls(k: int, half: int) -> tuple[int, int]:
@@ -182,17 +283,17 @@ def select_best_config(g: GridDiagram) -> OvalConfig:
     """The short configuration with the fewest generators over the boundary O's.
 
     Only O's `on_boundary` are tried: at most four, and column 0 always
-    holds one.  Generators are counted as the path engine counts its slices
-    (`chains.slice_sizes`).  Ties go to the lexicographically least cell.
+    holds one.  Generators are counted slice by slice without listing any
+    (`OvalConfig.slice_sizes`); the returned configuration keeps its
+    count, so a `PathEngine` built on it never counts again.  Ties go to
+    the lexicographically least cell.
     """
-    from .chains import slice_sizes  # chains builds on this module
-
     configs = (
         build_config(g, omit, "short")
         for omit in omission_candidates(g)
         if on_boundary(g, omit)
     )
-    return min(configs, key=lambda config: sum(slice_sizes(config).values()))
+    return min(configs, key=lambda config: sum(config.slice_sizes.values()))
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +325,7 @@ def retraction_schedule(
     """
     long_cfg = build_config(g, omit, "long")
     short_cfg = build_config(g, omit, "short")
-    o_punct = g.o_punctures()
+    m_of = long_cfg.m_of
     alive = set(long_cfg.all_points())
     events: list[Event] = []
 
@@ -238,8 +339,7 @@ def retraction_schedule(
             )
         alive.discard(pa)
         alive.discard(pb)
-        ma = maslov((pa,), o_punct, 0)
-        mb = maslov((pb,), o_punct, 0)
+        ma, mb = m_of[pa], m_of[pb]
         if ma == mb + 1:
             p1, p2 = pa, pb
         elif mb == ma + 1:
@@ -293,7 +393,7 @@ class Arrangement:
 
     def __init__(self, config: OvalConfig):
         self.config = config
-        n = config.n
+        n = config.grid.n
         hi = SCALE * n
         breaks = {SCALE * k + d for k in range(n) for d in _REFINE}
         breaks.add(hi)

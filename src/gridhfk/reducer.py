@@ -473,7 +473,7 @@ def _kept_groups(engine: PathEngine, ring: str, keep_a2: set[int] | None) -> dic
     first; a worker's exception reaches the caller as it was raised, after
     pending slices are cancelled.
     """
-    sizes = engine.slice_sizes
+    sizes = engine.short_cfg.slice_sizes
     kept = [a2 for a2 in sizes if keep_a2 is None or a2 in keep_a2]
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -524,7 +524,7 @@ def hfk_paths(
     if skip not in ("auto", "none"):
         raise ValueError(f"unknown skip policy {skip!r}")
     engine = PathEngine(g, omit)
-    sizes = engine.slice_sizes
+    sizes = engine.short_cfg.slice_sizes
     skipped = auto_skip(sizes, g.n) if skip == "auto" else set()
     keep = set(sizes) - skipped if skipped else None
     h = HomologyResult(ring, _kept_groups(engine, ring, keep))
@@ -564,7 +564,7 @@ def top_invariants(
     equal to ``H(a2_top, m)``; otherwise `CrosscheckFailed` is raised.
     """
     engine = PathEngine(g, omit)
-    slices = list(engine.slice_sizes)
+    slices = list(engine.short_cfg.slice_sizes)
     top_a2, top = _first_nonzero_slice(engine, ring, reversed(slices))
     bot_a2, bot = _first_nonzero_slice(engine, ring, slices)
     shift = top_a2 + g.n - 1

@@ -134,7 +134,7 @@ def unmirrored_bottom_slice(monkeypatch):
 
     def patched(self, ring="Z", keep_a2=None):
         cx = short_complex(self, ring, keep_a2)
-        lowest = min(self.slice_sizes)
+        lowest = min(self.short_cfg.slice_sizes)
         if keep_a2 is not None and lowest in keep_a2:
             cx.add_generator((), lowest, 0)
         return cx

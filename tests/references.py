@@ -9,7 +9,9 @@ something independent to agree with:
   pair in the order the retraction schedule prescribes, asserting every
   matched entry is a unit; `faithful_short` applies them to the whole long
   complex or to some of its Alexander slices;
-* `long_gradings` grades a generator on the frame of a `LongMoves`;
+* `long_gradings` grades a generator on the configuration of a `LongMoves`;
+* `maslov` is the Maslov grading as a sum of dominance counts, which the
+  one-pass `OvalConfig.maslov` is checked against;
 * `long_euler` is the graded Euler characteristic of the long complex as
   one small determinant; `enumerated_long_euler` sums it generator by
   generator, which is only affordable on small grids;
@@ -20,7 +22,7 @@ something independent to agree with:
   keyed by points;
 * `generator_count` counts the generators of an oval configuration as a
   small permanent, independently of the row-mask table of
-  `chains.slice_sizes`;
+  `OvalConfig.slice_sizes`;
 * `corner_index` reads a domain's corner index at a crossing, and
   `euler_discrepancy` and `validate_periodic_domains` check an oval
   arrangement against the Euler formula and the periodic domains of its
@@ -34,7 +36,6 @@ import hashlib
 from gridhfk.chains import (
     LongMoves,
     SparseComplex,
-    _OvalFrame,
     _permutations,
     long_complex,
     oval_generators,
@@ -44,8 +45,9 @@ from gridhfk.gridkit import (
     SCALE,
     GridDiagram,
     LaurentPoly,
+    Point,
+    dominance_count,
     laurent_determinant,
-    maslov,
 )
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -54,6 +56,20 @@ from gridhfk.ovalgeo import (
     build_config,
     retraction_schedule,
 )
+
+
+def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) -> int:
+    """Maslov grading from dominance counts against the O punctures.
+
+    ``shift`` is +1 for cell generators and 0 for oval generators.
+    """
+    return (
+        dominance_count(points, points)
+        - dominance_count(points, o_punct)
+        - dominance_count(o_punct, points)
+        + dominance_count(o_punct, o_punct)
+        + shift
+    )
 
 
 def reduce_faithful(
@@ -114,17 +130,17 @@ def faithful_short(g, omit, keep_a2=None) -> SparseComplex:
 
 
 def long_gradings(moves: LongMoves, x) -> tuple[int, int]:
-    """(a2, maslov) of a generator whose points lie on the frame of ``moves``."""
-    frame = moves.frame
-    a2 = sum(frame.a2_of[p] for p in x) + frame.const2
-    return a2, frame.maslov(x)
+    """(a2, maslov) of a generator whose points lie on the configuration of ``moves``."""
+    config = moves.config
+    a2 = sum(config.a2_of[p] for p in x) + config.const2
+    return a2, config.maslov(x)
 
 
 def enumerated_long_euler(g, omit) -> LaurentPoly:
     """Graded Euler characteristic of the long complex, one generator at a time."""
     moves = LongMoves(build_config(g, omit, "long"))
     terms: dict[int, int] = {}
-    for x, _ in oval_generators(moves.frame.config):
+    for x, _ in oval_generators(moves.config):
         a2, m = long_gradings(moves, x)
         terms[a2 // 2] = terms.get(a2 // 2, 0) + 1 - 2 * (m % 2)
     return LaurentPoly(terms)
@@ -147,23 +163,22 @@ def long_euler(g, omit) -> LaurentPoly:
     (-1)^m(p) t^(a2(p)/2) over the crossings p of the i-th kept column with
     the j-th kept row, m(p) being the Maslov grading of the single point p.
     """
-    frame = _OvalFrame(build_config(g, omit, "long"))
-    o_punct = frame.o_punct
-    points = frame.config.points
+    config = build_config(g, omit, "long")
+    o_punct = g.o_punctures()
     matrix = []
-    for c in frame.cols:
+    for c in config.kept_cols():
         row = []
-        for r in frame.rows:
+        for r in config.kept_rows():
             terms: dict[int, int] = {}
-            for p in points.get((c, r), ()):
-                exp = frame.a2_of[p] // 2
+            for p in config.points.get((c, r), ()):
+                exp = config.a2_of[p] // 2
                 terms[exp] = terms.get(exp, 0) + 1 - 2 * (maslov((p,), o_punct, 0) % 2)
             row.append(LaurentPoly(terms))
         matrix.append(row)
-    k = len(frame.cols)
+    k = len(config.kept_cols())
     ioo = maslov((), o_punct, 0)  # I(O, O)
     sign = 1 - 2 * ((k * (k - 1) // 2 + (k + 1) * ioo) % 2)
-    shift = LaurentPoly({frame.const2 // 2: sign})
+    shift = LaurentPoly({config.const2 // 2: sign})
     return shift * laurent_determinant(matrix)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import mos_generators
+from references import maslov, mos_generators
 from gridhfk import chains
 from gridhfk.chains import (
     SparseComplex,
@@ -34,11 +34,10 @@ from gridhfk.chains import (
     _spin_lifts,
     _swap_ranks,
     _swap_tables,
-    alexander2_dominance,
     mos_complex,
 )
 from gridhfk.errors import BoundarySquareNonzero
-from gridhfk.gridkit import SCALE, GridDiagram, maslov, parse_braid
+from gridhfk.gridkit import SCALE, GridDiagram, alexander2_dominance, parse_braid
 from gridhfk.reducer import hfk_cells
 from gridhfk.simplifier import minimize
 

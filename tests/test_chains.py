@@ -17,6 +17,7 @@ from references import (
     generator_count,
     long_euler,
     long_gradings,
+    maslov,
     mos_generators,
 )
 from test_cells_oracle import reference_sign, table_sign
@@ -24,13 +25,10 @@ from gridhfk import chains, domains_paths, ovalgeo
 from gridhfk.chains import (
     LongMoves,
     SparseComplex,
-    _OvalFrame,
     a2_range,
-    alexander2_dominance,
     long_complex,
     mos_complex,
     oval_generators,
-    slice_sizes,
 )
 from gridhfk.errors import (
     AlexanderConstantInvalid,
@@ -44,8 +42,8 @@ from gridhfk.gridkit import (
     SCALE,
     GridDiagram,
     LaurentPoly,
+    alexander2_dominance,
     alexander_polynomial,
-    maslov,
     parse_braid,
     winding_number,
 )
@@ -108,36 +106,37 @@ class TestGradings:
                 assert alexander2_dominance(x, x_p, o_p, g.n) == const2 - 2 * winding
 
     def test_dominance_equals_winding_per_point(self, rng):
-        # the oval frames read each point's Alexander term off dominance
-        # counts; it is minus twice the winding number there, on long and
-        # short configurations alike, and the constant is even
+        # an oval configuration reads each point's Alexander term off
+        # dominance counts; it is minus twice the winding number there, on
+        # long and short configurations alike, and the constant is even
         grids = [parse_braid(BRAIDS["trefoil"])]
         grids += [random_grid(n, rng) for n in (3, 4, 5, 6)]
         for g in grids:
             for omit in omission_candidates(g)[:2]:
                 for style in ("long", "short"):
-                    frame = _OvalFrame(build_config(g, omit, style))
-                    assert frame.const2 % 2 == 0
-                    assert frame.a2_of == {
-                        p: -2 * winding_number(g, p) for p in frame.a2_of
+                    config = build_config(g, omit, style)
+                    assert config.const2 % 2 == 0
+                    assert set(config.a2_of) == set(config.all_points())
+                    assert config.a2_of == {
+                        p: -2 * winding_number(g, p) for p in config.a2_of
                     }
 
     def test_frame_maslov_matches_dominance(self, rng):
-        # the frames count the Maslov grading in one pass over the points;
-        # gridkit.maslov counts every dominance pair
+        # a configuration counts the Maslov grading in one pass over the
+        # points; the reference `maslov` counts every dominance pair
         for n in (2, 3, 4, 5, 6):
             g = random_grid(n, rng)
             omit = rng.choice(omission_candidates(g))
             for style in ("long", "short"):
-                frame = _OvalFrame(build_config(g, omit, style))
-                for x, _ in oval_generators(frame.config):
-                    assert frame.maslov(x) == maslov(x, frame.o_punct, 0)
-        # a path engine grades the short generators on its long frame
+                config = build_config(g, omit, style)
+                for x, _ in oval_generators(config):
+                    assert config.maslov(x) == maslov(x, g.o_punctures(), 0)
+        # a path engine grades the short generators on its long configuration
         for word in BRAIDS.values():
             g = minimize(parse_braid(word))
             for omit in filter(lambda o: on_boundary(g, o), omission_candidates(g)):
                 moves = LongMoves(build_config(g, omit, "long"))
-                o_punct = moves.frame.o_punct
+                o_punct = g.o_punctures()
                 for x, a2 in oval_generators(build_config(g, omit, "short")):
                     assert long_gradings(moves, x) == (a2, maslov(x, o_punct, 0))
 
@@ -368,7 +367,7 @@ class TestSliceSizes:
                     continue
                 config = build_config(g, omit, "short")
                 counted = Counter(a2 for _, a2 in oval_generators(config))
-                assert slice_sizes(config) == counted, (g, omit)
+                assert config.slice_sizes == counted, (g, omit)
 
     def test_counts_long_configurations(self):
         for g in knot_and_mirror_grids(BRAIDS.values()):
@@ -376,10 +375,10 @@ class TestSliceSizes:
                 continue
             config = build_config(g, omission_candidates(g)[0], "long")
             counted = Counter(a2 for _, a2 in oval_generators(config))
-            assert slice_sizes(config) == counted, g
+            assert config.slice_sizes == counted, g
 
     def test_ascending_and_nonempty(self):
-        sizes = slice_sizes(select_best_config(minimize(parse_braid(BRAIDS["8_20"]))))
+        sizes = select_best_config(minimize(parse_braid(BRAIDS["8_20"]))).slice_sizes
         assert list(sizes) == sorted(sizes)
         assert min(sizes.values()) > 0
 
@@ -388,14 +387,14 @@ class TestSliceSizes:
     )
     def test_total_is_the_generator_count(self, word):
         config = select_best_config(minimize(parse_braid(word)))
-        assert sum(slice_sizes(config).values()) == generator_count(config)
+        assert sum(config.slice_sizes.values()) == generator_count(config)
 
     @pytest.mark.parametrize("name", ["trefoil", "5_2", "8_20", "8_21"])
     def test_pruned_walk_is_the_filtered_walk(self, name):
         for g in knot_and_mirror_grids([BRAIDS[name]]):
             config = select_best_config(g)
             full = oval_generators(config)
-            sizes = slice_sizes(config)
+            sizes = config.slice_sizes
             keeps = [{a2} for a2 in sizes]
             keeps += [set(sizes) - auto_skip(sizes, g.n), set(), {min(sizes) - 2}]
             for keep in keeps:
@@ -408,7 +407,7 @@ class TestSliceSizes:
         for g in knot_and_mirror_grids([BRAIDS["8_20"], [1] * 7]):
             config = select_best_config(g)
             k = len(config.kept_cols())
-            sizes = slice_sizes(config)
+            sizes = config.slice_sizes
             for keep in [{max(sizes)}, {min(sizes)}, set(sizes) - auto_skip(sizes, g.n)]:
                 gens, calls = walk_calls(config, keep)
                 assert len(gens) == sum(sizes[a2] for a2 in keep)
@@ -470,9 +469,9 @@ class TestTypedFailures:
 
     def test_odd_winding_constant(self, monkeypatch):
         config = build_config(*REGRESSION_OVAL, "long")
-        monkeypatch.setattr(chains, "alexander2_dominance", lambda *args: 1)
+        monkeypatch.setattr(ovalgeo, "alexander2_dominance", lambda *args: 1)
         with pytest.raises(AlexanderConstantInvalid, match="odd"):
-            _OvalFrame(config)
+            config.const2
 
     def test_move_target_outside_kept_slices(self, monkeypatch):
         g, omit = REGRESSION_OVAL
@@ -482,7 +481,7 @@ class TestTypedFailures:
         top, other = max(by_a2), min(by_a2)
         def rows(self, x):
             # one entry, from the first row to a generator of another slice
-            target = np.array([self.encode(by_a2[other])])
+            target = self.encode([by_a2[other]])
             return np.zeros(1, dtype=np.int64), target, np.ones(1, dtype=np.int64)
 
         monkeypatch.setattr(LongMoves, "rows", rows)
@@ -504,7 +503,7 @@ class TestTypedFailures:
         domains_paths.PathEngine(g, omit)  # the real schedule is consistent
         ev = events[0]
         column = ev.p1[0] // SCALE
-        a2_of = _OvalFrame(long_cfg).a2_of
+        a2_of = long_cfg.a2_of
         across = next(p for p in a2_of if p[0] // SCALE != column)
         shifted = next(
             p for p in a2_of if p[0] // SCALE == column and a2_of[p] != a2_of[ev.p1]

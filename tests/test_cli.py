@@ -431,6 +431,24 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and "power of two" in err
         assert "Traceback" not in err
 
+    def test_spin_lift_overflow_is_a_typed_failure(self, monkeypatch, capsys):
+        # 5_2 sits on a grid of size 7, whose largest lift coefficient (512)
+        # does not fit int8.  The per-size tables are cached, so they are
+        # built afresh with the narrow type, and dropped again afterwards.
+        caches = (chains._spin_lifts, chains._gamma_action)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(chains, "_lift_dtypes", lambda n: (np.int8, np.int32))
+        try:
+            argv = ["--braid", "1 1 1 2 -1 2", "--crosscheck", "on", "--format", "machine"]
+            assert main(argv) == 1
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lift exceeds int8" in err
+        assert "Traceback" not in err
+
     def test_zero_homology_is_a_typed_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(
             reducer, "homology", lambda cx: HomologyResult(cx.ring, {})

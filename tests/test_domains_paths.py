@@ -460,7 +460,7 @@ def test_large_grid_slices_are_pinned(name):
     g = minimize(parse_braid(word))
     assert g.n == n
     eng = PathEngine(g)
-    a2s = list(eng.slice_sizes)
+    a2s = list(eng.short_cfg.slice_sizes)
     assert set(pins) == {a2s[0], a2s[2], a2s[-3], a2s[-1]}
     for a2, digest in pins.items():
         assert short_complex_digest(eng.short_complex("Z", {a2})) == digest, a2
@@ -525,7 +525,7 @@ class TestPooledSlices:
         }
         assert keeps["auto"] < slices
         # the pool reads the slice sizes, which the engine caches
-        assert set(eng.slice_sizes) == slices
+        assert set(eng.short_cfg.slice_sizes) == slices
         state = engine_state(eng)
         for ring in ("Z", "Z2"):
             for kept, keep in keeps.items():
@@ -590,7 +590,7 @@ class TestPooledSlices:
 
     def test_small_complex_never_pools(self, monkeypatch, two_cpus, no_pool):
         g = minimize(parse_braid(BRAIDS["8_19"]))
-        assert sum(PathEngine(g).slice_sizes.values()) < reducer.PARALLEL_MIN_GENS
+        assert sum(PathEngine(g).short_cfg.slice_sizes.values()) < reducer.PARALLEL_MIN_GENS
         table = hfk_paths(g).table
         # the refusing executor is in place: lowering the threshold reaches it
         monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)

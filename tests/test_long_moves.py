@@ -50,11 +50,12 @@ def reference_rect_sign(x: Gen, y: Gen) -> int:
 
 
 def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
-    frame = moves.frame
+    config = moves.config
+    punctures = config.grid.punctures()
     xs = set(x)
     out: dict[Gen, int] = {}
     for idx, p in enumerate(x):
-        for q, kind, key in _bigon_targets(frame, p):
+        for q, kind, key in _bigon_targets(config, p):
             y = list(x)
             y[idx] = q
             out[tuple(sorted(y))] = reference_bigon_sign(x, kind, key)
@@ -65,7 +66,7 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
                 continue
             x1, x2 = p[0], q[0]
             y1, y2 = p[1], q[1]
-            if any(x1 < u < x2 and y1 < v < y2 for u, v in frame.punctures):
+            if any(x1 < u < x2 and y1 < v < y2 for u, v in punctures):
                 continue
             if any(
                 x1 < u < x2 and y1 < v < y2 for u, v in xs if (u, v) not in (p, q)
@@ -82,8 +83,7 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
 
 def decoded_rows(moves: LongMoves, gens: list[Gen]) -> list[list[tuple[Gen, int]]]:
     """`LongMoves.rows` of some generators, one batch, as ordered point-tuple entries."""
-    ids = np.array([moves.encode(x) for x in gens]).reshape(len(gens), -1)
-    owner, target, sign = moves.rows(ids)
+    owner, target, sign = moves.rows(moves.encode(gens))
     assert (np.diff(owner) >= 0).all()  # grouped by owner, in order
     rows: list[list[tuple[Gen, int]]] = [[] for _ in gens]
     for o, y, c in zip(owner.tolist(), target.tolist(), sign.tolist()):
@@ -114,8 +114,8 @@ def test_ids_follow_point_order(rng):
     assert moves.points == sorted(moves.id_of)
     for _ in range(200):
         x = random_generator(config, rng)
-        ids = moves.encode(x)
-        assert list(ids) == sorted(ids) and moves.decode(ids) == x
+        ids = moves.encode([x])[0].tolist()
+        assert ids == sorted(ids) and moves.decode(ids) == x
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -145,7 +145,7 @@ def test_packed_keys_sort_like_point_tuples(rng):
     config = build_config(g, select_best_config(g).omit, "long")
     moves = LongMoves(config)
     gens = sorted({random_generator(config, rng) for _ in range(2000)})
-    ids = np.array([moves.encode(x) for x in gens])
+    ids = moves.encode(gens)
     keys = moves.pack(ids)
     assert (np.diff(keys) > 0).all()
     assert (moves.unpack(keys) == ids).all()
@@ -187,7 +187,7 @@ def test_missing_corner_is_a_typed_failure(rng):
     config = build_config(g, select_best_config(g).omit, "long")
     moves = LongMoves(config)
     x = next(
-        moves.encode(x)
+        moves.encode([x])[0]
         for x, _ in oval_generators(config)
         if any(len(set(x) - set(y)) == 2 for y in reference_row(moves, x))
     )

@@ -6,9 +6,14 @@ import random
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import euler_discrepancy, generator_count, validate_periodic_domains
+from references import (
+    euler_discrepancy,
+    generator_count,
+    maslov,
+    validate_periodic_domains,
+)
 from gridhfk.errors import InvalidOmission
-from gridhfk.gridkit import GridDiagram, maslov, parse_braid
+from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, prod
 
@@ -24,6 +25,7 @@ from gridhfk.errors import (
 )
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.ovalgeo import (
+    OvalConfig,
     omission_candidates,
     on_boundary,
     retraction_schedule,
@@ -267,7 +269,7 @@ class TestReduction:
                 for t, (srcs, dsts) in enumerate(pairs):
                     for a, b in zip(srcs, dsts):
                         expected[a] = expected[b] = (t, a)
-                event, source = engine._deaths(np.array([encode(x) for x in gens]))
+                event, source = engine._deaths(encode(gens))
                 deaths = {}
                 for x, t, s in zip(gens, event.tolist(), source.tolist()):
                     survives = t == engine.event_count
@@ -447,7 +449,7 @@ class TestAutoSkip:
         grids += [minimize(parse_braid([-a for a in w])) for w in words]
         grids += [random_grid(rng.randrange(3, 8), rng) for _ in range(40)]
         for g in grids:
-            sizes = PathEngine(g).slice_sizes
+            sizes = PathEngine(g).short_cfg.slice_sizes
             skipped = auto_skip(sizes, g.n)
             assert skipped == largest_slices(sizes, g.n), g
             assert max(skipped) - min(skipped) < 2 * (g.n - 1)
@@ -637,14 +639,14 @@ class TestOneWalk:
 
     def test_engine_lists_no_generator(self, short_walks):
         engine = PathEngine(minimize(parse_braid([1] * 7)))
-        assert sum(engine.slice_sizes.values()) == 18176
+        assert sum(engine.short_cfg.slice_sizes.values()) == 18176
         assert short_walks == []
 
     @pytest.mark.parametrize("skip", ["none", "auto"])
     def test_hfk_paths(self, skip, short_walks):
         # every slice with skip="none"; only the kept ones with skip="auto"
         g = minimize(parse_braid(BRAIDS["5_2"]))
-        sizes = PathEngine(g).slice_sizes
+        sizes = PathEngine(g).short_cfg.slice_sizes
         kept = set(sizes) - auto_skip(sizes, g.n) if skip == "auto" else None
         for _ in range(2):
             hfk_paths(g, skip=skip)
@@ -655,7 +657,7 @@ class TestOneWalk:
         # one; the scan stops at a2 = 0 from the top and at -2(n-1) from
         # the bottom, and walks one slice per step
         g = GridDiagram((2, 4, 3, 0, 5, 1), (4, 0, 1, 5, 3, 2))
-        slices = list(PathEngine(g).slice_sizes)
+        slices = list(PathEngine(g).short_cfg.slice_sizes)
         expected = [{a2} for a2 in reversed(slices) if a2 >= 0]
         expected += [{a2} for a2 in slices if a2 <= -2 * (g.n - 1)]
         assert len(expected) > 2
@@ -663,3 +665,69 @@ class TestOneWalk:
             short_walks.clear()
             top_invariants(g, ring)
             assert short_walks == expected
+
+
+class TestOneCountPerConfiguration:
+    """A configuration builds its row-mask table at most once, and a run
+    counts only the candidates of `select_best_config`: the engine keeps
+    the configuration that counted itself there."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The configurations whose row-mask table is built, once per build."""
+        built = []
+        build = OvalConfig.rest_sums.func
+
+        def counting(config):
+            built.append(config)
+            return build(config)
+
+        table = cached_property(counting)
+        table.__set_name__(OvalConfig, "rest_sums")
+        monkeypatch.setattr(OvalConfig, "rest_sums", table)
+        return built
+
+    def test_engine_keeps_the_chosen_configuration(self, built, monkeypatch):
+        chosen = []
+
+        def choose(g):
+            chosen.append(select_best_config(g))
+            return chosen[-1]
+
+        monkeypatch.setattr(domains_paths, "select_best_config", choose)
+        g = minimize(parse_braid(BRAIDS["5_2"]))
+        engine = PathEngine(g)
+        assert len(chosen) == 1 and engine.short_cfg is chosen[0]
+        assert engine.short_cfg in built
+        count = len(built)
+        for a2 in engine.short_cfg.slice_sizes:
+            assert engine.short_complex("Z", {a2}).generator_count
+        assert len(built) == count
+
+    @pytest.mark.parametrize(
+        "g, scans",
+        [
+            (minimize(parse_braid(BRAIDS["5_2"])), 2),
+            # an unknot grid whose genus scan passes an empty slice
+            (GridDiagram((2, 4, 3, 0, 5, 1), (4, 0, 1, 5, 3, 2)), 3),
+        ],
+        ids=["5_2", "unknot6"],
+    )
+    def test_one_table_per_candidate(self, g, scans, built, monkeypatch):
+        candidates = [omit for omit in omission_candidates(g) if on_boundary(g, omit)]
+        scanned = []
+        slice_groups = reducer.slice_groups
+
+        def counting(engine, ring, keep_a2):
+            scanned.append(keep_a2)
+            return slice_groups(engine, ring, keep_a2)
+
+        monkeypatch.setattr(reducer, "slice_groups", counting)
+        for run in (hfk_paths, top_invariants):
+            built.clear()
+            scanned.clear()
+            run(g)
+            assert scanned
+            assert sorted(config.omit for config in built) == candidates, run
+            assert all(config.style == "short" for config in built)
+        assert len(scanned) == scans  # slices the genus scan read
