@@ -16,7 +16,10 @@ whole complex:
   retraction schedule's ordering.  The long rows the queried rows can reach
   are formed breadth first, a frontier of generators per numpy batch, and
   the recursion then runs on integer numbers of those generators, so only
-  generators reachable from the queried rows are ever visited.
+  generators reachable from the queried rows are ever visited.  Entries
+  that could only be folded away (to dying sources, and to the partners
+  of dead ends) are dropped before the recursion, and every nonzero short
+  entry is certified by a domain in one array pass.
 
 Everything is exact integer arithmetic.
 """
@@ -27,6 +30,7 @@ from array import array
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -63,48 +67,42 @@ class DomainSolver:
     """
 
     def __init__(self, arr: Arrangement):
-        self.arr = arr
         crossings = sorted(arr.config.all_points())
         self.row_of = {p: i for i, p in enumerate(crossings)}
         pinned = set(arr.puncture_pieces().values())
         pinned.add(arr.unbounded_piece())
         self.free = [k for k in range(arr.piece_count) if k not in pinned]
         col_of = {k: j for j, k in enumerate(self.free)}
-        nrows = len(crossings)
-
-        matrix = [[0] * len(self.free) for _ in range(nrows)]
-        for i, p in enumerate(crossings):
-            ne, nw, sw, se = arr.corner_pieces(p)
-            for piece, s in ((ne, 1), (sw, 1), (nw, -1), (se, -1)):
-                j = col_of.get(piece)
-                if j is not None:
-                    matrix[i][j] += s
+        nrows, self.rank = len(crossings), len(self.free)
         # reduce [matrix | identity]; the identity columns record the row
         # operations applied to any right-hand side
-        ops = [[int(i == r) for r in range(nrows)] for i in range(nrows)]
+        aug = np.hstack([np.zeros((nrows, self.rank), np.int64), np.eye(nrows, dtype=np.int64)])
+        for i, p in enumerate(crossings):
+            # corners ne, nw, sw, se
+            for piece, s in zip(arr.corner_pieces(p), (1, -1, 1, -1)):
+                if piece in col_of:
+                    aug[i, col_of[piece]] += s
         for c, piece in enumerate(self.free):
-            pivot = next(
-                (i for i in range(c, nrows) if matrix[i][c] in (1, -1)), None
-            )
-            if pivot is None:
+            units = c + np.flatnonzero(abs(aug[c:, c]) == 1)
+            if not len(units):
                 raise DomainSystemSingular(
                     f"piece {piece}: no unit pivot in the corner constraints"
                 )
-            matrix[c], matrix[pivot] = matrix[pivot], matrix[c]
-            ops[c], ops[pivot] = ops[pivot], ops[c]
-            if matrix[c][c] == -1:
-                matrix[c] = [-a for a in matrix[c]]
-                ops[c] = [-a for a in ops[c]]
-            for i in range(nrows):
-                f = matrix[i][c]
-                if i != c and f:
-                    matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[c])]
-                    ops[i] = [a - f * b for a, b in zip(ops[i], ops[c])]
+            aug[[c, units[0]]] = aug[[units[0], c]]
+            aug[c] *= aug[c, c]
+            factor = aug[:, c].copy()
+            factor[c] = 0
+            aug -= np.outer(factor, aug[c])
         # row i < rank now reads u_i = ops[i] . rhs; the rest reads 0
-        self.rank = len(self.free)
         #: the transform, column by column: the transformed right-hand
         #: side of a unit corner index at crossing j is ops[j]
-        self.ops = [list(col) for col in zip(*ops)]
+        self.ops = aug[:, self.rank :].T.copy()
+
+    def rejects(self, transformed: np.ndarray) -> np.ndarray:
+        """Per row of transformed right-hand sides, whether no domain solves it:
+        the system is inconsistent or a multiplicity is negative."""
+        rank = self.rank
+        return transformed[:, rank:].any(axis=1) | (transformed[:, :rank] < 0).any(axis=1)
 
     def solve(self, targets: dict[Point, int]) -> Domain | None:
         """The unique domain with the given corner indices, if one exists.
@@ -113,15 +111,12 @@ class DomainSolver:
         (omitted crossings require zero).  Returns None when the system is
         inconsistent or a multiplicity is negative.
         """
-        transformed = [0] * len(self.row_of)
+        transformed = np.zeros((1, len(self.row_of)), dtype=np.int64)
         for p, s in targets.items():
-            if s:
-                column = self.ops[self.row_of[p]]
-                transformed = [a + s * b for a, b in zip(transformed, column)]
-        rank = self.rank
-        if any(transformed[rank:]) or min(transformed[:rank], default=0) < 0:
+            transformed[0] += s * self.ops[self.row_of[p]]
+        if self.rejects(transformed)[0]:
             return None
-        return {k: v for k, v in zip(self.free, transformed) if v}
+        return {k: v for k, v in zip(self.free, transformed[0].tolist()) if v}
 
 
 def find_domain(arr: Arrangement, x: Gen, y: Gen) -> Domain | None:
@@ -135,16 +130,12 @@ def find_domain(arr: Arrangement, x: Gen, y: Gen) -> Domain | None:
     """
     if set(x) == set(y):
         return None
-    solver = getattr(arr, "_domain_solver", None)
-    if solver is None:
-        solver = DomainSolver(arr)
-        arr._domain_solver = solver
-    targets: dict[Point, int] = {}
-    for p in set(x) - set(y):
-        targets[p] = 1
-    for p in set(y) - set(x):
-        targets[p] = -1
-    return solver.solve(targets)
+    solver = _solvers.get(arr) or _solvers.setdefault(arr, DomainSolver(arr))
+    return solver.solve(dict.fromkeys(set(x) - set(y), 1) | dict.fromkeys(set(y) - set(x), -1))
+
+
+#: the solver of each arrangement `find_domain` has been asked about
+_solvers: WeakKeyDictionary[Arrangement, DomainSolver] = WeakKeyDictionary()
 
 
 class PathEngine:
@@ -164,9 +155,11 @@ class PathEngine:
     target's elimination key (`_deaths`); the next frontier is the sources
     of the cancelled targets that are not sources themselves.  One sort
     then numbers every generator of the closure by its key, so that the
-    integers order like the keys.  The cancellation recursion then runs on
+    integers order like the keys, and the entries that could only be folded
+    away are dropped (`_prune`).  The cancellation recursion then runs on
     those integers, and only the short rows are turned back into point
-    tuples.  The omitted marking must lie on the boundary of the square
+    tuples, their entries certified by domains in one array pass.  The
+    omitted marking must lie on the boundary of the square
     (`on_boundary`); any other omission raises `InvalidOmission`.  Without
     one, the engine keeps the configuration `select_best_config` chose, and
     with it that configuration's slice count.
@@ -218,7 +211,12 @@ class PathEngine:
             raising.append((slot_of[column], p1))
         self._event_of = np.array(event_of, dtype=np.int16)
         self._raising = np.array(raising, dtype=np.int64).reshape(-1, 2)
-        self._arr = Arrangement(short_cfg)
+        self._solver = solver = DomainSolver(Arrangement(short_cfg))
+        #: long point id -> the transform column of its crossing in the short
+        #: arrangement; a zero pad row where the short configuration drops it
+        pad = len(solver.row_of)
+        crossing = [solver.row_of.get(p, pad) for p in self.moves.points]
+        self._columns = np.vstack([solver.ops, np.zeros(pad, np.int64)])[crossing]
 
     # -- schedule bookkeeping
 
@@ -255,7 +253,10 @@ class PathEngine:
         An entry to a dying source (a cancelled generator that is its own
         source) is not kept at all.  Such an entry is never folded and adds
         to no other entry, and every short row drops it with its generator,
-        so without it every short row is the same, order included.
+        so without it every short row is the same, order included.  Nor is
+        an entry to the partner of a dead end (`_prune`), whose reduced row
+        is its pivot alone: folding that partner only removes it, pushes
+        nothing and moves no other entry.
         """
         moves, count = self.moves, self.event_count
         frontier = moves.encode(gens)
@@ -308,17 +309,20 @@ class PathEngine:
         del source_at, order
         # a generator that is its own source needs no link but to its row
         link[link == np.arange(size)] = -1
-        link[number[owner_at]] = -2 - np.arange(len(owner_at), dtype=np.int32)
-        targets = array("i")
-        for lo in range(0, len(target_at), _BATCH):
-            _extend(targets, number[target_at[lo : lo + _BATCH]])
+        owner = number[owner_at]
+        link[owner] = -2 - np.arange(len(owner), dtype=np.int32)
+        targets = number[target_at]
+        del number, target_at
+        lengths, targets, signs = _prune(
+            link, owner, np.frombuffer(lengths, np.int32), targets, np.frombuffer(signs, np.int8)
+        )
         return _Closure(
             survivors=survivors,
             link=_extend(array("i"), link),
-            roots=number[owner_at[: len(gens)]].tolist(),
-            bounds=_extend(array("i", [0]), np.cumsum(np.frombuffer(lengths, np.int32))),
-            targets=targets,
-            signs=signs,
+            roots=owner[: len(gens)].tolist(),
+            bounds=_extend(array("i", [0]), np.cumsum(lengths)),
+            targets=_extend(array("i"), targets),
+            signs=_extend(array("b"), signs),
         )
 
     def _reduce(self, cl: _Closure, groups: list[int]) -> list[dict[int, int]]:
@@ -331,9 +335,11 @@ class PathEngine:
         the current group (``groups`` counts them) are done.  New entries
         die no earlier than the pair that created them, so a single heap
         pass suffices.  The closure keeps no entry to a dying source, so
-        every earlier target folds.  A pair's two members are its source and
-        the target that names it, and they come first among the numbers of
-        its key: the smaller of the two is the limit of the source's row.
+        every earlier target folds, nor to a dead end's partner, so no dead
+        end is reached; `_prune` has checked their pivots.  A pair's two
+        members are its source and the target that names it, and they come
+        first among the numbers of its key: the smaller of the two is the
+        limit of the source's row.
         """
         link, bounds, targets, signs = cl.link, cl.bounds, cl.targets, cl.signs
         # per source, its pivot and then the other entries of its reduced
@@ -389,35 +395,53 @@ class PathEngine:
         One closure serves every slice; the reduced rows of the sources are
         dropped after each slice, as the differential and every retraction
         event preserve a2.  Every nonzero entry must join ``x`` to a
-        surviving generator through a domain of the short arrangement;
-        either failure raises.  Nothing is kept once the rows are returned.
+        surviving generator through a domain of the short arrangement,
+        certified for all entries in one pass (`_without_domain`); either
+        failure raises, at the first failing entry in row order.  Nothing is
+        kept once the rows are returned.
         """
         gens = [x for xs in slices for x in xs]
         if not gens:
             return []
         cl = self._closure(gens)
         rows = self._reduce(cl, [len(xs) for xs in slices])
-        cancelled = cl.cancelled
-        numbers = [v for row in rows for v in row if v >= cancelled]
-        ids = self.moves.unpack(cl.survivors[np.array(numbers, dtype=np.int64) - cancelled])
-        decoded = dict(zip(numbers, map(self.moves.decode, map(tuple, ids.tolist()))))
-        out = []
-        for x, row in zip(gens, rows):
-            short: dict[Gen, int] = {}
-            for v, c in row.items():
-                if v < cancelled:
-                    raise CancelledTargetReached(
-                        f"short row of {x} reaches the cancelled generator "
-                        f"number {v} of the elimination order"
-                    )
-                y = decoded[v]
-                if find_domain(self._arr, x, y) is None:
-                    raise MissingDomain(
-                        f"nonzero entry {c} from {x} to {y} has no domain"
-                    )
-                short[y] = c
-            out.append((x, short))
-        return out
+        # every entry in row order, and the row it lies in
+        numbers = np.array([v for row in rows for v in row], dtype=np.int64)
+        owner = np.repeat(np.arange(len(gens)), [len(row) for row in rows])
+        if (numbers < cl.cancelled).any():
+            at = int((numbers < cl.cancelled).argmax())
+            raise CancelledTargetReached(
+                f"short row of {gens[owner[at]]} reaches the cancelled generator "
+                f"number {numbers[at]} of the elimination order"
+            )
+        ids = self.moves.unpack(cl.survivors[numbers - cl.cancelled])
+        missing = self._without_domain(self.moves.encode(gens)[owner], ids)
+        if missing.any():
+            at = int(missing.argmax())
+            x, y = gens[owner[at]], self.moves.decode(tuple(ids[at].tolist()))
+            c = rows[owner[at]][numbers[at]]
+            raise MissingDomain(f"nonzero entry {c} from {x} to {y} has no domain")
+        decoded = dict(zip(numbers.tolist(), map(self.moves.decode, map(tuple, ids.tolist()))))
+        return [(x, {decoded[v]: c for v, c in row.items()}) for x, row in zip(gens, rows)]
+
+    def _without_domain(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Whether no domain of the short arrangement joins ``x`` to ``y``.
+
+        Row by row: ``x`` and ``y`` hold the point ids of short generators.
+        The transformed right-hand side of a pair is the sum of the
+        transform columns of the points of ``x`` less those of ``y``; a slot
+        where both agree adds nothing.  The rule is `DomainSolver.rejects`,
+        the one `find_domain` applies, and the zero chain is not a domain.
+        Pairs are taken ``_BATCH`` at a time.
+        """
+        missing = (x == y).all(axis=1)
+        for lo in range(0, len(x), _BATCH):
+            xs, ys = x[lo : lo + _BATCH], y[lo : lo + _BATCH]
+            transformed = np.zeros((len(xs), self._columns.shape[1]), dtype=np.int64)
+            for slot in range(x.shape[1]):
+                transformed += self._columns[xs[:, slot]] - self._columns[ys[:, slot]]
+            missing[lo : lo + _BATCH] |= self._solver.rejects(transformed)
+        return missing
 
     # -- public API
 
@@ -478,6 +502,50 @@ def _extend(out: array, values: np.ndarray) -> array:
     """
     out.frombytes(memoryview(np.ascontiguousarray(values, dtype=out.typecode)).cast("B"))
     return out
+
+
+def _prune(
+    link: np.ndarray, owner: np.ndarray, lengths: np.ndarray, targets: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, targets, signs)`` of the rows, less the entries to dead ends.
+
+    Row ``r`` is that of number ``owner[r]``; ``link`` is as in `_Closure`.
+    A source's pivot is its partner, the one number linked to it, and the
+    smaller of the two is its row's limit; a queried row has no pivot.  A
+    source is a dead end when every other entry of its row goes below the
+    limit, to a target whose source is a dead end: its reduced row is its
+    pivot alone, and folding its partner only removes the partner.  Passes
+    over the entries find the least such set.  Every entry to the partner
+    of a dead end is dropped, but the dead end's own pivot, which must be
+    a unit: the recursion never reaches a dead end to check it.
+    """
+    rows = len(owner)
+    row = np.repeat(np.arange(rows, dtype=np.int32), lengths)
+    partner = np.full(len(link), -1, dtype=np.int32)
+    linked = np.flatnonzero(link >= 0).astype(np.int32)
+    partner[link[linked]] = linked
+    pivot = partner[owner]
+    is_pivot = targets == pivot[row]
+    below = targets < np.minimum(owner, pivot)[row]
+    # per entry the source of its target, or -1 (the padding of ``dead``)
+    source = np.maximum(link[targets], -1)
+    dead = np.zeros(len(link) + 1, dtype=bool)
+    while True:
+        live = np.bincount(row[~(is_pivot | below & dead[source])], minlength=rows) > 0
+        found = owner[(pivot >= 0) & ~live]
+        if dead[found].all():
+            break
+        dead[found] = True
+    pivots = np.zeros(rows, dtype=np.int8)
+    pivots[row[is_pivot]] = signs[is_pivot]
+    bad = np.flatnonzero(dead[owner] & (abs(pivots) != 1))
+    if len(bad):
+        raise ScheduleAssertionFailed(
+            f"path pivot {pivots[bad[0]]} is not a unit, at the pair of "
+            f"source {owner[bad[0]]} in the elimination order"
+        )
+    keep = is_pivot | ~dead[source]
+    return np.bincount(row[keep], minlength=rows), targets[keep], signs[keep]
 
 
 def _positions(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -631,15 +631,6 @@ def parse_grid_text(text: str) -> GridDiagram:
     return g
 
 
-def format_grid_text(g: GridDiagram) -> str:
-    """Inverse of :func:`parse_grid_text`."""
-    return "{}\nX: {}\nO: {}\n".format(
-        g.n,
-        " ".join(str(r) for r in g.xs),
-        " ".join(str(r) for r in g.os),
-    )
-
-
 def grids_related_by_moves(g: GridDiagram) -> Iterator[GridDiagram]:
     """All diagrams one castling or destabilization away.
 

@@ -99,6 +99,11 @@ def cyclic_col_shift(g: GridDiagram, k: int = 1) -> GridDiagram:
     )
 
 
+def format_grid_text(g: GridDiagram) -> str:
+    """A grid in the three-line format `gridkit.parse_grid_text` reads."""
+    return f"{g.n}\nX: {' '.join(map(str, g.xs))}\nO: {' '.join(map(str, g.os))}\n"
+
+
 def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
     """A nontrivial knot of grid size at most ``max_n``.
 

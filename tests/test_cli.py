@@ -22,13 +22,12 @@ from gridhfk.cli import (
 from gridhfk.gridkit import (
     GridDiagram,
     LaurentPoly,
-    format_grid_text,
     parse_braid,
 )
 from gridhfk.reducer import HomologyResult, PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
-from conftest import BRAIDS, cyclic_col_shift
+from conftest import BRAIDS, cyclic_col_shift, format_grid_text
 
 
 class TestWordParsing:

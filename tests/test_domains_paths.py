@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import os
+import re
 from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
@@ -295,9 +297,29 @@ class TestPathEngine:
     def test_entry_without_domain_is_a_typed_failure(self, monkeypatch):
         eng = PathEngine(NONZERO_SHORT)
         x = next(x for x in eng.short_complex().rows if eng.short_row(x))
-        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
-        with pytest.raises(MissingDomain):
+        monkeypatch.setattr(PathEngine, "_without_domain", no_domain_anywhere)
+        with pytest.raises(MissingDomain, match=f"from {re.escape(str(x))} to .* has no domain"):
             eng.short_row(x)
+
+    @pytest.mark.parametrize(
+        "g, joined", [(NONZERO_SHORT, 32), (minimize(parse_braid(BRAIDS["5_2"])), 0)]
+    )
+    def test_domain_pass_agrees_with_find_domain(self, g, joined):
+        # every ordered pair of short generators of one a2, x == y included;
+        # this takes in the Maslov-adjacent pairs, which 5_2 lacks: each of
+        # its slices lies in one Maslov grading.  ``joined`` pairs have a
+        # domain: on NONZERO_SHORT, those of its 32 entries
+        eng = PathEngine(g)
+        arr = Arrangement(eng.short_cfg)
+        slices = {}
+        for x, a2 in oval_generators(eng.short_cfg):
+            slices.setdefault(a2, []).append(x)
+        pairs = [(x, y) for xs in slices.values() for x in xs for y in xs]
+        xs, ys = zip(*pairs)
+        missing = eng._without_domain(eng.moves.encode(xs), eng.moves.encode(ys)).tolist()
+        assert missing == [find_domain(arr, x, y) is None for x, y in pairs]
+        assert all(m for m, (x, y) in zip(missing, pairs) if x == y)
+        assert missing.count(False) == joined
 
     def test_slices_are_assembled_apart(self):
         # dropping the reduced rows between Alexander slices, and forming
@@ -331,6 +353,28 @@ class TestRecursionChecks:
         with pytest.raises(ScheduleAssertionFailed, match="path pivot .* is not a unit"):
             PathEngine(NONZERO_SHORT).short_complex()
 
+    def test_non_unit_pivot_at_a_dead_end_is_a_typed_failure(self, monkeypatch):
+        prune = domains_paths._prune
+        doubled = set()
+
+        def doubling(link, owner, lengths, targets, signs):
+            # only the dead ends' pivots doubled, and the recursion never
+            # reaches a dead end: the pruning pass must check them
+            dead = dead_ends(link, owner, lengths, targets)
+            partner = {s: v for v, s in enumerate(link.tolist()) if s in dead}
+            row_owner = np.repeat(owner, lengths).tolist()
+            signs = signs.copy()
+            for e, (s, w) in enumerate(zip(row_owner, targets.tolist())):
+                if partner.get(s) == w:
+                    signs[e] *= 2
+            doubled.update(dead)
+            return prune(link, owner, lengths, targets, signs)
+
+        monkeypatch.setattr(domains_paths, "_prune", doubling)
+        with pytest.raises(ScheduleAssertionFailed, match="path pivot -?2 is not a unit") as info:
+            PathEngine(NONZERO_SHORT).short_complex()
+        assert int(re.search(r"source (\d+)", str(info.value))[1]) in doubled
+
     def test_cancelled_target_is_a_typed_failure(self, monkeypatch):
         reduce = PathEngine._reduce
 
@@ -353,6 +397,59 @@ class TestMod2Route:
         assert z_cx.grading == z2_cx.grading
         for x, row in z_cx.rows.items():
             assert {y for y, c in row.items() if c % 2} == set(z2_cx.rows[x])
+
+
+def dead_ends(link, owner, lengths, targets):
+    """The dead-end sources of the arguments of `domains_paths._prune`.
+
+    One source row at a time, by increasing limit: each rests only on the
+    sources of targets below its limit, whose limits are smaller.
+    """
+    link, targets = link.tolist(), targets.tolist()
+    partner = {s: v for v, s in enumerate(link) if s >= 0}
+    starts = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    dead = set()
+    for limit, s, r in sorted(
+        (min(s, partner[s]), s, r) for r, s in enumerate(owner.tolist()) if s in partner
+    ):
+        if all(
+            w == partner[s] or (w < limit and link[w] in dead)
+            for w in targets[starts[r] : starts[r + 1]]
+        ):
+            dead.add(s)
+    return dead
+
+
+def test_dead_ends_are_pruned_on_8_20(monkeypatch):
+    # the pruning leaves every digest as it is, so only counts can show it
+    # happens: 8_20's full closure at its default placement
+    eng = PathEngine(minimize(parse_braid(BRAIDS["8_20"])))
+    calls = []
+    prune = domains_paths._prune
+
+    def spy(*args):
+        calls.append(args)
+        return prune(*args)
+
+    monkeypatch.setattr(domains_paths, "_prune", spy)
+    cl = eng._closure([x for x, _ in oval_generators(eng.short_cfg)])
+    [(link, owner, lengths, targets, _)] = calls
+    assert (len(owner), len(targets)) == (98_437, 193_796)
+    dead = dead_ends(link, owner, lengths, targets)
+    assert len(dead) == 60_112
+    assert len(cl.targets) == 132_834
+    # what is left: the entries to no dead end's partner, and the pivots
+    pivot = {s: v for v, s in enumerate(link.tolist()) if s in dead}
+    kept = sum(
+        link[w] not in dead or pivot.get(s) == w
+        for s, w in zip(np.repeat(owner, lengths).tolist(), targets.tolist())
+    )
+    assert kept == len(cl.targets)
+
+
+def no_domain_anywhere(eng, x, y):
+    """A domain pass that finds no domain for any entry."""
+    return np.ones(len(x), dtype=bool)
 
 
 def ordered(cx):
@@ -607,7 +704,7 @@ class TestPooledSlices:
 
     def test_worker_failure_keeps_its_type(self, monkeypatch, two_cpus):
         monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
-        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
+        monkeypatch.setattr(PathEngine, "_without_domain", no_domain_anywhere)
         with pytest.raises(MissingDomain, match="has no domain") as info:
             hfk_paths(NONZERO_SHORT)
         # raised in a worker: the pool attaches the worker's traceback
@@ -615,7 +712,7 @@ class TestPooledSlices:
 
     def test_worker_failure_through_main(self, monkeypatch, two_cpus, capsys):
         monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 0)
-        monkeypatch.setattr(domains_paths, "find_domain", lambda arr, x, y: None)
+        monkeypatch.setattr(PathEngine, "_without_domain", no_domain_anywhere)
         word = " ".join(map(str, BRAIDS["8_19"]))
         argv = ["--braid", word, "--strategy", "paths", "--crosscheck", "off"]
         assert main(argv) == 1

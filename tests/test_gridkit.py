@@ -8,6 +8,7 @@ from conftest import (
     BRAIDS,
     cyclic_col_shift,
     cyclic_row_shift,
+    format_grid_text,
     random_grid,
     stabilize,
 )
@@ -34,7 +35,6 @@ from gridhfk.gridkit import (
     component_count,
     destabilize_column,
     destabilize_row,
-    format_grid_text,
     greedy_destabilize,
     laurent_determinant,
     parse_braid,
