@@ -472,7 +472,8 @@ class PathEngine:
 
 
 class _Closure(NamedTuple):
-    """What the cancellation recursion reads, on the numbers of `_closure`."""
+    """What the cancellation recursion reads, on the numbers of `_closure`:
+    no row keeps an entry to a dying source or to a dead end's partner."""
 
     #: the packed keys of the survivors, which take the last numbers
     survivors: np.ndarray

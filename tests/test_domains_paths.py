@@ -439,7 +439,8 @@ def test_dead_ends_are_pruned_on_8_20(monkeypatch):
     assert len(dead) == 60_112
     assert len(cl.targets) == 132_834
     # what is left: the entries to no dead end's partner, and the pivots
-    pivot = {s: v for v, s in enumerate(link.tolist()) if s in dead}
+    link = link.tolist()
+    pivot = {s: v for v, s in enumerate(link) if s in dead}
     kept = sum(
         link[w] not in dead or pivot.get(s) == w
         for s, w in zip(np.repeat(owner, lengths).tolist(), targets.tolist())
