@@ -27,14 +27,15 @@ winding number there (asserted in tests).
 
 `SparseComplex` is the shared container: a dict-of-dicts matrix with row
 and column views, supporting unit-pivot cancellation, which is all the
-reduction machinery needs.
+reduction machinery needs.  Both complexes above are filled, and checked
+every time (unit entries, gradings, ``d^2 = 0``), by `SparseComplex.from_arrays`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -87,26 +88,28 @@ class SparseComplex:
     # -- construction
 
     @classmethod
-    def from_arrays(cls, ring, gens, gradings, src, dst, coeff) -> "SparseComplex":
-        """The complex on ``gens``, graded by ``gradings`` in the same order,
-        with the entry ``gens[src[k]] -> gens[dst[k]]`` of ``coeff[k]`` for
-        each ``k`` (integer arrays; no pair may repeat).
+    def from_arrays(cls, ring, gens, a2, maslov, src, dst, coeff) -> "SparseComplex":
+        """The complex on ``gens``, graded by the integer arrays ``a2`` and
+        ``maslov``, with the entry ``gens[src[k]] -> gens[dst[k]]`` of
+        ``coeff[k]`` for each ``k`` (integer arrays; no pair may repeat).
 
         The same dicts, in the same order, as `add_generator` and then
-        `add_entry` would build, in one pass: over Z/2 the coefficients are
-        reduced mod 2, and zero entries are dropped.
+        `add_entry` would build: over Z/2 the coefficients are reduced mod 2,
+        and zero entries are dropped.  The entries are checked first
+        (`_check_entries`), so no complex built here skips a check.
         """
         cx = cls(ring)
-        cx.grading = dict(zip(gens, gradings))
+        cx.grading = dict(zip(gens, zip(a2.tolist(), maslov.tolist())))
         if len(cx.grading) != len(gens):
             raise DuplicateGenerator("a generator is listed twice")
+        if ring == "Z2":
+            coeff = coeff & 1
+        live = np.flatnonzero(coeff)
+        _check_entries(ring, gens, a2, maslov, src[live], dst[live], coeff[live])
         cx.rows = {x: {} for x in gens}
         cx.cols = {x: {} for x in gens}
         # rows and columns by position: an entry hashes only the labels it stores
         rows, cols = list(cx.rows.values()), list(cx.cols.values())
-        if ring == "Z2":
-            coeff = coeff & 1
-        live = np.flatnonzero(coeff)
         for s, t, c in zip(src[live].tolist(), dst[live].tolist(), coeff[live].tolist()):
             rows[s][gens[t]] = c
             cols[t][gens[s]] = c
@@ -161,51 +164,6 @@ class SparseComplex:
                 other.add_entry(x, y, c)
         return other
 
-    def assert_entries_unit(self) -> None:
-        for x, row in self.rows.items():
-            for y, c in row.items():
-                if c not in (1, -1):
-                    raise SignAssignmentFailed(f"non-unit entry {c} at {x} -> {y}")
-
-    def grading_violation(self):
-        """Return an edge that fails (a2 preserved, maslov drops by 1)."""
-        for x, row in self.rows.items():
-            a2, m = self.grading[x]
-            for y in row:
-                b2, k = self.grading[y]
-                if b2 != a2 or k != m - 1:
-                    return (x, y)
-        return None
-
-    def check_grading(self) -> None:
-        bad = self.grading_violation()
-        if bad is not None:
-            x, y = bad
-            raise GradingViolation(
-                f"edge {x} -> {y} goes from grading {self.grading[x]} "
-                f"to {self.grading[y]}"
-            )
-
-    def d_squared_violation(self):
-        """Return ``(x, z, coeff)`` witnessing a nonzero entry of the square."""
-        mod2 = self.ring == "Z2"
-        for x, row in self.rows.items():
-            acc: dict[Hashable, int] = {}
-            for y, c in row.items():
-                for z, d in self.rows[y].items():
-                    acc[z] = acc.get(z, 0) + c * d
-            for z, total in acc.items():
-                if (total & 1) if mod2 else total:
-                    return (x, z, total)
-        return None
-
-    def check_d_squared(self) -> None:
-        bad = self.d_squared_violation()
-        if bad is not None:
-            raise BoundarySquareNonzero(
-                f"d^2 has entry {bad[2]} from {bad[0]} to {bad[1]}"
-            )
-
     # -- reduction primitive
 
     def cancel_pair(self, x: Hashable, y: Hashable) -> None:
@@ -235,6 +193,54 @@ class SparseComplex:
         del self.rows[gen]
         del self.cols[gen]
         del self.grading[gen]
+
+
+def _check_entries(ring: str, gens: list, a2, maslov, src, dst, coeff) -> None:
+    """Check the nonzero entries of a complex on its arrays, naming the first
+    failing entry in row order (by source, then as given): every coefficient
+    must be a unit (`SignAssignmentFailed`; over Z/2 every entry is 1), every
+    entry must keep a2 and lower the Maslov grading by one
+    (`GradingViolation`), and the boundary must square to zero
+    (`BoundarySquareNonzero`).
+
+    For ``d^2`` the products of each ``x -> y`` with the ``y -> z`` are
+    summed by ``(x, z)`` (mod 2 over Z/2) for whole sources at a time, a
+    batch closing at the first source past a multiple of `_SQUARE_BATCH`
+    products, so every sum is complete.  The first nonzero sum is by ``x``,
+    then by the first product reaching ``z``, as a walk of the rows meets it.
+    """
+    at = np.argsort(src, kind="stable")  # into row order
+    src, dst, coeff = src[at], dst[at], coeff[at]
+    if (np.abs(coeff) != 1).any():
+        k = (np.abs(coeff) != 1).argmax()
+        raise SignAssignmentFailed(f"non-unit entry {coeff[k]} at {gens[src[k]]} -> {gens[dst[k]]}")
+    skew = (a2[dst] != a2[src]) | (maslov[dst] != maslov[src] - 1)
+    if skew.any():
+        x, y = src[skew.argmax()], dst[skew.argmax()]
+        raise GradingViolation(
+            f"edge {gens[x]} -> {gens[y]} goes from grading "
+            f"{(int(a2[x]), int(maslov[x]))} to {(int(a2[y]), int(maslov[y]))}"
+        )
+    length = np.bincount(src, minlength=len(gens))
+    count = length[dst]  # the products of each entry x -> y
+    before = np.concatenate([[0], np.cumsum(count)])
+    # product p, of entry e, pairs it with the entry y -> z at p + shift[e]
+    shift = (np.cumsum(length) - length)[dst] - before[:-1]
+    starts = np.flatnonzero(np.diff(src, prepend=-1))
+    cuts = starts[np.flatnonzero(np.diff(before[starts] // _SQUARE_BATCH, prepend=-1))]
+    for lo, hi in zip(cuts, [*cuts[1:], len(src)]):
+        rep = count[lo:hi]
+        l = np.repeat(shift[lo:hi], rep) + np.arange(before[lo], before[hi])
+        key = np.repeat(src[lo:hi] * len(gens), rep) + dst[l]  # x * len(gens) + z
+        order = key.argsort(kind="stable")
+        heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+        products = np.repeat(coeff[lo:hi], rep) * coeff[l]
+        sums = np.add.reduceat(products[order], heads, dtype=np.int64)
+        bad = np.flatnonzero(sums & 1 if ring == "Z2" else sums)
+        if len(bad):
+            g = bad[order[heads[bad]].argmin()]
+            x, z = divmod(int(key[order[heads[g]]]), len(gens))
+            raise BoundarySquareNonzero(f"d^2 has entry {sums[g]} from {gens[x]} to {gens[z]}")
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +369,9 @@ def _spin_lifts(n: int) -> np.ndarray:
 
 #: Edges whose signs are evaluated in one batch (bounds the scratch arrays).
 _SIGN_BATCH = 2048
+
+#: Products formed in one batch by `_check_entries`, bar its last source's.
+_SQUARE_BATCH = 1 << 14
 
 
 def _edge_signs(n: int, src: np.ndarray, dst: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -517,12 +526,8 @@ def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
     a2, m = _cell_gradings(g, perms)
     src, col = np.nonzero(coeff)
     # one int object per rank, shared by every dict keyed by it
-    gens, gradings = list(range(len(perms))), zip(a2.tolist(), m.tolist())
-    dst, coeff = target[src, col], coeff[src, col]
-    cx = SparseComplex.from_arrays(ring, gens, gradings, src, dst, coeff)
-    if signed:
-        cx.assert_entries_unit()
-    return cx
+    gens, dst, coeff = list(range(len(perms))), target[src, col], coeff[src, col]
+    return SparseComplex.from_arrays(ring, gens, a2, m, src, dst, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -663,8 +668,8 @@ class LongMoves:
 
     def encode(self, gens: list[Gen]) -> np.ndarray:
         """The point ids of some generators, one generator per row, in point order."""
-        ids = [tuple(map(self.id_of.__getitem__, x)) for x in gens]
-        return np.array(ids, dtype=np.int64).reshape(len(gens), len(self._first))
+        ids = map(self.id_of.__getitem__, chain.from_iterable(gens))
+        return np.fromiter(ids, np.int64).reshape(len(gens), len(self._first))
 
     def decode(self, x: tuple[int, ...]) -> Gen:
         """The generator whose point ids are ``x``."""
@@ -811,8 +816,5 @@ def long_complex(
     found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
     if len(wanted) and not np.array_equal(keys[found], wanted):
         raise GradingViolation("move target escapes the kept a2 slices")
-    gradings = [(a2, config.maslov(x)) for x, a2 in listed]
-    cx = SparseComplex.from_arrays(ring, gens, gradings, owner, found, sign)
-    if ring == "Z":
-        cx.assert_entries_unit()
-    return cx
+    a2, maslov = np.array([(a2, config.maslov(x)) for x, a2 in listed]).reshape(-1, 2).T
+    return SparseComplex.from_arrays(ring, gens, a2, maslov, owner, found, sign)

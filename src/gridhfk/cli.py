@@ -329,19 +329,12 @@ def _emit_machine(result: RunResult) -> str:
             lines.append(f"genus {result.genus}")
         else:
             lines.append(f"fibered {str(result.fibered).lower()}")
-    elif cfg.mode == "torsion":
-        lines.append(f"torsion-free {str(result.torsion_free).lower()}")
+    else:  # one record per group; in torsion mode, per group with torsion
+        if cfg.mode == "torsion":
+            lines.append(f"torsion-free {str(result.torsion_free).lower()}")
         for (a, m), (rank, torsion) in sorted(table.groups.items()):
-            if torsion:
-                lines.append(
-                    f"{a} {m} {rank} " + " ".join(str(t) for t in torsion)
-                )
-    else:
-        for (a, m), (rank, torsion) in sorted(table.groups.items()):
-            record = f"{a} {m} {rank}"
-            if torsion:
-                record += " " + " ".join(str(t) for t in torsion)
-            lines.append(record)
+            if torsion or cfg.mode != "torsion":
+                lines.append(" ".join(map(str, (a, m, rank, *torsion))))
     return "\n".join(lines)
 
 

@@ -27,6 +27,7 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from typing import NamedTuple
@@ -211,12 +212,19 @@ class PathEngine:
             raising.append((slot_of[column], p1))
         self._event_of = np.array(event_of, dtype=np.int16)
         self._raising = np.array(raising, dtype=np.int64).reshape(-1, 2)
-        self._solver = solver = DomainSolver(Arrangement(short_cfg))
-        #: long point id -> the transform column of its crossing in the short
-        #: arrangement; a zero pad row where the short configuration drops it
-        pad = len(solver.row_of)
-        crossing = [solver.row_of.get(p, pad) for p in self.moves.points]
-        self._columns = np.vstack([solver.ops, np.zeros(pad, np.int64)])[crossing]
+
+    @cached_property
+    def _solver(self) -> DomainSolver:
+        """The short arrangement's domain solver, built by the first domain pass."""
+        return DomainSolver(Arrangement(self.short_cfg))
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """Long point id -> the transform column of its crossing in the short
+        arrangement; a zero pad row where the short configuration drops it."""
+        pad = len(self._solver.row_of)
+        crossing = [self._solver.row_of.get(p, pad) for p in self.moves.points]
+        return np.vstack([self._solver.ops, np.zeros(pad, np.int64)])[crossing]
 
     # -- schedule bookkeeping
 

@@ -200,10 +200,6 @@ class LaurentPoly:
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
@@ -302,7 +298,7 @@ def laurent_determinant(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        total = LaurentPoly.zero()
+        total = LaurentPoly()
         sign = 1
         for j in range(n):
             bit = 1 << j

@@ -26,12 +26,17 @@ something independent to agree with:
 * `corner_index` reads a domain's corner index at a crossing, and
   `euler_discrepancy` and `validate_periodic_domains` check an oval
   arrangement against the Euler formula and the periodic domains of its
-  ovals.
+  ovals;
+* `refilled` passes a complex filled entry by entry through
+  `SparseComplex.from_arrays`, the one routine that checks a complex's
+  unit entries, gradings and ``d^2 = 0``.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 from gridhfk.chains import (
     LongMoves,
@@ -286,3 +291,18 @@ def validate_periodic_domains(arr: Arrangement) -> None:
                 raise ScheduleAssertionFailed(
                     f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
                 )
+
+
+def refilled(cx: SparseComplex) -> SparseComplex:
+    """The same complex, insertion order included, built by `SparseComplex.from_arrays`.
+
+    So a complex filled entry by entry is checked as an array-built one
+    is: over Z every entry a unit, every entry keeping a2 and lowering the
+    Maslov grading by one, and the boundary squaring to zero.
+    """
+    gens = list(cx.grading)
+    index = {x: i for i, x in enumerate(gens)}
+    a2, maslov = np.array(list(cx.grading.values()), dtype=np.int64).reshape(-1, 2).T
+    entries = [(index[x], index[y], c) for x, row in cx.rows.items() for y, c in row.items()]
+    src, dst, coeff = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return SparseComplex.from_arrays(cx.ring, gens, a2, maslov, src, dst, coeff)

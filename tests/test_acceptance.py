@@ -199,9 +199,10 @@ def test_criterion_04_d_squared_on_random_grids():
     assert len(sizes) == 100
     for n in sizes:
         g = random_grid(n, rng)
-        mos_complex(g, "Z").check_d_squared()
+        # each build raises `BoundarySquareNonzero` unless d^2 = 0
+        mos_complex(g, "Z")
         omit = select_best_config(g).omit
-        long_complex(g, omit, "Z").check_d_squared()
+        long_complex(g, omit, "Z")
     announce(4, "d-squared vanishes over Z on 100 random grids, both complexes")
 
 

@@ -19,6 +19,7 @@ from references import (
     long_gradings,
     maslov,
     mos_generators,
+    refilled,
 )
 from test_cells_oracle import reference_sign, table_sign
 from gridhfk import chains, domains_paths, ovalgeo
@@ -37,6 +38,7 @@ from gridhfk.errors import (
     InvalidOmission,
     NonUnitPivot,
     ScheduleAssertionFailed,
+    SignAssignmentFailed,
 )
 from gridhfk.gridkit import (
     SCALE,
@@ -141,9 +143,11 @@ class TestGradings:
                     assert long_gradings(moves, x) == (a2, maslov(x, o_punct, 0))
 
     def test_grading_discipline(self):
+        # `from_arrays` raises `GradingViolation` on an entry that does not
+        # keep a2 and lower the Maslov grading by one
         g = parse_braid(BRAIDS["trefoil"])
-        assert mos_complex(g, "Z").grading_violation() is None
-        assert long_complex(g, omission_candidates(g)[0], "Z").grading_violation() is None
+        mos_complex(g, "Z")
+        long_complex(g, omission_candidates(g)[0], "Z")
 
 
 class TestSparseComplex:
@@ -186,9 +190,77 @@ class TestSparseComplex:
 
     def test_square_violation_detected(self):
         cx = self.build("Z", [("a", "b", 1), ("b", "c", 1)])
-        assert cx.d_squared_violation() == ("a", "c", 1)
-        with pytest.raises(BoundarySquareNonzero):
-            cx.check_d_squared()
+        with pytest.raises(BoundarySquareNonzero, match=r"^d\^2 has entry 1 from a to c$"):
+            refilled(cx)
+
+    @staticmethod
+    def one_entry(ring, maslov, coeff):
+        """`SparseComplex.from_arrays` with the one entry ``a -> b``, both of a2 zero."""
+        one = np.array([0]), np.array([1]), np.array([coeff])
+        a2 = np.zeros(2, dtype=np.int64)
+        return SparseComplex.from_arrays(ring, ["a", "b"], a2, np.array(maslov), *one)
+
+    def test_from_arrays_rejects_an_entry_keeping_maslov(self):
+        self.one_entry("Z", [0, -1], 1)
+        kept = r"^edge a -> b goes from grading \(0, 0\) to \(0, 0\)$"
+        with pytest.raises(GradingViolation, match=kept):
+            self.one_entry("Z", [0, 0], 1)
+
+    def test_from_arrays_rejects_a_non_unit_over_z(self):
+        with pytest.raises(SignAssignmentFailed, match="^non-unit entry 2 at a -> b$"):
+            self.one_entry("Z", [0, -1], 2)
+        # over Z/2 the entry is reduced to zero and dropped
+        assert self.one_entry("Z2", [0, -1], 2).rows == {"a": {}, "b": {}}
+
+
+def negate_first(signs):
+    """``signs`` (a `_edge_signs`) with the first sign it returns negated, once."""
+    planted = []
+
+    def negated(*args):
+        out = signs(*args)
+        if not planted and len(out):
+            out[0] = -out[0]
+            planted.append(args)
+        return out
+
+    return negated
+
+
+class TestPlantedFaults:
+    """A sign fault planted in an array-built complex is found as it is built."""
+
+    #: the message names two generators: permutation ranks, or point tuples
+    RANKS = r"^d\^2 has entry -?\d+ from \d+ to \d+$"
+    POINTS = r"^d\^2 has entry -?\d+ from \(\(.+\)\) to \(\(.+\)\)$"
+
+    def test_negated_sign_of_the_rectangle_complex(self, monkeypatch):
+        monkeypatch.setattr(chains, "_edge_signs", negate_first(chains._edge_signs))
+        with pytest.raises(BoundarySquareNonzero, match=self.RANKS):
+            mos_complex(parse_braid(BRAIDS["trefoil"]), "Z")
+
+    def test_negated_sign_of_the_long_complex(self, monkeypatch):
+        rows = LongMoves.rows
+
+        def negated(self, x):
+            owner, target, sign = rows(self, x)
+            sign[0] = -sign[0]
+            return owner, target, sign
+
+        monkeypatch.setattr(LongMoves, "rows", negated)
+        g = parse_braid(BRAIDS["trefoil"])
+        with pytest.raises(BoundarySquareNonzero, match=self.POINTS):
+            long_complex(g, omission_candidates(g)[0], "Z")
+
+    def test_a_batch_never_splits_a_source(self, monkeypatch):
+        # with a few products per batch, every source is a batch of its own:
+        # a split source would leave a sum incomplete, and raise
+        monkeypatch.setattr(chains, "_SQUARE_BATCH", 3)
+        g = minimize(parse_braid(BRAIDS["8_20"]))
+        mos_complex(g, "Z")
+        monkeypatch.setattr(chains, "_edge_signs", negate_first(chains._edge_signs))
+        with pytest.raises(BoundarySquareNonzero, match=self.RANKS):
+            mos_complex(g, "Z")
 
 
 class TestCellComplex:
@@ -200,14 +272,11 @@ class TestCellComplex:
         grids = [REGRESSION_CELL]
         grids += [random_grid(n, rng) for n in (3, 3, 4, 4, 5, 5, 6)]
         for g in grids:
+            # each build checks d^2 = 0, its gradings and, over Z, unit entries
             cz = mos_complex(g, "Z")
-            cz.check_d_squared()
-            cz.assert_entries_unit()
             c2 = mos_complex(g, "Z2")
-            c2.check_d_squared()
             # forgetting signs mod 2 gives exactly the unsigned count
             assert all(set(cz.rows[x]) == set(c2.rows[x]) for x in cz.rows)
-            assert cz.grading_violation() is None
 
     def test_euler_characteristic_is_alexander(self, rng):
         ring_drop = LaurentPoly({0: 1, -1: -1})
@@ -298,13 +367,10 @@ class TestOvalComplex:
             g = random_grid(n, rng)
             cases.append((g, rng.choice(omission_candidates(g))))
         for g, omit in cases:
+            # each build checks d^2 = 0, its gradings and, over Z, unit entries
             lz = long_complex(g, omit, "Z")
-            lz.check_d_squared()
-            lz.assert_entries_unit()
             l2 = long_complex(g, omit, "Z2")
-            l2.check_d_squared()
             assert all(set(lz.rows[x]) == set(l2.rows[x]) for x in lz.rows)
-            assert lz.grading_violation() is None
 
     def test_euler_characteristic_matches_cell_complex(self, rng):
         grids = [parse_braid(BRAIDS["trefoil"]), random_grid(4, rng), random_grid(5, rng)]

@@ -14,6 +14,7 @@ from references import (
     corner_index,
     faithful_short,
     long_gradings,
+    refilled,
     short_complex_digest,
     validate_periodic_domains,
 )
@@ -231,7 +232,8 @@ class TestPathEngine:
         assert cx.grading == pcx.grading
         for x in cx.rows:
             assert cx.rows[x] == pcx.rows[x]
-        assert pcx.d_squared_violation() is None
+        # its entries are units, keep the gradings and square to zero
+        refilled(pcx)
         return cx, eng
 
     def test_unknot_rows_empty(self):
@@ -244,7 +246,9 @@ class TestPathEngine:
         assert cx.entry_count == 0
         # short_complex keeps nothing on the engine, and the closure of the
         # short generators forms the long rows of only a fraction of the
-        # long generators (229 of 6,144)
+        # long generators (229 of 6,144); the domain solver is built on the
+        # first domain pass, and kept
+        eng._columns
         state = engine_state(eng)
         eng.short_complex()
         assert engine_state(eng) == state
@@ -325,11 +329,34 @@ class TestPathEngine:
         # dropping the reduced rows between Alexander slices, and forming
         # one closure per row, change no entry
         eng = PathEngine(NONZERO_SHORT)
+        eng._columns  # the domain solver, which the engine builds once and keeps
         state = engine_state(eng)
         pcx = eng.short_complex()
         assert engine_state(eng) == state
         for x in pcx.rows:
             assert eng.short_row(x) == pcx.rows[x]
+
+    def test_solver_is_built_on_first_use(self, monkeypatch):
+        built = []
+        init = DomainSolver.__init__
+
+        def counted(self, arr):
+            built.append(arr)
+            init(self, arr)
+
+        monkeypatch.setattr(DomainSolver, "__init__", counted)
+        # the top and bottom slices of 5_2 and 8_19 hold no short entry, so
+        # genus and fiberedness certify none and build no domain solver
+        for name in ("5_2", "8_19"):
+            reducer.top_invariants(minimize(parse_braid(BRAIDS[name])))
+        assert built == []
+        # 8_20's top slice has entries; its engine builds one solver and keeps it
+        reducer.top_invariants(minimize(parse_braid(BRAIDS["8_20"])))
+        assert len(built) == 1
+        # a table built in this process, slice by slice, builds one too
+        monkeypatch.setattr(reducer, "PARALLEL_MIN_GENS", 10**9)
+        hfk_paths(minimize(parse_braid(BRAIDS["figure8"])))
+        assert len(built) == 2
 
     def test_homology_agrees_with_cell_pipeline(self):
         for g in (UNKNOT2, NONZERO_SHORT, parse_braid(BRAIDS["trefoil"])):
@@ -622,8 +649,10 @@ class TestPooledSlices:
             "all": None,
         }
         assert keeps["auto"] < slices
-        # the pool reads the slice sizes, which the engine caches
+        # the pool reads the slice sizes, which the engine caches, and the
+        # domain pass the solver, which the engine builds on first use
         assert set(eng.short_cfg.slice_sizes) == slices
+        eng._columns
         state = engine_state(eng)
         for ring in ("Z", "Z2"):
             for kept, keep in keeps.items():
