@@ -27,8 +27,10 @@ winding number there (asserted in tests).
 
 `SparseComplex` is the shared container: a dict-of-dicts matrix with row
 and column views, supporting unit-pivot cancellation, which is all the
-reduction machinery needs.  Both complexes above are filled, and checked
-every time (unit entries, gradings, ``d^2 = 0``), by `SparseComplex.from_arrays`.
+reduction machinery needs.  Every complex the package makes (these two, the
+short complex and `SparseComplex.mod2`) is filled, and checked each time
+(gradings, ``d^2 = 0``), by `SparseComplex.from_arrays`; where an entry
+counts one polygon, it is checked to be a unit first (`_check_units`).
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class SparseComplex:
         The same dicts, in the same order, as `add_generator` and then
         `add_entry` would build: over Z/2 the coefficients are reduced mod 2,
         and zero entries are dropped.  The entries are checked first
-        (`_check_entries`), so no complex built here skips a check.
+        (`_check_entries`), so no complex built here skips a check; an entry
+        summing paths need not be a unit.
         """
         cx = cls(ring)
         cx.grading = dict(zip(gens, zip(a2.tolist(), maslov.tolist())))
@@ -105,12 +108,14 @@ class SparseComplex:
         if ring == "Z2":
             coeff = coeff & 1
         live = np.flatnonzero(coeff)
-        _check_entries(ring, gens, a2, maslov, src[live], dst[live], coeff[live])
+        src, dst, coeff = src[live], dst[live], coeff[live]
+        if len(live):
+            _check_entries(ring, gens, a2, maslov, src, dst, coeff)
         cx.rows = {x: {} for x in gens}
         cx.cols = {x: {} for x in gens}
         # rows and columns by position: an entry hashes only the labels it stores
         rows, cols = list(cx.rows.values()), list(cx.cols.values())
-        for s, t, c in zip(src[live].tolist(), dst[live].tolist(), coeff[live].tolist()):
+        for s, t, c in zip(src.tolist(), dst.tolist(), coeff.tolist()):
             rows[s][gens[t]] = c
             cols[t][gens[s]] = c
         return cx
@@ -140,9 +145,6 @@ class SparseComplex:
 
     # -- inspection
 
-    def entry(self, x: Hashable, y: Hashable) -> int:
-        return self.rows[x].get(y, 0)
-
     @property
     def generator_count(self) -> int:
         return len(self.grading)
@@ -151,18 +153,14 @@ class SparseComplex:
     def entry_count(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def generators(self) -> list[Hashable]:
-        return list(self.grading)
-
     def mod2(self) -> "SparseComplex":
         """The same generators and gradings with every entry reduced mod 2."""
-        other = SparseComplex("Z2")
-        for x, (a2, m) in self.grading.items():
-            other.add_generator(x, a2, m)
-        for x, row in self.rows.items():
-            for y, c in row.items():
-                other.add_entry(x, y, c)
-        return other
+        gens = list(self.grading)
+        at = {x: i for i, x in enumerate(gens)}
+        a2, maslov = np.array(list(self.grading.values()), dtype=np.int64).reshape(-1, 2).T
+        entries = [(at[x], at[y], c & 1) for x, row in self.rows.items() for y, c in row.items()]
+        src, dst, coeff = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        return SparseComplex.from_arrays("Z2", gens, a2, maslov, src, dst, coeff)
 
     # -- reduction primitive
 
@@ -195,13 +193,20 @@ class SparseComplex:
         del self.grading[gen]
 
 
+def _check_units(ring: str, gens: list, src, dst, coeff) -> None:
+    """Over Z every entry must be ``+-1``, as each counts one polygon: else
+    `SignAssignmentFailed` names the first other one in row order."""
+    bad = np.flatnonzero(np.abs(coeff) > 1) if ring == "Z" else []
+    if len(bad):
+        k = bad[src[bad].argmin()]
+        raise SignAssignmentFailed(f"non-unit entry {coeff[k]} at {gens[src[k]]} -> {gens[dst[k]]}")
+
+
 def _check_entries(ring: str, gens: list, a2, maslov, src, dst, coeff) -> None:
     """Check the nonzero entries of a complex on its arrays, naming the first
-    failing entry in row order (by source, then as given): every coefficient
-    must be a unit (`SignAssignmentFailed`; over Z/2 every entry is 1), every
-    entry must keep a2 and lower the Maslov grading by one
-    (`GradingViolation`), and the boundary must square to zero
-    (`BoundarySquareNonzero`).
+    failing entry in row order (by source, then as given): every entry must
+    keep a2 and lower the Maslov grading by one (`GradingViolation`), and
+    the boundary must square to zero (`BoundarySquareNonzero`).
 
     For ``d^2`` the products of each ``x -> y`` with the ``y -> z`` are
     summed by ``(x, z)`` (mod 2 over Z/2) for whole sources at a time, a
@@ -211,9 +216,6 @@ def _check_entries(ring: str, gens: list, a2, maslov, src, dst, coeff) -> None:
     """
     at = np.argsort(src, kind="stable")  # into row order
     src, dst, coeff = src[at], dst[at], coeff[at]
-    if (np.abs(coeff) != 1).any():
-        k = (np.abs(coeff) != 1).argmax()
-        raise SignAssignmentFailed(f"non-unit entry {coeff[k]} at {gens[src[k]]} -> {gens[dst[k]]}")
     skew = (a2[dst] != a2[src]) | (maslov[dst] != maslov[src] - 1)
     if skew.any():
         x, y = src[skew.argmax()], dst[skew.argmax()]
@@ -527,6 +529,7 @@ def mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
     src, col = np.nonzero(coeff)
     # one int object per rank, shared by every dict keyed by it
     gens, dst, coeff = list(range(len(perms))), target[src, col], coeff[src, col]
+    _check_units(ring, gens, src, dst, coeff)
     return SparseComplex.from_arrays(ring, gens, a2, m, src, dst, coeff)
 
 
@@ -627,10 +630,10 @@ class LongMoves:
 
     Generators are arrays of point ids: the configuration's points are
     numbered in sorted order, so a generator's id tuple sorts like its point
-    tuple, and `encode` and `decode` convert at the edges.  A point sits on
-    one vertical oval, whose points have consecutive ids, so a generator
-    also packs into one integer (`pack`), with one base-``R`` digit per
-    column (``R`` points on a column): the id minus the column's first id.
+    tuple, and `encode` converts at the edge.  A point sits on one vertical
+    oval, whose points have consecutive ids, so a generator also packs into
+    one integer (`pack`), with one base-``R`` digit per column (``R``
+    points on a column): the id minus the column's first id.
     Packed keys sort like point tuples.  What depends on one point (its
     horizontal oval, its walls, its flips) is tabulated by id up front, and
     the empty rectangles between two points on first use (`_corners`).
@@ -671,10 +674,6 @@ class LongMoves:
         ids = map(self.id_of.__getitem__, chain.from_iterable(gens))
         return np.fromiter(ids, np.int64).reshape(len(gens), len(self._first))
 
-    def decode(self, x: tuple[int, ...]) -> Gen:
-        """The generator whose point ids are ``x``."""
-        return tuple(map(self.points.__getitem__, x))
-
     def pack(self, ids: np.ndarray) -> np.ndarray:
         """One ``int64`` key per row of generator ids; keys sort like the rows."""
         return (ids - self._first) @ self._weights
@@ -682,6 +681,16 @@ class LongMoves:
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         """The generator ids of packed keys, one generator per row."""
         return keys[:, None] // self._weights % self._radix + self._first
+
+    def locate(self, ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The row of ``ids`` (the kept generators) packing to each of
+        ``keys``; a key none packs to escapes them (`GradingViolation`)."""
+        kept = self.pack(ids)
+        order = np.argsort(kept, kind="stable")  # default kind: 7_1 worker peak +6 MB
+        found = order[np.searchsorted(kept, keys, sorter=order).clip(max=len(kept) - 1)]
+        if len(keys) and not np.array_equal(kept[found], keys):
+            raise GradingViolation("move target escapes the kept a2 slices")
+        return found
 
     @cached_property
     def _corners(self) -> tuple[np.ndarray, np.ndarray]:
@@ -810,11 +819,7 @@ def long_complex(
     gens = [x for x, _ in listed]
     ids = moves.encode(gens)
     owner, target, sign = moves.rows(ids)
-    # the kept generator of each target, found among the sorted keys
-    keys, wanted = moves.pack(ids), moves.pack(target)
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
-    if len(wanted) and not np.array_equal(keys[found], wanted):
-        raise GradingViolation("move target escapes the kept a2 slices")
+    found = moves.locate(ids, moves.pack(target))
+    _check_units(ring, gens, owner, found, sign)
     a2, maslov = np.array([(a2, config.maslov(x)) for x, a2 in listed]).reshape(-1, 2).T
     return SparseComplex.from_arrays(ring, gens, a2, maslov, owner, found, sign)

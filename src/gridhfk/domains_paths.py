@@ -158,12 +158,12 @@ class PathEngine:
     then numbers every generator of the closure by its key, so that the
     integers order like the keys, and the entries that could only be folded
     away are dropped (`_prune`).  The cancellation recursion then runs on
-    those integers, and only the short rows are turned back into point
-    tuples, their entries certified by domains in one array pass.  The
-    omitted marking must lie on the boundary of the square
-    (`on_boundary`); any other omission raises `InvalidOmission`.  Without
-    one, the engine keeps the configuration `select_best_config` chose, and
-    with it that configuration's slice count.
+    those integers, and the short entries are certified by domains in one
+    array pass and handed over as arrays.  The omitted marking must lie on
+    the boundary of the square (`on_boundary`); any other omission raises
+    `InvalidOmission`.  Without one, the engine keeps the configuration
+    `select_best_config` chose, and with it that configuration's slice
+    count.
     """
 
     def __init__(self, g: GridDiagram, omit: tuple[int, int] | None = None):
@@ -397,24 +397,25 @@ class PathEngine:
         del reduce  # a recursive closure is a cycle; free the tables now
         return rows
 
-    def _short_rows(self, slices: list[list[Gen]]) -> list[tuple[Gen, dict[Gen, int]]]:
-        """``(x, short_row(x))`` for the generators of some Alexander slices.
+    def _short_rows(self, slices: list[list[Gen]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, target, coeff)``: each entry of the short rows of some
+        Alexander slices, in row order, by the positions of its two ends
+        among the slices' generators.
 
         One closure serves every slice; the reduced rows of the sources are
         dropped after each slice, as the differential and every retraction
-        event preserve a2.  Every nonzero entry must join ``x`` to a
-        surviving generator through a domain of the short arrangement,
-        certified for all entries in one pass (`_without_domain`); either
-        failure raises, at the first failing entry in row order.  Nothing is
-        kept once the rows are returned.
+        event preserve a2.  A target outside the slices raises
+        (`LongMoves.locate`), and every entry must join two surviving
+        generators through a domain of the short arrangement, certified in
+        one pass (`_without_domain`): else the first failing entry in row
+        order raises.
         """
         gens = [x for xs in slices for x in xs]
-        if not gens:
-            return []
         cl = self._closure(gens)
         rows = self._reduce(cl, [len(xs) for xs in slices])
         # every entry in row order, and the row it lies in
         numbers = np.array([v for row in rows for v in row], dtype=np.int64)
+        coeff = np.array([c for row in rows for c in row.values()], dtype=np.int64)
         owner = np.repeat(np.arange(len(gens)), [len(row) for row in rows])
         if (numbers < cl.cancelled).any():
             at = int((numbers < cl.cancelled).argmax())
@@ -422,15 +423,14 @@ class PathEngine:
                 f"short row of {gens[owner[at]]} reaches the cancelled generator "
                 f"number {numbers[at]} of the elimination order"
             )
-        ids = self.moves.unpack(cl.survivors[numbers - cl.cancelled])
-        missing = self._without_domain(self.moves.encode(gens)[owner], ids)
+        ids = self.moves.encode(gens)
+        target = self.moves.locate(ids, cl.survivors[numbers - cl.cancelled])
+        missing = self._without_domain(ids[owner], ids[target])
         if missing.any():
             at = int(missing.argmax())
-            x, y = gens[owner[at]], self.moves.decode(tuple(ids[at].tolist()))
-            c = rows[owner[at]][numbers[at]]
-            raise MissingDomain(f"nonzero entry {c} from {x} to {y} has no domain")
-        decoded = dict(zip(numbers.tolist(), map(self.moves.decode, map(tuple, ids.tolist()))))
-        return [(x, {decoded[v]: c for v, c in row.items()}) for x, row in zip(gens, rows)]
+            x, y = gens[owner[at]], gens[target[at]]
+            raise MissingDomain(f"nonzero entry {coeff[at]} from {x} to {y} has no domain")
+        return owner, target, coeff
 
     def _without_domain(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Whether no domain of the short arrangement joins ``x`` to ``y``.
@@ -453,30 +453,22 @@ class PathEngine:
 
     # -- public API
 
-    def short_row(self, x: Gen) -> dict[Gen, int]:
-        """The row of the short differential at a short-config generator.
-
-        A batch of one `_short_rows`, with the same checks.
-        """
-        return self._short_rows([[x]])[0][1]
-
     def short_complex(self, ring: str = "Z", keep_a2=None) -> SparseComplex:
         """The short complex with its differential counted along paths.
 
-        Only the generators of the kept slices (None keeps all) are listed,
-        by one `oval_generators` walk of the short configuration, and their
-        rows come from one closure (`_short_rows`), all in this process, in
-        slice order and, within a slice, in generator order.
+        The generators of the kept slices (None keeps all), in the order of
+        one `oval_generators` walk, and their rows, from one closure
+        (`_short_rows`), all in this process, filled and checked by
+        `SparseComplex.from_arrays`.  An entry sums paths: not always a unit.
         """
-        cx = SparseComplex(ring)
-        slices: dict[int, list[Gen]] = {}
-        for x, a2 in oval_generators(self.short_cfg, keep_a2):
-            cx.add_generator(x, a2, self.moves.config.maslov(x))
-            slices.setdefault(a2, []).append(x)
-        for x, row in self._short_rows(list(slices.values())):
-            for y, coeff in row.items():
-                cx.add_entry(x, y, coeff)
-        return cx
+        listed = oval_generators(self.short_cfg, keep_a2)
+        gens = [x for x, _ in listed]
+        graded = [(a2, self.moves.config.maslov(x)) for x, a2 in listed]
+        a2, maslov = np.array(graded, dtype=np.int64).reshape(-1, 2).T
+        walk = np.argsort(a2, kind="stable")  # walk positions, slice by slice
+        slices = np.split(walk, np.flatnonzero(np.diff(a2[walk])) + 1)
+        owner, target, coeff = self._short_rows([[gens[i] for i in at] for at in slices])
+        return SparseComplex.from_arrays(ring, gens, a2, maslov, walk[owner], walk[target], coeff)
 
 
 class _Closure(NamedTuple):

@@ -9,7 +9,8 @@ something independent to agree with:
   pair in the order the retraction schedule prescribes, asserting every
   matched entry is a unit; `faithful_short` applies them to the whole long
   complex or to some of its Alexander slices;
-* `long_gradings` grades a generator on the configuration of a `LongMoves`;
+* `long_gradings` grades a generator on the configuration of a `LongMoves`,
+  and `decode` turns its point ids back into its points;
 * `maslov` is the Maslov grading as a sum of dominance counts, which the
   one-pass `OvalConfig.maslov` is checked against;
 * `long_euler` is the graded Euler characteristic of the long complex as
@@ -29,7 +30,7 @@ something independent to agree with:
   ovals;
 * `refilled` passes a complex filled entry by entry through
   `SparseComplex.from_arrays`, the one routine that checks a complex's
-  unit entries, gradings and ``d^2 = 0``.
+  gradings and ``d^2 = 0``.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def faithful_short(g, omit, keep_a2=None) -> SparseComplex:
     """The long complex (or its ``keep_a2`` slices), reduced along the schedule."""
     events = retraction_schedule(g, omit)[2]
     cx = long_complex(g, omit, keep_a2=keep_a2)
-    return reduce_faithful(cx, tuple_event_pairs(cx.generators(), events))
+    return reduce_faithful(cx, tuple_event_pairs(list(cx.grading), events))
 
 
 def long_gradings(moves: LongMoves, x) -> tuple[int, int]:
@@ -139,6 +140,11 @@ def long_gradings(moves: LongMoves, x) -> tuple[int, int]:
     config = moves.config
     a2 = sum(config.a2_of[p] for p in x) + config.const2
     return a2, config.maslov(x)
+
+
+def decode(moves: LongMoves, ids) -> tuple:
+    """The generator whose point ids, in the numbering of ``moves``, are ``ids``."""
+    return tuple(map(moves.points.__getitem__, ids))
 
 
 def enumerated_long_euler(g, omit) -> LaurentPoly:
@@ -297,8 +303,8 @@ def refilled(cx: SparseComplex) -> SparseComplex:
     """The same complex, insertion order included, built by `SparseComplex.from_arrays`.
 
     So a complex filled entry by entry is checked as an array-built one
-    is: over Z every entry a unit, every entry keeping a2 and lowering the
-    Maslov grading by one, and the boundary squaring to zero.
+    is: every entry keeping a2 and lowering the Maslov grading by one, and
+    the boundary squaring to zero.
     """
     gens = list(cx.grading)
     index = {x: i for i, x in enumerate(gens)}

@@ -295,10 +295,11 @@ def test_criterion_08_path_differential_and_prefilter():
         omit = select_best_config(g).omit
         engine = PathEngine(g, omit)  # prefilter on: asserts a domain
         faithful = faithful_short(g, omit)  # exists for every nonzero entry
-        gens = faithful.generators()
+        gens = list(faithful.grading)
         assert set(gens) == {x for x, _ in oval_generators(engine.short_cfg)}
+        short = engine.short_complex()
         for x in gens:
-            row = engine.short_row(x)
+            row = short.rows[x]
             assert row == faithful.rows[x], (g, x)
             nonzero_entries += len(row)
         # exhaustive converse on every grading-compatible pair: whenever the

@@ -142,7 +142,8 @@ def _cyc_in(start: int, end: int, v: int) -> bool:
 
 def reference_mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
     """The rectangle complex, one edge and one rectangle scan at a time,
-    checked as `mos_complex` is (`refilled`)."""
+    checked as `mos_complex` is (`refilled`; every entry is a sign, so a
+    unit, by construction)."""
     n = g.n
     o_p = g.o_punctures()
     x_p = g.x_punctures()
@@ -153,7 +154,7 @@ def reference_mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
         cx.add_generator(x, alexander2_dominance(x, x_p, o_p, n), maslov(x, o_p, 1))
     signed = ring == "Z"
     sec = reference_section(n) if signed else None
-    for x in cx.generators():
+    for x in cx.grading:
         sigma = tuple(p[1] // SCALE for p in x)
         for i in range(n):
             for j in range(i + 1, n):

@@ -167,20 +167,20 @@ class TestSparseComplex:
 
     def test_entries_accumulate_and_cancel(self):
         cx = self.build("Z", [("a", "b", 1), ("a", "b", -1)])
-        assert cx.entry("a", "b") == 0 and cx.entry_count == 0
+        assert cx.rows["a"].get("b", 0) == 0 and cx.entry_count == 0
         assert cx.cols["b"] == {}
 
     def test_mod_two_ring(self):
         cx = self.build("Z2", [("a", "b", 1), ("a", "b", 1), ("a", "c", 3)])
-        assert cx.entry("a", "b") == 0
-        assert cx.entry("a", "c") == 1
+        assert cx.rows["a"].get("b", 0) == 0
+        assert cx.rows["a"].get("c", 0) == 1
 
     def test_cancel_pair_transfers_through_inverse(self):
         cx = self.build("Z", [("x", "y", -1), ("u", "y", 1), ("x", "v", 1)])
         cx.cancel_pair("x", "y")
         # u -> v gains -coeff(u,y) * coeff(x,y)^{-1} * coeff(x,v) = +1
-        assert cx.generators() == ["u", "v"]
-        assert cx.entry("u", "v") == 1
+        assert list(cx.grading) == ["u", "v"]
+        assert cx.rows["u"].get("v", 0) == 1
         assert cx.cols["v"] == {"u": 1}
 
     def test_cancel_pair_rejects_non_unit(self):
@@ -206,9 +206,31 @@ class TestSparseComplex:
         with pytest.raises(GradingViolation, match=kept):
             self.one_entry("Z", [0, 0], 1)
 
-    def test_from_arrays_rejects_a_non_unit_over_z(self):
-        with pytest.raises(SignAssignmentFailed, match="^non-unit entry 2 at a -> b$"):
-            self.one_entry("Z", [0, -1], 2)
+    def test_from_arrays_rejects_a_non_unit_over_z(self, monkeypatch):
+        # an entry counting one polygon is a unit, checked before
+        # `from_arrays` builds the complex: a coefficient 2 planted in either
+        # complex raises.  `from_arrays` itself takes a sum of paths
+        signs, rows = chains._edge_signs, LongMoves.rows
+
+        def doubled_sign(*args):
+            out = signs(*args)
+            out[:1] *= 2
+            return out
+
+        def doubled_row(self, x):
+            owner, target, sign = rows(self, x)
+            sign[0] *= 2
+            return owner, target, sign
+
+        g = parse_braid(BRAIDS["trefoil"])
+        monkeypatch.setattr(chains, "_edge_signs", doubled_sign)
+        with pytest.raises(SignAssignmentFailed, match=r"^non-unit entry -?2 at \d+ -> \d+$"):
+            mos_complex(g, "Z")
+        monkeypatch.setattr(LongMoves, "rows", doubled_row)
+        points = r"^non-unit entry -?2 at \(\(.+\)\) -> \(\(.+\)\)$"
+        with pytest.raises(SignAssignmentFailed, match=points):
+            long_complex(g, omission_candidates(g)[0], "Z")
+        assert self.one_entry("Z", [0, -1], 2).rows == {"a": {"b": 2}, "b": {}}
         # over Z/2 the entry is reduced to zero and dropped
         assert self.one_entry("Z2", [0, -1], 2).rows == {"a": {}, "b": {}}
 

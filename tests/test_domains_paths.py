@@ -24,8 +24,10 @@ from gridhfk.chains import SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
 from gridhfk.errors import (
+    BoundarySquareNonzero,
     CancelledTargetReached,
     DomainSystemSingular,
+    GradingViolation,
     MissingDomain,
     ScheduleAssertionFailed,
     SliceWorkerDied,
@@ -34,6 +36,7 @@ from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
     Arrangement,
+    OvalConfig,
     build_config,
     omission_candidates,
     on_boundary,
@@ -238,8 +241,8 @@ class TestPathEngine:
 
     def test_unknot_rows_empty(self):
         eng = PathEngine(UNKNOT2)
-        for x, _ in oval_generators(eng.short_cfg):
-            assert eng.short_row(x) == {}
+        for x, a2 in oval_generators(eng.short_cfg):
+            assert eng.short_complex("Z", {a2}).rows[x] == {}
 
     def test_matches_faithful_on_trefoil(self):
         cx, eng = self.assert_matches_faithful(parse_braid(BRAIDS["trefoil"]))
@@ -295,15 +298,17 @@ class TestPathEngine:
 
     def test_prefilter_runs_inside_short_row(self):
         eng = PathEngine(NONZERO_SHORT)
-        for x, _ in oval_generators(eng.short_cfg):
-            eng.short_row(x)  # raises if a nonzero entry lacks a domain
+        for a2 in eng.short_cfg.slice_sizes:
+            eng.short_complex("Z", {a2})  # raises if a nonzero entry lacks a domain
 
     def test_entry_without_domain_is_a_typed_failure(self, monkeypatch):
         eng = PathEngine(NONZERO_SHORT)
-        x = next(x for x in eng.short_complex().rows if eng.short_row(x))
+        cx = eng.short_complex()
+        # the first row with an entry, in its slice too
+        x = next(x for x, row in cx.rows.items() if row)
         monkeypatch.setattr(PathEngine, "_without_domain", no_domain_anywhere)
         with pytest.raises(MissingDomain, match=f"from {re.escape(str(x))} to .* has no domain"):
-            eng.short_row(x)
+            eng.short_complex("Z", {cx.grading[x][0]})
 
     @pytest.mark.parametrize(
         "g, joined", [(NONZERO_SHORT, 32), (minimize(parse_braid(BRAIDS["5_2"])), 0)]
@@ -327,14 +332,15 @@ class TestPathEngine:
 
     def test_slices_are_assembled_apart(self):
         # dropping the reduced rows between Alexander slices, and forming
-        # one closure per row, change no entry
+        # one closure per slice, change no entry
         eng = PathEngine(NONZERO_SHORT)
         eng._columns  # the domain solver, which the engine builds once and keeps
         state = engine_state(eng)
         pcx = eng.short_complex()
         assert engine_state(eng) == state
-        for x in pcx.rows:
-            assert eng.short_row(x) == pcx.rows[x]
+        for a2 in eng.short_cfg.slice_sizes:
+            for x, row in eng.short_complex("Z", {a2}).rows.items():
+                assert row == pcx.rows[x]
 
     def test_solver_is_built_on_first_use(self, monkeypatch):
         built = []
@@ -416,6 +422,63 @@ class TestRecursionChecks:
             PathEngine(NONZERO_SHORT).short_complex()
 
 
+class TestShortComplexChecks:
+    """A fault planted in the short complex is found as it is built: its
+    gradings and ``d^2 = 0`` are checked by `SparseComplex.from_arrays`."""
+
+    #: 7_1 at grid size 9: its slice a2 = 2 (125 generators, 104 entries)
+    #: is the cheapest whose boundary forms d∘d products (24 of them); no
+    #: short complex of a `BRAIDS` knot forms any
+    SEVEN_ONE = [1] * 7
+
+    def test_negated_short_entry(self, monkeypatch):
+        eng = PathEngine(minimize(parse_braid(self.SEVEN_ONE)))
+        reduce = PathEngine._reduce
+        planted = []
+
+        def negated(self, cl, groups):
+            # the first entry whose target has a row of its own: its
+            # products no longer cancel
+            rows = reduce(self, cl, groups)
+            has_row = {u for u, row in zip(cl.roots, rows) if row}
+            row = next(row for row in rows if has_row.intersection(row))
+            v = next(v for v in row if v in has_row)
+            row[v] = -row[v]
+            planted.append(v)
+            return rows
+
+        monkeypatch.setattr(PathEngine, "_reduce", negated)
+        points = r"^d\^2 has entry -?\d+ from \(\(.+\)\) to \(\(.+\)\)$"
+        with pytest.raises(BoundarySquareNonzero, match=points):
+            eng.short_complex("Z", {2})
+        assert planted
+
+    def test_shifted_short_maslov_grading(self, monkeypatch):
+        eng = PathEngine(NONZERO_SHORT)
+        cx = eng.short_complex()
+        x = next(x for x, row in cx.rows.items() if row)
+        maslov = OvalConfig.maslov
+        monkeypatch.setattr(OvalConfig, "maslov", lambda cfg, y: maslov(cfg, y) + (y == x))
+        with pytest.raises(GradingViolation, match=r"^edge .* goes from grading"):
+            eng.short_complex()
+        with pytest.raises(GradingViolation):
+            eng.short_complex("Z2", {cx.grading[x][0]})
+
+    def test_mod2_copy_is_checked(self):
+        # a toy filled entry by entry, unchecked, whose boundary does not
+        # square to zero: its mod-2 copy is built, and checked, by
+        # `from_arrays`, and the entry 2 is dropped from it
+        cx = SparseComplex("Z")
+        for x, m in (("a", 2), ("b", 1), ("c", 0), ("d", 1)):
+            cx.add_generator(x, 0, m)
+        for x, y, c in (("a", "b", 1), ("b", "c", 1), ("a", "d", 2)):
+            cx.add_entry(x, y, c)
+        with pytest.raises(BoundarySquareNonzero, match=r"^d\^2 has entry 1 from a to c$"):
+            cx.mod2()
+        del cx.rows["b"]["c"], cx.cols["c"]["b"]
+        assert cx.mod2().rows == {"a": {"b": 1}, "b": {}, "c": {}, "d": {}}
+
+
 class TestMod2Route:
     def test_mod2_complex_is_reduction(self):
         eng = PathEngine(NONZERO_SHORT)
@@ -490,15 +553,12 @@ def ordered(cx):
 
 
 def walk_order_complex(eng, ring, keep):
-    """The short complex built in the order of a fresh `oval_generators` walk."""
-    cx = SparseComplex(ring)
-    gens = oval_generators(eng.short_cfg, keep)
-    for x, a2 in gens:
-        cx.add_generator(x, a2, long_gradings(eng.moves, x)[1])
-    for x, row in eng._short_rows([[x for x, _ in gens]]):
-        for y, coeff in row.items():
-            cx.add_entry(x, y, coeff)
-    return cx
+    """The short complex built in the order of a fresh `oval_generators` walk,
+    its rows formed as one slice."""
+    listed = oval_generators(eng.short_cfg, keep)
+    gens = [x for x, _ in listed]
+    a2, maslov = np.array([long_gradings(eng.moves, x) for x in gens]).reshape(-1, 2).T
+    return SparseComplex.from_arrays(ring, gens, a2, maslov, *eng._short_rows([gens]))
 
 
 def engine_state(eng):

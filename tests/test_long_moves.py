@@ -3,8 +3,9 @@
 The reference below recomputes every sign from dominance counts of the
 whole generator and scans every point and puncture for emptiness, target by
 target, with no per-row or per-point caching.  The batched rows of
-`LongMoves.rows`, read through `encode` and `decode`, must agree with it
-entry for entry and in the same order; Z/2 complexes take these rows mod 2.
+`LongMoves.rows`, read through `encode` and `references.decode`, must
+agree with it entry for entry and in the same order; Z/2 complexes take
+these rows mod 2.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
+from references import decode
 from gridhfk.chains import Gen, LongMoves, _bigon_targets, oval_generators
 from gridhfk.errors import GridTooLarge, RectangleCornerMissing
 from gridhfk.gridkit import SCALE, dominance_count, parse_braid
@@ -87,7 +89,7 @@ def decoded_rows(moves: LongMoves, gens: list[Gen]) -> list[list[tuple[Gen, int]
     assert (np.diff(owner) >= 0).all()  # grouped by owner, in order
     rows: list[list[tuple[Gen, int]]] = [[] for _ in gens]
     for o, y, c in zip(owner.tolist(), target.tolist(), sign.tolist()):
-        rows[o].append((moves.decode(tuple(y)), c))
+        rows[o].append((decode(moves, y), c))
     return rows
 
 
@@ -115,7 +117,7 @@ def test_ids_follow_point_order(rng):
     for _ in range(200):
         x = random_generator(config, rng)
         ids = moves.encode([x])[0].tolist()
-        assert ids == sorted(ids) and moves.decode(ids) == x
+        assert ids == sorted(ids) and decode(moves, ids) == x
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

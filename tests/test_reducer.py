@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
-from references import reduce_faithful, tuple_event_pairs
+from references import decode, reduce_faithful, tuple_event_pairs
 
 from gridhfk import chains, domains_paths, reducer
 from gridhfk.chains import SparseComplex, long_complex, mos_complex, oval_generators
@@ -242,7 +242,7 @@ class TestReduction:
             omit = select_best_config(g).omit
             long_cfg, short_cfg, events = retraction_schedule(g, omit)
             cx = long_complex(g, omit)
-            pairs = tuple_event_pairs(cx.generators(), events)
+            pairs = tuple_event_pairs(list(cx.grading), events)
             assert sum(len(s) for s, _ in pairs) * 2 + len(
                 list(oval_generators(short_cfg))
             ) == cx.generator_count
@@ -262,7 +262,7 @@ class TestReduction:
                     continue
                 long_cfg, _, events = retraction_schedule(g, omit)
                 engine = PathEngine(g, omit)
-                encode, decode = engine.moves.encode, engine.moves.decode
+                encode = engine.moves.encode
                 gens = [x for x, _ in oval_generators(long_cfg)]
                 expected = {}
                 pairs = tuple_event_pairs(gens, events)
@@ -273,7 +273,7 @@ class TestReduction:
                 deaths = {}
                 for x, t, s in zip(gens, event.tolist(), source.tolist()):
                     survives = t == engine.event_count
-                    deaths[x] = None if survives else (t, decode(tuple(s)))
+                    deaths[x] = None if survives else (t, decode(engine.moves, s))
                 assert deaths == {x: expected.get(x) for x in gens}
 
 
