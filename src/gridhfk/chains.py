@@ -563,11 +563,12 @@ def oval_generators(
         allowed = [{t - s for s in sums for t in targets} for sums in config.rest_sums]
 
     out: list[tuple[Gen, int]] = []
+    # one point per kept column, in column order: already sorted by x
     picked: list[Point] = []
 
     def walk(depth: int, used: int, acc: int) -> None:
         if depth == k:
-            out.append((tuple(sorted(picked)), acc + const2))
+            out.append((tuple(picked), acc + const2))
             return
         for ri, pts in choices[depth]:
             bit = 1 << ri

@@ -25,7 +25,10 @@ numbers, used throughout the test-suite as an independent oracle: with
     det [ t^{w(i,j)} ]_{i,j = 0..n-1}  =  +- t^s (1-t)^{n-1} Delta(t)
 
 where ``Delta`` is the symmetric Alexander polynomial normalized so that
-``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.
+``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.  The determinant is one
+integer (`alexander_polynomial`), taken by an elimination of its own: Delta
+checks the Euler characteristic of tables whose torsion
+`reducer.smith_invariant_factors` computes, so the two share no kernel.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def alexander2_dominance(
 
 
 # --------------------------------------------------------------------------
-# Laurent polynomials over the integers, and the Alexander polynomial oracle.
+# The Alexander polynomial oracle, over the integers.
 
 
 class LaurentPoly:
@@ -196,19 +199,8 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __init__(self, terms: dict[int, int]):
+        self.terms = {e: c for e, c in terms.items() if c != 0}
 
     def support(self) -> tuple[int, int]:
         """(lowest, highest) exponent; raises on the zero polynomial."""
@@ -219,58 +211,11 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self.terms.get(exp, 0)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = LaurentPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by ``t^k``."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
-
-    def inverse_t(self) -> "LaurentPoly":
-        """Substitute ``t -> 1/t``."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
-
-    def eval_at_unit(self, v: int) -> int:
-        """Evaluate at ``t = v`` for ``v`` in ``{1, -1}``."""
-        if v == 1:
-            return sum(self.terms.values())
-        if v == -1:
-            return sum(c if e % 2 == 0 else -c for e, c in self.terms.items())
-        raise ValueError("only evaluation at a unit is supported")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -287,71 +232,75 @@ class LaurentPoly:
         return "".join(bits)
 
 
-def laurent_determinant(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by cofactor expansion memoized on the surviving column set."""
-    n = len(matrix)
-    memo: dict[int, LaurentPoly] = {}
+def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
 
-    def det(row: int, mask: int) -> LaurentPoly:
-        if row == n:
-            return LaurentPoly.one()
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = LaurentPoly()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            entry = matrix[row][j]
-            if not entry.is_zero():
-                term = entry * det(row + 1, mask & ~bit)
-                total = total + term if sign > 0 else total - term
+    Each step turns the trailing block into 2 x 2 minors through the pivot,
+    divided exactly by the previous pivot: minors of the input, so integers.
+    A zero pivot is swapped for a nonzero entry below it; none means 0.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        memo[mask] = total
-        return total
-
-    return det(0, (1 << n) - 1)
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
     """The symmetric Alexander polynomial of the knot presented by ``g``.
 
     The determinant of the winding matrix ``[t^{w(i,j)}]`` equals
-    ``+- t^s (1-t)^{n-1} Delta(t)``, so the raw determinant is divided
-    exactly by ``(1-t)^{n-1}`` and the remaining unit is fixed by requiring
-    ``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.  A polynomial ``p`` is
-    ``(1-t) q`` exactly when its coefficients sum to zero; those of ``q``
-    are then the partial sums of those of ``p``, without the last.
+    ``+- t^s (1-t)^{n-1} Delta(t)``.  With every exponent lowered by the
+    least winding number (which only moves ``s``, and the centering below
+    discards ``s``), the matrix is evaluated at ``t = 2^b`` (Kronecker
+    substitution).  A coefficient of the determinant is a signed count of
+    permutations, below ``n! <= n^n < 2^(b-1)`` for ``b = n * n.bit_length()
+    + 1``, so the integer's signed base ``2^b`` digits are the coefficients.
+
+    They are divided exactly by ``(1-t)^{n-1}``: ``p`` is ``(1-t) q``
+    exactly when its coefficients sum to zero, and those of ``q`` are then
+    the partial sums of those of ``p``, without the last.  The remaining
+    unit is fixed by ``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.
     """
     n = g.n
-    matrix = [
-        [LaurentPoly.monomial(winding_number(g, (SCALE * i, SCALE * j))) for j in range(n)]
-        for i in range(n)
-    ]
-    det = laurent_determinant(matrix)
-    if det.is_zero():
+    w = [[winding_number(g, (SCALE * i, SCALE * j)) for j in range(n)] for i in range(n)]
+    low = min(map(min, w))
+    b = n * n.bit_length() + 1
+    det = bareiss_determinant([[1 << (b * (e - low)) for e in row] for row in w])
+    if not det:
         raise DegenerateDeterminant("winding matrix determinant vanished")
-    lo, hi = det.support()
-    coeffs = [det.coeff(e) for e in range(lo, hi + 1)]
+    digit, half = (1 << b) - 1, 1 << (b - 1)
+    while not det & digit:
+        det >>= b
+    coeffs = []
+    while det:
+        coeffs.append(((det + half) & digit) - half)
+        det = (det - coeffs[-1]) >> b
     for _ in range(n - 1):
         if sum(coeffs):
             raise DegenerateDeterminant("determinant not divisible by (1-t)^(n-1)")
         coeffs = list(accumulate(coeffs))[:-1]
-    quotient = LaurentPoly(dict(enumerate(coeffs, lo)))
-    lo, hi = quotient.support()
-    if (lo + hi) % 2 != 0:
+    if len(coeffs) % 2 == 0:
         raise DegenerateDeterminant("determinant support cannot be centered")
-    centered = quotient.shifted(-(lo + hi) // 2)
-    unit = centered.eval_at_unit(1)
+    unit = sum(coeffs)
     if unit == -1:
-        centered = -centered
+        coeffs = [-c for c in coeffs]
     elif unit != 1:
         raise DegenerateDeterminant(f"normalized value at t=1 is {unit}, expected a unit")
-    if centered != centered.inverse_t():
+    if coeffs != coeffs[::-1]:
         raise DegenerateDeterminant("normalized polynomial is not symmetric")
-    return centered
+    return LaurentPoly(dict(enumerate(coeffs, -(len(coeffs) // 2))))
 
 
 # --------------------------------------------------------------------------

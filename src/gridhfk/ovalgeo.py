@@ -268,14 +268,15 @@ def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfi
     points: dict[tuple[int, int], tuple[Point, ...]] = {}
     for c, vo in v_ovals.items():
         for r, ho in h_ovals.items():
-            pts = [
+            # walls ascend, so the points come out sorted
+            pts = tuple(
                 (wx, wy)
                 for wx in (vo.x1, vo.x2)
                 for wy in (ho.y1, ho.y2)
                 if ho.x1 < wx < ho.x2 and vo.y1 < wy < vo.y2
-            ]
+            )
             if pts:
-                points[(c, r)] = tuple(sorted(pts))
+                points[(c, r)] = pts
     return OvalConfig(g, omit, style, v_ovals, h_ovals, points)
 
 

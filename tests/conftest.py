@@ -118,7 +118,7 @@ def random_knot_grid(rng: random.Random, max_n: int) -> GridDiagram:
             g = minimize(parse_braid(word))
         except MultiComponentClosure:
             continue
-        if g.n <= max_n and alexander_polynomial(g) != LaurentPoly.one():
+        if g.n <= max_n and alexander_polynomial(g) != LaurentPoly({0: 1}):
             return g
 
 

@@ -13,6 +13,9 @@ something independent to agree with:
   and `decode` turns its point ids back into its points;
 * `maslov` is the Maslov grading as a sum of dominance counts, which the
   one-pass `OvalConfig.maslov` is checked against;
+* `Laurent` is a `LaurentPoly` with the ring operations, and
+  `laurent_determinant` a cofactor expansion over it: the reference the
+  integer determinant behind `alexander_polynomial` is held against;
 * `long_euler` is the graded Euler characteristic of the long complex as
   one small determinant; `enumerated_long_euler` sums it generator by
   generator, which is only affordable on small grids;
@@ -53,7 +56,6 @@ from gridhfk.gridkit import (
     LaurentPoly,
     Point,
     dominance_count,
-    laurent_determinant,
 )
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -76,6 +78,89 @@ def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) ->
         + dominance_count(o_punct, o_punct)
         + shift
     )
+
+
+class Laurent(LaurentPoly):
+    """A `LaurentPoly` with the ring operations; the other operand may be any `LaurentPoly`."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def one() -> "Laurent":
+        return Laurent({0: 1})
+
+    @staticmethod
+    def monomial(exp: int, coeff: int = 1) -> "Laurent":
+        return Laurent({exp: coeff})
+
+    def __add__(self, other: LaurentPoly) -> "Laurent":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return Laurent(out)
+
+    def __neg__(self) -> "Laurent":
+        return Laurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: LaurentPoly) -> "Laurent":
+        return self + -Laurent(other.terms)
+
+    def __mul__(self, other: LaurentPoly) -> "Laurent":
+        out: dict[int, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return Laurent(out)
+
+    def __pow__(self, k: int) -> "Laurent":
+        if k < 0:
+            raise ValueError("negative power")
+        result = Laurent.one()
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def shifted(self, k: int) -> "Laurent":
+        """Multiply by ``t^k``."""
+        return Laurent({e + k: c for e, c in self.terms.items()})
+
+    def inverse_t(self) -> "Laurent":
+        """Substitute ``t -> 1/t``."""
+        return Laurent({-e: c for e, c in self.terms.items()})
+
+    def eval_at_unit(self, v: int) -> int:
+        """Evaluate at ``t = v`` for ``v`` in ``{1, -1}``."""
+        if v not in (1, -1):
+            raise ValueError("only evaluation at a unit is supported")
+        return sum(c * v ** (e % 2) for e, c in self.terms.items())
+
+
+def laurent_determinant(matrix: list[list[LaurentPoly]]) -> Laurent:
+    """Determinant by cofactor expansion memoized on the surviving column set."""
+    n = len(matrix)
+    memo: dict[int, dict[int, int]] = {}
+
+    def det(row: int, mask: int) -> dict[int, int]:
+        if row == n:
+            return {0: 1}
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        total: dict[int, int] = {}
+        sign = 1
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            minor = det(row + 1, mask & ~bit)
+            for e1, c1 in matrix[row][j].terms.items():
+                for e2, c2 in minor.items():
+                    total[e1 + e2] = total.get(e1 + e2, 0) + sign * c1 * c2
+            sign = -sign
+        memo[mask] = total
+        return total
+
+    return Laurent(det(0, (1 << n) - 1))
 
 
 def reduce_faithful(
@@ -189,8 +274,7 @@ def long_euler(g, omit) -> LaurentPoly:
     k = len(config.kept_cols())
     ioo = maslov((), o_punct, 0)  # I(O, O)
     sign = 1 - 2 * ((k * (k - 1) // 2 + (k + 1) * ioo) % 2)
-    shift = LaurentPoly({config.const2 // 2: sign})
-    return shift * laurent_determinant(matrix)
+    return Laurent.monomial(config.const2 // 2, sign) * laurent_determinant(matrix)
 
 
 def short_complex_digest(cx: SparseComplex) -> str:

@@ -12,6 +12,7 @@ from conftest import (
     random_grid,
     stabilize,
 )
+from references import Laurent, laurent_determinant
 from gridhfk import gridkit
 from gridhfk.errors import (
     CoincidentDecorations,
@@ -25,9 +26,11 @@ from gridhfk.errors import (
     TooSmall,
 )
 from gridhfk.gridkit import (
+    SCALE,
     GridDiagram,
     LaurentPoly,
     alexander_polynomial,
+    bareiss_determinant,
     canonical_key,
     castle_columns,
     castle_rows,
@@ -36,7 +39,6 @@ from gridhfk.gridkit import (
     destabilize_column,
     destabilize_row,
     greedy_destabilize,
-    laurent_determinant,
     parse_braid,
     parse_grid_text,
     row_destabilization_sites,
@@ -44,6 +46,7 @@ from gridhfk.gridkit import (
     validate,
     winding_number,
 )
+from gridhfk.simplifier import minimize
 
 UNKNOT2 = GridDiagram((1, 0), (0, 1))
 
@@ -103,18 +106,46 @@ class TestWinding:
 
 class TestLaurent:
     def test_arithmetic(self):
-        t = LaurentPoly.monomial(1)
-        p = (t + LaurentPoly.one()) * (t - LaurentPoly.one())
+        t = Laurent.monomial(1)
+        p = (t + Laurent.one()) * (t - Laurent.one())
         assert p == LaurentPoly({2: 1, 0: -1})
         assert (-p).eval_at_unit(1) == 0
         assert p.eval_at_unit(-1) == 0
         assert p.inverse_t() == LaurentPoly({-2: 1, 0: -1})
 
     def test_determinant_matches_cofactor(self):
-        c = LaurentPoly.monomial
+        c = Laurent.monomial
         m = [[c(0), c(1)], [c(1), c(2, 3)]]
         # det = t^2*3 - t^2 = 2t^2
         assert laurent_determinant(m) == LaurentPoly({2: 2})
+
+
+class TestBareiss:
+    def test_zero_leading_entry_swaps_rows(self):
+        assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+        assert bareiss_determinant([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+
+    def test_singular(self):
+        assert bareiss_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+        assert bareiss_determinant([[0, 1], [0, 2]]) == 0
+
+    def test_matches_cofactor_on_random_matrices(self, rng: random.Random):
+        for n in range(1, 7):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            ref = laurent_determinant([[Laurent.monomial(0, e) for e in row] for row in m])
+            assert bareiss_determinant(m) == ref.coeff(0)
+
+
+def reference_matches(g: GridDiagram, delta: LaurentPoly) -> bool:
+    """Whether the cofactor determinant of the winding matrix is +-t^s (1-t)^(n-1) delta."""
+    n = g.n
+    det = laurent_determinant(
+        [[Laurent.monomial(winding_number(g, (SCALE * i, SCALE * j))) for j in range(n)]
+         for i in range(n)]
+    )
+    p = (Laurent.one() - Laurent.monomial(1)) ** (n - 1) * delta
+    p = p.shifted(det.support()[0] - p.support()[0])
+    return det in (p, -p)
 
 
 class TestAlexanderOracle:
@@ -124,23 +155,56 @@ class TestAlexanderOracle:
         assert alexander_polynomial(g) == ALEXANDER[name]
 
     def test_unknot_grid(self):
-        assert alexander_polynomial(UNKNOT2) == LaurentPoly.one()
+        assert alexander_polynomial(UNKNOT2) == LaurentPoly({0: 1})
+
+    @pytest.mark.parametrize("name", sorted(BRAIDS))
+    def test_knot_and_mirror_match_cofactor_reference(self, name):
+        for word in (BRAIDS[name], [-a for a in BRAIDS[name]]):
+            g = parse_braid(word)
+            assert reference_matches(g, alexander_polynomial(g)), word
+
+    def test_random_grids_match_cofactor_reference(self):
+        rng = random.Random(20261020)
+        sizes = [n for n in range(2, 13) for _ in range(20 if n <= 9 else 14)]
+        assert len(sizes) >= 200
+        for n in sizes:
+            g = random_grid(n, rng)
+            assert reference_matches(g, alexander_polynomial(g)), g
+
+    @pytest.mark.parametrize(
+        "word, p, q, n",
+        [([1] * 7, 2, 7, 9), ([1, 2, 3] * 5, 4, 5, 9), ([1, 2] * 7, 3, 7, 10), ([1] * 9, 2, 9, 11)],
+        ids=["T(2,7)", "T(4,5)", "T(3,7)", "T(2,9)"],
+    )
+    def test_torus_knots_past_the_oracle(self, word, p, q, n):
+        # Delta of T(p, q) is t^(-(p-1)(q-1)/2) (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
+        g = minimize(parse_braid(word))
+        assert g.n == n
+        t, one = Laurent.monomial(1), Laurent.one()
+        lhs = (t**p - one) * (t**q - one) * alexander_polynomial(g)
+        rhs = ((t ** (p * q) - one) * (t - one)).shifted(-(p - 1) * (q - 1) // 2)
+        assert lhs == rhs
 
     @pytest.mark.parametrize("name", ["unknot", "trefoil"])
     def test_indivisible_determinant_raises(self, name, monkeypatch):
-        # (1-t)^(n-2) (1+t) passes n-2 of the n-1 divisions by (1-t)
+        # (1-t)^(n-2) (1+t) at t = 2^b passes n-2 of the n-1 divisions by (1-t)
         g = parse_braid(BRAIDS[name])
-        one_minus_t = LaurentPoly({0: 1, 1: -1})
-        det = one_minus_t ** (g.n - 2) * LaurentPoly({0: 1, 1: 1})
-        monkeypatch.setattr(gridkit, "laurent_determinant", lambda matrix: det)
+        t = 1 << (g.n * g.n.bit_length() + 1)
+        det = (1 - t) ** (g.n - 2) * (1 + t)
+        monkeypatch.setattr(gridkit, "bareiss_determinant", lambda matrix: det)
         with pytest.raises(DegenerateDeterminant, match="not divisible"):
             alexander_polynomial(g)
+
+    def test_vanished_determinant_raises(self, monkeypatch):
+        monkeypatch.setattr(gridkit, "bareiss_determinant", lambda matrix: 0)
+        with pytest.raises(DegenerateDeterminant, match="vanished"):
+            alexander_polynomial(parse_braid(BRAIDS["trefoil"]))
 
     def test_oracle_symmetry_random(self, rng: random.Random):
         for n in (3, 4, 5):
             for _ in range(5):
                 g = random_grid(n, rng)
-                p = alexander_polynomial(g)
+                p = Laurent(alexander_polynomial(g).terms)
                 assert p == p.inverse_t()
                 assert p.eval_at_unit(1) == 1
 
