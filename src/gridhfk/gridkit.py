@@ -153,6 +153,23 @@ def winding_number(g: GridDiagram, point: Point) -> int:
     return w
 
 
+def winding_matrix(g: GridDiagram) -> list[list[int]]:
+    """``w[i][j]``: the winding number around the lattice point ``(SCALE*i, SCALE*j)``.
+
+    The same numbers as `winding_number`, from one sweep over the columns:
+    the ray running left from a point in column ``i`` crosses exactly the
+    vertical segments of the columns before ``i``, so row ``i + 1`` is row
+    ``i`` plus what segment ``i`` adds at each height.  Lattice points lie
+    off the curve, whose lines sit at ``CENTER`` mod ``SCALE``.
+    """
+    heights = [SCALE * j for j in range(g.n)]
+    w = [[0] * g.n]
+    for _x, ylo, yhi, down in vertical_segments(g)[:-1]:
+        step = 1 if down else -1
+        w.append([v + step if ylo < y < yhi else v for v, y in zip(w[-1], heights)])
+    return w
+
+
 def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
     """Number of pairs ``(p, q)`` with ``p`` strictly southwest of ``q``.
 
@@ -260,9 +277,9 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
     """The symmetric Alexander polynomial of the knot presented by ``g``.
 
-    The determinant of the winding matrix ``[t^{w(i,j)}]`` equals
-    ``+- t^s (1-t)^{n-1} Delta(t)``.  With every exponent lowered by the
-    least winding number (which only moves ``s``, and the centering below
+    The determinant of the winding matrix ``[t^{w(i,j)}]`` (`winding_matrix`)
+    equals ``+- t^s (1-t)^{n-1} Delta(t)``.  With every exponent lowered by
+    the least winding number (which only moves ``s``, and the centering below
     discards ``s``), the matrix is evaluated at ``t = 2^b`` (Kronecker
     substitution).  A coefficient of the determinant is a signed count of
     permutations, below ``n! <= n^n < 2^(b-1)`` for ``b = n * n.bit_length()
@@ -274,7 +291,7 @@ def alexander_polynomial(g: GridDiagram) -> LaurentPoly:
     unit is fixed by ``Delta(t) = Delta(1/t)`` and ``Delta(1) = 1``.
     """
     n = g.n
-    w = [[winding_number(g, (SCALE * i, SCALE * j)) for j in range(n)] for i in range(n)]
+    w = winding_matrix(g)
     low = min(map(min, w))
     b = n * n.bit_length() + 1
     det = bareiss_determinant([[1 << (b * (e - low)) for e in row] for row in w])

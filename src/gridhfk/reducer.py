@@ -3,7 +3,8 @@
 The pipeline stages live here:
 
 * greedy pair-cancellation reduction of a `SparseComplex` (unit pivots
-  anywhere);
+  anywhere), after a collapse on the arrays of a complex not yet read
+  (`SparseComplex.collapse`: the pairs whose cancellation adds no entry);
 * exact homology over Z (Smith normal form) or Z/2 (bitset rank);
 * removal of the rank-2 tensor factor that the full-size complexes carry
   once per grid size beyond one, leaving the knot invariant itself: one
@@ -73,10 +74,14 @@ class HFKTable(HomologyResult):
 def reduce_fast(cx: SparseComplex) -> SparseComplex:
     """Greedily cancel unit entries until none remain.  In place.
 
-    Rows are visited shortest-first, which empirically keeps fill-in flat
-    on these geometric complexes; repeat passes handle entries revealed by
-    earlier cancellations.
+    A complex nothing has read yet is first collapsed on its arrays
+    (`SparseComplex.collapse`: the pairs whose cancellation adds no entry,
+    most of a rectangle complex), so only the survivors' rows are filled.
+    Rows are then visited shortest-first, which empirically keeps fill-in
+    flat on these geometric complexes; repeat passes handle entries
+    revealed by earlier cancellations.
     """
+    cx.collapse()
     first = sorted(cx.rows, key=lambda x: len(cx.rows[x]))
     while True:
         done = 0
@@ -412,7 +417,8 @@ def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     """The n!-generator rectangle-complex pipeline.
 
     `mos_complex` checks the gradings and ``d^2 = 0`` as it builds the
-    complex, so every run of the oracle verifies its sign assignment.
+    complex, before `reduce_fast` collapses or fills anything, so every run
+    of the oracle verifies its sign assignment.
     """
     cx = mos_complex(g, ring)
     reduce_fast(cx)

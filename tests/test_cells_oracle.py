@@ -38,6 +38,7 @@ from gridhfk.chains import (
 )
 from gridhfk.errors import BoundarySquareNonzero
 from gridhfk.gridkit import SCALE, GridDiagram, alexander2_dominance, parse_braid
+from gridhfk.cli import main
 from gridhfk.reducer import hfk_cells
 from gridhfk.simplifier import minimize
 
@@ -342,6 +343,57 @@ class TestLiftTable:
         monkeypatch.setattr(chains, "_edge_signs", unsigned)
         with pytest.raises(BoundarySquareNonzero):
             hfk_cells(parse_braid(BRAIDS["trefoil"]), "Z")
+
+
+def plant_fault(monkeypatch, ring: str) -> None:
+    """Break the rectangle complex where its ring can see it.
+
+    Over ``Z`` the first sign of the swaps of columns 0 and 1 is negated.
+    A sign is invisible mod 2, so over ``Z/2`` one rectangle is lost
+    instead: the first marking-free one of the grid reads as holding a
+    marking.
+    """
+    if ring == "Z":
+        signs = chains._edge_signs
+
+        def negated(n, src, dst, i, j):
+            out = signs(n, src, dst, i, j)
+            if (i, j) == (0, 1):
+                out[:1] *= -1
+            return out
+
+        monkeypatch.setattr(chains, "_edge_signs", negated)
+    else:
+        free = chains._marking_free
+
+        def blocked(g):
+            table = free(g).copy()
+            table[tuple(np.argwhere(table)[0])] = False
+            return table
+
+        monkeypatch.setattr(chains, "_marking_free", blocked)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z2"])
+class TestPlantedFault:
+    """A broken rectangle complex is refused when it is built, before
+    `reduce_fast` collapses or fills anything."""
+
+    def test_hfk_cells_raises(self, monkeypatch, ring):
+        plant_fault(monkeypatch, ring)
+        collapsed = []
+        monkeypatch.setattr(SparseComplex, "collapse", collapsed.append)
+        with pytest.raises(BoundarySquareNonzero):
+            hfk_cells(parse_braid(BRAIDS["trefoil"]), ring)
+        assert collapsed == []
+
+    def test_crosscheck_run_fails_with_a_typed_error(self, monkeypatch, capsys, ring):
+        plant_fault(monkeypatch, ring)
+        coeff = {"Z": "z", "Z2": "z2"}[ring]
+        assert main(["--braid", "1 1 1", "--crosscheck", "on", "--coeff", coeff]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d^2 has entry")
+        assert "Traceback" not in err
 
 
 class TestMirror:

@@ -44,6 +44,7 @@ from gridhfk.gridkit import (
     row_destabilization_sites,
     transpose,
     validate,
+    winding_matrix,
     winding_number,
 )
 from gridhfk.simplifier import minimize
@@ -134,6 +135,27 @@ class TestBareiss:
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             ref = laurent_determinant([[Laurent.monomial(0, e) for e in row] for row in m])
             assert bareiss_determinant(m) == ref.coeff(0)
+
+
+def reference_winding_matrix(g: GridDiagram) -> list[list[int]]:
+    """The winding matrix, one `winding_number` call per lattice point."""
+    n = g.n
+    return [[winding_number(g, (SCALE * i, SCALE * j)) for j in range(n)] for i in range(n)]
+
+
+class TestWindingMatrix:
+    @pytest.mark.parametrize("name", sorted(BRAIDS))
+    def test_knot_and_mirror_match_winding_number(self, name):
+        for word in (BRAIDS[name], [-a for a in BRAIDS[name]]):
+            g = parse_braid(word)
+            assert winding_matrix(g) == reference_winding_matrix(g), word
+
+    def test_random_grids_match_winding_number(self):
+        rng = random.Random(20261021)
+        for n in range(2, 13):
+            for _ in range(8):
+                g = random_grid(n, rng)
+                assert winding_matrix(g) == reference_winding_matrix(g), g
 
 
 def reference_matches(g: GridDiagram, delta: LaurentPoly) -> bool:

@@ -26,6 +26,7 @@ from gridhfk.errors import (
 from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.ovalgeo import (
     OvalConfig,
+    build_config,
     omission_candidates,
     on_boundary,
     retraction_schedule,
@@ -275,6 +276,66 @@ class TestReduction:
                     survives = t == engine.event_count
                     deaths[x] = None if survives else (t, decode(engine.moves, s))
                 assert deaths == {x: expected.get(x) for x in gens}
+
+
+def read_first(cx: SparseComplex) -> SparseComplex:
+    """``cx`` with its rows filled, so that `reduce_fast` cannot collapse it."""
+    assert cx.rows is not None
+    return cx
+
+
+class TestCollapse:
+    """`reduce_fast` collapses an unread complex on its arrays first."""
+
+    @pytest.mark.parametrize("ring", ["Z", "Z2"])
+    def test_unread_complexes_match_read_ones_on_random_grids(self, rng, ring):
+        for n in (2, 3, 3, 4, 4, 5, 5, 6, 6):
+            g = random_grid(n, rng)
+            omit = select_best_config(g).omit
+            # at n = 6 the long complex keeps its top two slices (a subcomplex)
+            keep = set(sorted(build_config(g, omit, "long").slice_sizes)[-2:]) if n == 6 else None
+            for build in (
+                lambda: mos_complex(g, ring),
+                lambda: long_complex(g, omit, ring, keep_a2=keep),
+            ):
+                unread = reduce_fast(build())
+                assert homology(unread).groups == homology(reduce_fast(read_first(build()))).groups
+
+    @pytest.mark.parametrize("ring", ["Z", "Z2"])
+    def test_unread_short_complexes_match_read_ones(self, ring):
+        for word in BRAIDS.values():
+            engine = PathEngine(minimize(parse_braid(word)))
+            unread = reduce_fast(engine.short_complex(ring))
+            read = reduce_fast(read_first(engine.short_complex(ring)))
+            assert homology(unread).groups == homology(read).groups, word
+
+    def test_a_non_unit_entry_is_never_a_pivot(self):
+        # b -> a of 2 is the only entry into a, c -> d of -1 the only one into d
+        labels = ["a", "b", "c", "d"]
+        a2, maslov = np.zeros(4, dtype=np.int64), np.array([0, 1, 1, 0])
+        src, dst, coeff = np.array([1, 2]), np.array([0, 3]), np.array([2, -1])
+        cx = SparseComplex.from_arrays("Z", labels, a2, maslov, src, dst, coeff)
+        cx.collapse()
+        assert list(cx.grading) == ["a", "b"] and cx.entry_count == 1
+        assert homology(reduce_fast(cx)).groups == {(0, 0): (0, (2,))}
+
+    def test_counts_of_an_unread_complex_come_from_its_arrays(self):
+        cx = mos_complex(parse_braid(BRAIDS["trefoil"]))
+        counts = cx.generator_count, cx.entry_count
+        assert counts == (len(read_first(cx).grading), sum(map(len, cx.rows.values())))
+
+    def test_a_read_complex_is_not_collapsed(self):
+        cx = read_first(mos_complex(parse_braid(BRAIDS["trefoil"])))
+        cx.collapse()
+        assert cx.generator_count == 120
+
+    @pytest.mark.parametrize("name, survivors", [("5_2", 448), ("8_19", 1608)])
+    @pytest.mark.parametrize("ring", ["Z", "Z2"])
+    def test_survivors_of_the_collapse_alone(self, name, survivors, ring):
+        cx = mos_complex(minimize(parse_braid(BRAIDS[name])), ring)
+        assert cx.generator_count == 5040
+        cx.collapse()
+        assert cx.generator_count == survivors
 
 
 class TestDeconvolve:
