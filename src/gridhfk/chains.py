@@ -6,7 +6,7 @@ Two complexes are built from the same diagram:
   place one point on each vertical and horizontal grid line, and the
   boundary counts empty rectangles on the torus.  Generators are keyed by
   the lexicographic rank of their permutations.  It is built from arrays
-  over all permutations at once: gradings as dominance counts, and
+  over all permutations at once: gradings from the kernel below, and
   emptiness from one marking table per grid against per-size tables of
   swap targets and point-free rectangles (`_swap_tables`).  Signs come
   from a per-size table of spin lifts (`_spin_lifts`).  Both per-size
@@ -19,11 +19,13 @@ Two complexes are built from the same diagram:
   `domains_paths.PathEngine`).
 
 Both carry a Maslov grading (homological) and a doubled Alexander grading
-``a2`` (stored doubled so that every value is an integer).  The Maslov
-grading comes from a dominance-pair count against the O-markings, the
-Alexander grading from dominance counts against both kinds of marking.
-Per point of an oval generator the Alexander term is minus twice the
-winding number there (asserted in tests).
+``a2`` (stored doubled so that every value is an integer), from one kernel
+in `gridkit`: a constant plus a term per point (`grading_terms`, which
+counts the markings northeast or southwest of each point in one numpy
+comparison), and for the Maslov grading the generator's southwest pairs
+(`southwest_counts`, on the row bits of whole arrays of generators).  Per
+point of an oval generator the Alexander term is minus twice the winding
+number there (asserted in tests).
 
 `SparseComplex` is the shared container: a dict-of-dicts matrix with row
 and column views, supporting unit-pivot cancellation, which is all the
@@ -60,8 +62,9 @@ from .gridkit import (
     SCALE,
     GridDiagram,
     Point,
-    alexander2_dominance,
-    dominance_count,
+    grading_constants,
+    grading_terms,
+    southwest_counts,
 )
 from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config, column_span, row_span
 
@@ -350,15 +353,6 @@ def _swap_ranks(n: int, ranks: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.searchsorted(codes, codes[ranks] + (b - a) * (w[i] - w[j]))
 
 
-def _inversions(perms: np.ndarray) -> np.ndarray:
-    n = perms.shape[1]
-    inv = np.zeros(len(perms), dtype=np.int64)
-    for k in range(n):
-        for l in range(k + 1, n):
-            inv += perms[:, k] > perms[:, l]
-    return inv
-
-
 def _lift_dtypes(n: int) -> tuple[type, type]:
     """Storage and working integer types of the spin lifts.
 
@@ -427,7 +421,8 @@ def _spin_lifts(n: int) -> np.ndarray:
     limit = np.iinfo(store).max
     table = np.zeros((len(perms), 1 << n), dtype=store)
     table[0, 0] = 1  # rank 0 is the identity
-    inv = _inversions(perms)
+    # inversions: the pairs that are not rising
+    inv = n * (n - 1) // 2 - southwest_counts(1 << perms).sum(axis=1)
     descent = (perms[:, :-1] > perms[:, 1:]).argmax(axis=1)
     for level in range(1, int(inv.max(initial=0)) + 1):
         ranks = np.flatnonzero(inv == level)
@@ -544,29 +539,18 @@ def _marking_free(g: GridDiagram) -> np.ndarray:
 def _cell_gradings(g: GridDiagram, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doubled Alexander and Maslov gradings of every cell generator.
 
-    The dominance counts of `alexander2_dominance` and of the Maslov grading
-    ``I(x, x) - I(x, O) - I(O, x) + I(O, O) + 1``, with generator ``p``
-    placing its points at ``(SCALE*k, SCALE*p[k])`` and the markings at cell
-    centres: a point is southwest of the marking in column ``c`` and row
-    ``r`` iff ``k <= c`` and ``p[k] <= r``, and the marking is southwest of
-    the point iff ``c < k`` and ``r < p[k]``.
+    Generator ``p`` places its points at ``(SCALE*k, SCALE*p[k])``, the
+    lattice point ``k * n + p[k]`` of the table of `gridkit.grading_terms`;
+    ``I(x, x)`` counts its rising pairs, and a cell generator's Maslov
+    grading is one more than an oval generator's.
     """
     n = g.n
-    k = np.arange(n)[:, None, None]
-    row = np.arange(n)[None, :, None]
-    c = np.arange(n)[None, None, :]
-    cols = np.arange(n)
-
-    def against(marks: tuple[int, ...]) -> np.ndarray:
-        r = np.array(marks)[None, None, :]
-        table = (((k <= c) & (row <= r)) | ((c < k) & (r < row))).sum(axis=2)
-        return table[cols, perms].sum(axis=1)
-
-    x_p, o_p = g.x_punctures(), g.o_punctures()
-    with_o = against(g.os)
-    rising = n * (n - 1) // 2 - _inversions(perms)
-    a2 = against(g.xs) - with_o + alexander2_dominance((), x_p, o_p, n)
-    m = rising - with_o + dominance_count(o_p, o_p) + 1
+    lattice = SCALE * np.indices((n, n)).reshape(2, -1).T
+    m_term, a2_term = grading_terms(g, lattice)
+    at = n * np.arange(n) + perms
+    o_pairs, const2 = grading_constants(g)
+    a2 = a2_term[at].sum(axis=1) + const2
+    m = southwest_counts(1 << perms).sum(axis=1) + m_term[at].sum(axis=1) + o_pairs + 1
     return a2, m
 
 
@@ -711,8 +695,9 @@ class LongMoves:
     one integer (`pack`), with one base-``R`` digit per column (``R``
     points on a column): the id minus the column's first id.
     Packed keys sort like point tuples.  What depends on one point (its
-    horizontal oval, its walls, its flips) is tabulated by id up front, and
-    the empty rectangles between two points on first use (`_corners`).
+    horizontal oval, its walls, its flips, its Maslov term) is tabulated by
+    id up front, and the empty rectangles between two points on first use
+    (`_corners`).
     Tables of ids are ``int16``: a configuration has at most ``4(n-1)^2``
     points, and keys pack only up to ``n = 12``.
     """
@@ -744,6 +729,9 @@ class LongMoves:
             )
         self._weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._radix = radix
+        #: id -> its Maslov term; the Maslov grading's constant ``I(O, O)``
+        self._maslov_term = np.array([config.m_of[p] for p in self.points], dtype=np.int64)
+        self._o_pairs = grading_constants(config.grid)[0]
 
     def encode(self, gens: list[Gen]) -> np.ndarray:
         """The point ids of some generators, one generator per row, in point order."""
@@ -757,6 +745,13 @@ class LongMoves:
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         """The generator ids of packed keys, one generator per row."""
         return keys[:, None] // self._weights % self._radix + self._first
+
+    def maslov(self, ids: np.ndarray) -> np.ndarray:
+        """The Maslov grading ``I(x, x) - I(x, O) - I(O, x) + I(O, O)`` of
+        each row of generator ids: `southwest_counts` on the bits of their
+        horizontal ovals gives ``I(x, x)``, and each point adds its term."""
+        rising = southwest_counts(self._bit[ids]).sum(axis=1)
+        return rising + self._maslov_term[ids].sum(axis=1) + self._o_pairs
 
     def locate(self, ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """The row of ``ids`` (the kept generators) packing to each of
@@ -844,7 +839,7 @@ class LongMoves:
         parity = np.empty(len(owner), dtype=np.int64)
 
         # odd: an odd number of points lies southwest of the point
-        odd = np.bitwise_count((upto - bit) & (bit - 1)).astype(np.int32) & 1
+        odd = southwest_counts(bit) & 1
         odd_bits = (odd * bit).sum(axis=1)
         total = odd.sum(axis=1)  # has the parity of I(x, x)
         right = self._right[x]
@@ -897,5 +892,5 @@ def long_complex(
     owner, target, sign = moves.rows(ids)
     found = moves.locate(ids, moves.pack(target))
     _check_units(ring, gens, owner, found, sign)
-    a2, maslov = np.array([(a2, config.maslov(x)) for x, a2 in listed]).reshape(-1, 2).T
-    return SparseComplex.from_arrays(ring, gens, a2, maslov, owner, found, sign)
+    a2 = np.array([a2 for _, a2 in listed], dtype=np.int64)
+    return SparseComplex.from_arrays(ring, gens, a2, moves.maslov(ids), owner, found, sign)

@@ -351,6 +351,8 @@ def parse_machine(text: str) -> HFKTable:
     Inverse of the machine rendering: reads the ring from the header and
     one ``a m rank [factors...]`` record per line, then rebuilds the table
     (including genus, fiberedness, and the torsion flag) from the groups.
+    A record no rendering emits raises: a negative rank, a factor below 2,
+    factors out of divisibility order, or any factor over Z/2.
     """
     ring: str | None = None
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -377,11 +379,17 @@ def parse_machine(text: str) -> HFKTable:
             raise ValueError(f"malformed record: {line!r}") from None
         a, m, rank = numbers[:3]
         torsion = tuple(numbers[3:])
+        if rank < 0 or min(torsion, default=2) < 2 or any(
+            later % f for f, later in zip(torsion, torsion[1:])
+        ):
+            raise ValueError(f"malformed record: {line!r}")
         if (a, m) in groups:
             raise ValueError(f"duplicate record for grading ({a}, {m})")
         groups[(a, m)] = (rank, torsion)
     if ring not in ("Z", "Z2"):
         raise ValueError("missing or unrecognized ring header")
+    if ring == "Z2" and any(torsion for _, torsion in groups.values()):
+        raise ValueError("torsion factors in a Z2 table")
     if not groups:
         raise ValueError("no records found")
     return make_table({(2 * a, m): grp for (a, m), grp in groups.items()}, ring)

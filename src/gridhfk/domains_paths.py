@@ -246,8 +246,9 @@ class PathEngine:
 
     # -- the three phases
 
-    def _closure(self, gens: list[Gen]) -> _Closure:
-        """The long rows that the short rows of ``gens`` can fold in, numbered.
+    def _closure(self, ids: np.ndarray) -> _Closure:
+        """The long rows that the short rows of ``ids`` (point ids, one
+        generator per row) can fold in, numbered.
 
         Breadth first: each level forms the long rows of its frontier in one
         batch; the sources of its cancelled targets that are not sources
@@ -267,7 +268,7 @@ class PathEngine:
         nothing and moves no other entry.
         """
         moves, count = self.moves, self.event_count
-        frontier = moves.encode(gens)
+        frontier = ids
         # per level the owners' keys, whose rows are formed in that order;
         # per row its length, per entry the target's key and the sign
         owners, lengths = [moves.pack(frontier)], array("i")
@@ -327,7 +328,7 @@ class PathEngine:
         return _Closure(
             survivors=survivors,
             link=_extend(array("i"), link),
-            roots=owner[: len(gens)].tolist(),
+            roots=owner[: len(ids)].tolist(),
             bounds=_extend(array("i", [0]), np.cumsum(lengths)),
             targets=_extend(array("i"), targets),
             signs=_extend(array("b"), signs),
@@ -397,38 +398,41 @@ class PathEngine:
         del reduce  # a recursive closure is a cycle; free the tables now
         return rows
 
-    def _short_rows(self, slices: list[list[Gen]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _short_rows(self, ids: np.ndarray, groups: list[int]) -> tuple[np.ndarray, ...]:
         """``(owner, target, coeff)``: each entry of the short rows of some
         Alexander slices, in row order, by the positions of its two ends
         among the slices' generators.
 
-        One closure serves every slice; the reduced rows of the sources are
-        dropped after each slice, as the differential and every retraction
-        event preserve a2.  A target outside the slices raises
-        (`LongMoves.locate`), and every entry must join two surviving
-        generators through a domain of the short arrangement, certified in
-        one pass (`_without_domain`): else the first failing entry in row
-        order raises.
+        The generators' point ids come slice by slice, one per row of
+        ``ids``; ``groups`` counts each slice's.  One closure serves every
+        slice; the reduced rows of the sources are dropped after each slice,
+        as the differential and every retraction event preserve a2.  A
+        target outside the slices raises (`LongMoves.locate`), and every
+        entry must join two surviving generators through a domain of the
+        short arrangement, certified in one pass (`_without_domain`): else
+        the first failing entry in row order raises, naming its points.
         """
-        gens = [x for xs in slices for x in xs]
-        cl = self._closure(gens)
-        rows = self._reduce(cl, [len(xs) for xs in slices])
+        cl = self._closure(ids)
+        rows = self._reduce(cl, groups)
         # every entry in row order, and the row it lies in
         numbers = np.array([v for row in rows for v in row], dtype=np.int64)
         coeff = np.array([c for row in rows for c in row.values()], dtype=np.int64)
-        owner = np.repeat(np.arange(len(gens)), [len(row) for row in rows])
+        owner = np.repeat(np.arange(len(ids)), [len(row) for row in rows])
+
+        def gen(row: int) -> Gen:
+            return tuple(map(self.moves.points.__getitem__, ids[row].tolist()))
+
         if (numbers < cl.cancelled).any():
             at = int((numbers < cl.cancelled).argmax())
             raise CancelledTargetReached(
-                f"short row of {gens[owner[at]]} reaches the cancelled generator "
+                f"short row of {gen(owner[at])} reaches the cancelled generator "
                 f"number {numbers[at]} of the elimination order"
             )
-        ids = self.moves.encode(gens)
         target = self.moves.locate(ids, cl.survivors[numbers - cl.cancelled])
         missing = self._without_domain(ids[owner], ids[target])
         if missing.any():
             at = int(missing.argmax())
-            x, y = gens[owner[at]], gens[target[at]]
+            x, y = gen(owner[at]), gen(target[at])
             raise MissingDomain(f"nonzero entry {coeff[at]} from {x} to {y} has no domain")
         return owner, target, coeff
 
@@ -457,17 +461,19 @@ class PathEngine:
         """The short complex with its differential counted along paths.
 
         The generators of the kept slices (None keeps all), in the order of
-        one `oval_generators` walk, and their rows, from one closure
-        (`_short_rows`), all in this process, filled and checked by
+        one `oval_generators` walk, encoded once (`LongMoves.encode`) and
+        graded on those ids (`LongMoves.maslov`), and their rows, from one
+        closure (`_short_rows`), all in this process, filled and checked by
         `SparseComplex.from_arrays`.  An entry sums paths: not always a unit.
         """
         listed = oval_generators(self.short_cfg, keep_a2)
         gens = [x for x, _ in listed]
-        graded = [(a2, self.moves.config.maslov(x)) for x, a2 in listed]
-        a2, maslov = np.array(graded, dtype=np.int64).reshape(-1, 2).T
+        a2 = np.array([a2 for _, a2 in listed], dtype=np.int64)
+        ids = self.moves.encode(gens)
         walk = np.argsort(a2, kind="stable")  # walk positions, slice by slice
-        slices = np.split(walk, np.flatnonzero(np.diff(a2[walk])) + 1)
-        owner, target, coeff = self._short_rows([[gens[i] for i in at] for at in slices])
+        groups = np.unique(a2, return_counts=True)[1].tolist()
+        owner, target, coeff = self._short_rows(ids[walk], groups)
+        maslov = self.moves.maslov(ids)
         return SparseComplex.from_arrays(ring, gens, a2, maslov, walk[owner], walk[target], coeff)
 
 

@@ -29,6 +29,7 @@ where ``Delta`` is the symmetric Alexander polynomial normalized so that
 integer (`alexander_polynomial`), taken by an elimination of its own: Delta
 checks the Euler characteristic of tables whose torsion
 `reducer.smith_invariant_factors` computes, so the two share no kernel.
+The gradings of every generator are counted here too, on arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     CoincidentDecorations,
@@ -170,41 +173,46 @@ def winding_matrix(g: GridDiagram) -> list[list[int]]:
     return w
 
 
-def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
-    """Number of pairs ``(p, q)`` with ``p`` strictly southwest of ``q``.
+# --------------------------------------------------------------------------
+# Gradings (Manolescu–Ozsváth–Sarkar).  With ``I(a, b)`` the pairs of ``a x b``
+# whose second point lies strictly northeast of the first, a generator ``x``
+# has Maslov grading ``I(x, x) - I(x, O) - I(O, x) + I(O, O)`` (one more for a
+# cell generator) and doubled Alexander grading ``const2`` plus a term per point.
 
-    Counts pairs from ``first x second`` with both coordinates strictly
-    increasing; the bilinear building block of the combinatorial gradings.
+
+def marking_counts(points: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Per row ``(x, y)`` of ``points``, the markings of ``marks`` strictly
+    northeast or strictly southwest of it, in one comparison."""
+    p, q = points[:, None, :], marks[None, :, :]
+    return ((p < q).all(axis=2) | (q < p).all(axis=2)).sum(axis=1)
+
+
+def grading_terms(g: GridDiagram, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """Per point (a list of them, or an integer array of rows ``(x, y)``),
+    its Maslov term ``-I(p, O) - I(O, p)`` and its doubled Alexander term,
+    which adds ``I(p, X) + I(X, p)``: minus twice its winding number."""
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+    m = -marking_counts(pts, np.array(g.o_punctures()))
+    return m, m + marking_counts(pts, np.array(g.x_punctures()))
+
+
+def grading_constants(g: GridDiagram) -> tuple[int, int]:
+    """``(I(O, O), const2)``, with ``const2 = I(O, O) - I(X, X) - (n - 1)``
+    the doubled Alexander grading of the empty tuple.  Each pair of O's is
+    counted from both ends, so ``I(O, O)`` is half their counts' sum."""
+    o, x = np.array(g.o_punctures()), np.array(g.x_punctures())
+    o_pairs = int(marking_counts(o, o).sum()) // 2
+    return o_pairs, o_pairs - int(marking_counts(x, x).sum()) // 2 - (g.n - 1)
+
+
+def southwest_counts(bits: np.ndarray) -> np.ndarray:
+    """Per point of each row, the earlier points of the row that lie lower.
+
+    A row holds one generator's points in column order, each as the bit of
+    its own row, so the earlier bits sum to their union.  Summed, ``I(x, x)``.
     """
-    qs = list(second)
-    total = 0
-    for ax, ay in first:
-        for bx, by in qs:
-            if ax < bx and ay < by:
-                total += 1
-    return total
-
-
-def alexander2_dominance(
-    points: tuple[Point, ...],
-    x_punct: tuple[Point, ...],
-    o_punct: tuple[Point, ...],
-    n: int,
-) -> int:
-    """Doubled Alexander grading of a cell or oval generator, by dominance counts.
-
-    Linear in ``points`` beyond the ``points == ()`` constant, so each point
-    adds a term of its own: minus twice its winding number.
-    """
-    return (
-        dominance_count(points, x_punct)
-        + dominance_count(x_punct, points)
-        - dominance_count(points, o_punct)
-        - dominance_count(o_punct, points)
-        - dominance_count(x_punct, x_punct)
-        + dominance_count(o_punct, o_punct)
-        - (n - 1)
-    )
+    earlier = np.cumsum(bits, axis=1, dtype=bits.dtype) - bits
+    return np.bitwise_count(earlier & (bits - 1)).astype(bits.dtype)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlexanderConstantInvalid, InvalidOmission, ScheduleAssertionFailed
-from .gridkit import CENTER, SCALE, GridDiagram, Point, alexander2_dominance, dominance_count
+from .gridkit import CENTER, SCALE, GridDiagram, Point, grading_constants, grading_terms
 
 #: Half-widths of the vertical / horizontal ovals in scaled coordinates.
 V_HALF = 2
@@ -65,8 +65,10 @@ class Oval:
 class OvalConfig:
     """A full system of ovals for one grid, omission and style.
 
-    Its gradings and generator counts are built on first use and kept (a
-    `cached_property` writes to ``__dict__``, which freezing leaves open).
+    Its per-point grading terms and constant (from the kernel of
+    `gridkit`: `grading_terms`, `grading_constants`) and its generator
+    counts are built on first use and kept (a `cached_property` writes to
+    ``__dict__``, which freezing leaves open).
     """
 
     grid: GridDiagram
@@ -94,54 +96,29 @@ class OvalConfig:
     # -- gradings: a constant plus one term per point
 
     @cached_property
+    def _terms(self) -> tuple[dict[Point, int], dict[Point, int]]:
+        points = self.all_points()
+        m, a2 = grading_terms(self.grid, points)
+        return dict(zip(points, m.tolist())), dict(zip(points, a2.tolist()))
+
+    @property
     def m_of(self) -> dict[Point, int]:
         """Per point, its Maslov term: minus the O's strictly NE or SW of it."""
-        o_punct = self.grid.o_punctures()
-        return {
-            p: -dominance_count((p,), o_punct) - dominance_count(o_punct, (p,))
-            for p in self.all_points()
-        }
+        return self._terms[0]
 
-    @cached_property
+    @property
     def a2_of(self) -> dict[Point, int]:
         """Per point, its doubled Alexander term: minus twice its winding number."""
-        x_punct = self.grid.x_punctures()
-        return {
-            p: m + dominance_count((p,), x_punct) + dominance_count(x_punct, (p,))
-            for p, m in self.m_of.items()
-        }
+        return self._terms[1]
 
     @cached_property
     def const2(self) -> int:
         """The doubled Alexander grading of the empty tuple: even, as every
         point adds an even term and Alexander gradings are integers."""
-        g = self.grid
-        const2 = alexander2_dominance((), g.x_punctures(), g.o_punctures(), g.n)
+        const2 = grading_constants(self.grid)[1]
         if const2 % 2:
             raise AlexanderConstantInvalid("odd doubled-Alexander constant")
         return const2
-
-    @cached_property
-    def m_const(self) -> int:
-        """The Maslov grading's constant, I(O, O)."""
-        o_punct = self.grid.o_punctures()
-        return dominance_count(o_punct, o_punct)
-
-    def maslov(self, x: tuple[Point, ...]) -> int:
-        """``I(x, x) - I(x, O) - I(O, x) + I(O, O)`` of a generator, in one pass.
-
-        The points of ``x`` sort by column and lie on distinct horizontal
-        ovals, so ``I(x, x)`` counts, for each point, the earlier points in
-        lower rows: a popcount of the row bits seen so far.
-        """
-        m_of = self.m_of
-        seen = 0
-        total = self.m_const
-        for p in x:
-            bit = 1 << (p[1] // SCALE)
-            total += (seen & (bit - 1)).bit_count() + m_of[p]
-            seen |= bit
-        return total
 
     # -- counting generators
 

@@ -11,8 +11,12 @@ something independent to agree with:
   complex or to some of its Alexander slices;
 * `long_gradings` grades a generator on the configuration of a `LongMoves`,
   and `decode` turns its point ids back into its points;
-* `maslov` is the Maslov grading as a sum of dominance counts, which the
-  one-pass `OvalConfig.maslov` is checked against;
+* `dominance_count` counts the pairs of two point sets with the second
+  strictly northeast of the first, one pair at a time, and
+  `alexander2_dominance` and `maslov` are the doubled Alexander and the
+  Maslov gradings as sums of such counts: the references that the array
+  gradings of `gridkit` (per point, `grading_terms`; per generator,
+  `LongMoves.maslov` and the cell gradings) are checked against;
 * `Laurent` is a `LaurentPoly` with the ring operations, and
   `laurent_determinant` a cofactor expansion over it: the reference the
   integer determinant behind `alexander_polynomial` is held against;
@@ -39,6 +43,7 @@ something independent to agree with:
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 import numpy as np
 
@@ -55,7 +60,6 @@ from gridhfk.gridkit import (
     GridDiagram,
     LaurentPoly,
     Point,
-    dominance_count,
 )
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -64,6 +68,43 @@ from gridhfk.ovalgeo import (
     build_config,
     retraction_schedule,
 )
+
+
+def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
+    """Number of pairs ``(p, q)`` with ``p`` strictly southwest of ``q``.
+
+    Counts pairs from ``first x second`` with both coordinates strictly
+    increasing; the bilinear building block of the combinatorial gradings.
+    """
+    qs = list(second)
+    total = 0
+    for ax, ay in first:
+        for bx, by in qs:
+            if ax < bx and ay < by:
+                total += 1
+    return total
+
+
+def alexander2_dominance(
+    points: tuple[Point, ...],
+    x_punct: tuple[Point, ...],
+    o_punct: tuple[Point, ...],
+    n: int,
+) -> int:
+    """Doubled Alexander grading of a cell or oval generator, by dominance counts.
+
+    Linear in ``points`` beyond the ``points == ()`` constant, so each point
+    adds a term of its own: minus twice its winding number.
+    """
+    return (
+        dominance_count(points, x_punct)
+        + dominance_count(x_punct, points)
+        - dominance_count(points, o_punct)
+        - dominance_count(o_punct, points)
+        - dominance_count(x_punct, x_punct)
+        + dominance_count(o_punct, o_punct)
+        - (n - 1)
+    )
 
 
 def maslov(points: tuple[Point, ...], o_punct: tuple[Point, ...], shift: int) -> int:
@@ -224,7 +265,7 @@ def long_gradings(moves: LongMoves, x) -> tuple[int, int]:
     """(a2, maslov) of a generator whose points lie on the configuration of ``moves``."""
     config = moves.config
     a2 = sum(config.a2_of[p] for p in x) + config.const2
-    return a2, config.maslov(x)
+    return a2, int(moves.maslov(moves.encode([x]))[0])
 
 
 def decode(moves: LongMoves, ids) -> tuple:

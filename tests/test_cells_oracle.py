@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import maslov, mos_generators, refilled
+from references import alexander2_dominance, maslov, mos_generators, refilled
 from gridhfk import chains
 from gridhfk.chains import (
     SparseComplex,
@@ -37,7 +37,7 @@ from gridhfk.chains import (
     mos_complex,
 )
 from gridhfk.errors import BoundarySquareNonzero
-from gridhfk.gridkit import SCALE, GridDiagram, alexander2_dominance, parse_braid
+from gridhfk.gridkit import SCALE, GridDiagram, parse_braid
 from gridhfk.cli import main
 from gridhfk.reducer import hfk_cells
 from gridhfk.simplifier import minimize

@@ -14,6 +14,7 @@ import pytest
 from conftest import BRAIDS, random_grid
 from references import (
     Laurent,
+    alexander2_dominance,
     enumerated_long_euler,
     generator_count,
     long_euler,
@@ -45,7 +46,6 @@ from gridhfk.gridkit import (
     SCALE,
     GridDiagram,
     LaurentPoly,
-    alexander2_dominance,
     alexander_polynomial,
     parse_braid,
     winding_number,
@@ -110,7 +110,7 @@ class TestGradings:
 
     def test_dominance_equals_winding_per_point(self, rng):
         # an oval configuration reads each point's Alexander term off
-        # dominance counts; it is minus twice the winding number there, on
+        # marking counts; it is minus twice the winding number there, on
         # long and short configurations alike, and the constant is even
         grids = [parse_braid(BRAIDS["trefoil"])]
         grids += [random_grid(n, rng) for n in (3, 4, 5, 6)]
@@ -125,23 +125,29 @@ class TestGradings:
                     }
 
     def test_frame_maslov_matches_dominance(self, rng):
-        # a configuration counts the Maslov grading in one pass over the
-        # points; the reference `maslov` counts every dominance pair
+        # `LongMoves.maslov` grades the id rows of a whole list of long or
+        # short generators (short points are long ones) at once; the
+        # reference `maslov` counts every dominance pair of each generator
         for n in (2, 3, 4, 5, 6):
             g = random_grid(n, rng)
             omit = rng.choice(omission_candidates(g))
+            moves = LongMoves(build_config(g, omit, "long"))
             for style in ("long", "short"):
-                config = build_config(g, omit, style)
-                for x, _ in oval_generators(config):
-                    assert config.maslov(x) == maslov(x, g.o_punctures(), 0)
+                gens = [x for x, _ in oval_generators(build_config(g, omit, style))]
+                expected = [maslov(x, g.o_punctures(), 0) for x in gens]
+                assert moves.maslov(moves.encode(gens)).tolist() == expected
         # a path engine grades the short generators on its long configuration
         for word in BRAIDS.values():
             g = minimize(parse_braid(word))
+            o_punct = g.o_punctures()
             for omit in filter(lambda o: on_boundary(g, o), omission_candidates(g)):
-                moves = LongMoves(build_config(g, omit, "long"))
-                o_punct = g.o_punctures()
-                for x, a2 in oval_generators(build_config(g, omit, "short")):
-                    assert long_gradings(moves, x) == (a2, maslov(x, o_punct, 0))
+                eng = domains_paths.PathEngine(g, omit)
+                listed = oval_generators(eng.short_cfg)
+                gens = [x for x, _ in listed]
+                expected = [maslov(x, o_punct, 0) for x in gens]
+                assert eng.moves.maslov(eng.moves.encode(gens)).tolist() == expected
+                for (x, a2), m in zip(listed, expected):
+                    assert long_gradings(eng.moves, x) == (a2, m)
 
     def test_grading_discipline(self):
         # `from_arrays` raises `GradingViolation` on an entry that does not
@@ -558,7 +564,8 @@ class TestTypedFailures:
 
     def test_odd_winding_constant(self, monkeypatch):
         config = build_config(*REGRESSION_OVAL, "long")
-        monkeypatch.setattr(ovalgeo, "alexander2_dominance", lambda *args: 1)
+        # the constants routine plants an odd doubled-Alexander constant
+        monkeypatch.setattr(ovalgeo, "grading_constants", lambda g: (0, 1))
         with pytest.raises(AlexanderConstantInvalid, match="odd"):
             config.const2
 

@@ -290,8 +290,17 @@ class TestMachineFormat:
             parse_machine("# ring: Z\n0 0 1\n0 0 2\n")
 
     def test_parser_rejects_malformed_record(self):
-        with pytest.raises(ValueError):
-            parse_machine("# ring: Z\n0 0\n")
+        records = [
+            "# ring: Z\n0 0\n",
+            "# ring: Z\n0 0 -1\n",  # negative rank
+            "# ring: Z\n0 0 1 1\n",  # Z/1
+            "# ring: Z\n0 0 1 0\n",  # Z/0
+            "# ring: Z2\n0 0 1 2\n",  # torsion over Z/2
+            "# ring: Z\n0 0 0 4 2\n",  # factors out of divisibility order
+        ]
+        for text in records:
+            with pytest.raises(ValueError):
+                parse_machine(text)
 
     def test_parser_rejects_non_table_modes(self):
         result = run(RunConfig(braid=(1, 1, 1), mode="genus", fmt="machine"))

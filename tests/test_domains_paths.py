@@ -20,7 +20,7 @@ from references import (
 )
 
 from gridhfk import domains_paths, reducer
-from gridhfk.chains import SparseComplex, long_complex, oval_generators
+from gridhfk.chains import LongMoves, SparseComplex, long_complex, oval_generators
 from gridhfk.domains_paths import DomainSolver, PathEngine, find_domain
 from gridhfk.cli import main
 from gridhfk.errors import (
@@ -36,7 +36,6 @@ from gridhfk.gridkit import GridDiagram, parse_braid
 from gridhfk.simplifier import minimize
 from gridhfk.ovalgeo import (
     Arrangement,
-    OvalConfig,
     build_config,
     omission_candidates,
     on_boundary,
@@ -256,7 +255,7 @@ class TestPathEngine:
         eng.short_complex()
         assert engine_state(eng) == state
         long_count = len(oval_generators(build_config(eng.grid, eng.omit, "long")))
-        closure = eng._closure(list(cx.rows))
+        closure = eng._closure(eng.moves.encode(list(cx.rows)))
         assert len(cx.rows) < len(closure.bounds) - 1 < long_count // 20
 
     def test_matches_faithful_on_nonzero_short(self):
@@ -377,9 +376,9 @@ class TestRecursionChecks:
     def test_non_unit_pivot_is_a_typed_failure(self, monkeypatch):
         closure = PathEngine._closure
 
-        def doubled(self, gens):
+        def doubled(self, ids):
             # every long entry doubled: every pivot is even
-            cl = closure(self, gens)
+            cl = closure(self, ids)
             return cl._replace(signs=array("b", [2 * c for c in cl.signs]))
 
         monkeypatch.setattr(PathEngine, "_closure", doubled)
@@ -457,8 +456,13 @@ class TestShortComplexChecks:
         eng = PathEngine(NONZERO_SHORT)
         cx = eng.short_complex()
         x = next(x for x, row in cx.rows.items() if row)
-        maslov = OvalConfig.maslov
-        monkeypatch.setattr(OvalConfig, "maslov", lambda cfg, y: maslov(cfg, y) + (y == x))
+        maslov = LongMoves.maslov
+        planted = eng.moves.encode([x])
+
+        def shifted(moves, ids):
+            return maslov(moves, ids) + (ids == planted).all(axis=1)
+
+        monkeypatch.setattr(LongMoves, "maslov", shifted)
         with pytest.raises(GradingViolation, match=r"^edge .* goes from grading"):
             eng.short_complex()
         with pytest.raises(GradingViolation):
@@ -522,7 +526,7 @@ def test_dead_ends_are_pruned_on_8_20(monkeypatch):
         return prune(*args)
 
     monkeypatch.setattr(domains_paths, "_prune", spy)
-    cl = eng._closure([x for x, _ in oval_generators(eng.short_cfg)])
+    cl = eng._closure(eng.moves.encode([x for x, _ in oval_generators(eng.short_cfg)]))
     [(link, owner, lengths, targets, _)] = calls
     assert (len(owner), len(targets)) == (98_437, 193_796)
     dead = dead_ends(link, owner, lengths, targets)
@@ -558,7 +562,8 @@ def walk_order_complex(eng, ring, keep):
     listed = oval_generators(eng.short_cfg, keep)
     gens = [x for x, _ in listed]
     a2, maslov = np.array([long_gradings(eng.moves, x) for x in gens]).reshape(-1, 2).T
-    return SparseComplex.from_arrays(ring, gens, a2, maslov, *eng._short_rows([gens]))
+    rows = eng._short_rows(eng.moves.encode(gens), [len(gens)])
+    return SparseComplex.from_arrays(ring, gens, a2, maslov, *rows)
 
 
 def engine_state(eng):
@@ -813,7 +818,7 @@ class TestPooledSlices:
     def test_dead_worker_is_a_typed_failure(self, monkeypatch, two_cpus, capsys):
         parent = os.getpid()
 
-        def die(self, slices):
+        def die(self, ids, groups):
             # only ever reached in a forked worker: exiting here in the
             # main process would end the test run
             if os.getpid() == parent:

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
-from references import decode
+from references import decode, dominance_count
 from gridhfk.chains import Gen, LongMoves, _bigon_targets, oval_generators
 from gridhfk.errors import GridTooLarge, RectangleCornerMissing
-from gridhfk.gridkit import SCALE, dominance_count, parse_braid
+from gridhfk.gridkit import SCALE, parse_braid
 from gridhfk.ovalgeo import build_config, select_best_config
 from gridhfk.simplifier import minimize
 
