@@ -27,22 +27,19 @@ comparison), and for the Maslov grading the generator's southwest pairs
 point of an oval generator the Alexander term is minus twice the winding
 number there (asserted in tests).
 
-`SparseComplex` is the shared container: a dict-of-dicts matrix with row
-and column views, supporting unit-pivot cancellation, which is all the
-reduction machinery needs.  Every complex the package makes (these two, the
+`SparseComplex` is the shared container: the generators, their gradings
+and the entries as integer arrays, on which `reducer.reduce_fast` cancels
+unit entries in place.  Every complex the package makes (these two, the
 short complex and `SparseComplex.mod2`) is built, and checked each time
 (gradings, ``d^2 = 0``), by `SparseComplex.from_arrays`; where an entry
 counts one polygon, it is checked to be a unit first (`_check_units`).
-The checks run on the arrays as the complex is built; the row and column
-views are filled only when first read.  Before that, `SparseComplex.collapse`
-(the first step of `reducer.reduce_fast`) cancels on the arrays the pairs
-whose cancellation adds no entry (all but 448 of the 5,040 generators of
-5_2's rectangle complex), so only the survivors are ever filled.
+Its ``rows`` are a dict built from the arrays on each read, for the tests
+and `hfkbench`; nothing in the package reads them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, permutations
 
@@ -53,7 +50,6 @@ from .errors import (
     DuplicateGenerator,
     GradingViolation,
     GridTooLarge,
-    NonUnitPivot,
     RectangleCornerMissing,
     SignAssignmentFailed,
 )
@@ -76,39 +72,24 @@ Gen = tuple[Point, ...]
 # sparse complexes
 
 
+@dataclass(eq=False, slots=True)
 class SparseComplex:
-    """A graded boundary matrix over Z or Z/2 with row and column views.
+    """A graded boundary matrix over Z or Z/2, held as arrays.
 
-    ``rows[x][y]`` is the coefficient of ``y`` in the boundary of ``x``;
-    ``cols`` is the transpose view kept in lockstep.  ``grading[x]`` is the
-    pair ``(a2, maslov)``.  Generators are any hashable labels: point tuples
-    in the oval complexes, permutation ranks in the rectangle complex.
-
-    A complex built by `from_arrays` keeps its entries as arrays until
-    ``rows`` or ``cols`` is first read, and only then fills both; until
-    then `collapse` can cancel pairs on the arrays.
+    ``gens`` lists the generators (point tuples in the oval complexes,
+    permutation ranks in the rectangle complex), graded by the integer
+    arrays ``a2`` and ``maslov``.  Entry ``k`` is ``gens[src[k]] ->
+    gens[dst[k]]`` with the nonzero coefficient ``coeff[k]`` (1 over Z/2);
+    no pair repeats.  ``grading`` and ``rows`` are dicts built on each read.
     """
 
-    __slots__ = ("ring", "grading", "rows", "cols", "_arrays")
-
-    def __init__(self, ring: str = "Z"):
-        if ring not in ("Z", "Z2"):
-            raise ValueError(f"unknown coefficient ring {ring!r}")
-        self.ring = ring
-        self.grading: dict[Hashable, tuple[int, int]] = {}
-        self.rows: dict[Hashable, dict[Hashable, int]] = {}
-        self.cols: dict[Hashable, dict[Hashable, int]] = {}
-        #: ``(gens, src, dst, coeff)`` while ``rows`` and ``cols`` are unfilled
-        self._arrays = None
-
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the views of an unread array-built complex
-        if name in ("rows", "cols") and self._arrays is not None:
-            self._fill()
-            return getattr(self, name)
-        raise AttributeError(name)
-
-    # -- construction
+    ring: str
+    gens: list
+    a2: np.ndarray
+    maslov: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    coeff: np.ndarray
 
     @classmethod
     def from_arrays(cls, ring, gens, a2, maslov, src, dst, coeff) -> "SparseComplex":
@@ -116,159 +97,51 @@ class SparseComplex:
         ``maslov``, with the entry ``gens[src[k]] -> gens[dst[k]]`` of
         ``coeff[k]`` for each ``k`` (integer arrays; no pair may repeat).
 
-        The same dicts, in the same order, as `add_generator` and then
-        `add_entry` would build: over Z/2 the coefficients are reduced mod 2,
-        and zero entries are dropped.  The entries are checked here
-        (`_check_entries`), so no complex built here skips a check; an entry
-        summing paths need not be a unit.  The gradings are filled here too,
-        but ``rows`` and ``cols`` only when first read.
+        Over Z/2 the coefficients are reduced mod 2; zero entries are dropped.
+        The rest are checked here (`_check_entries`), so no complex skips a
+        check; an entry summing paths need not be a unit.
         """
-        cx = cls(ring)
-        cx.grading = dict(zip(gens, zip(a2.tolist(), maslov.tolist())))
-        if len(cx.grading) != len(gens):
+        if ring not in ("Z", "Z2"):
+            raise ValueError(f"unknown coefficient ring {ring!r}")
+        if len(set(gens)) != len(gens):
             raise DuplicateGenerator("a generator is listed twice")
+        coeff = np.asarray(coeff, dtype=np.int64)
         if ring == "Z2":
             coeff = coeff & 1
         live = np.flatnonzero(coeff)
-        src, dst, coeff = src[live], dst[live], coeff[live]
+        src, dst, coeff = src[live].astype(np.int64), dst[live].astype(np.int64), coeff[live]
         if len(live):
             _check_entries(ring, gens, a2, maslov, src, dst, coeff)
-        del cx.rows, cx.cols
-        cx._arrays = (gens, src, dst, coeff)
-        return cx
+        return cls(ring, gens, a2, maslov, src, dst, coeff)
 
-    def _fill(self) -> None:
-        """Fill ``rows`` and ``cols`` from the arrays, in their order."""
-        gens, src, dst, coeff = self._arrays
-        self._arrays = None
-        self.rows = {x: {} for x in gens}
-        self.cols = {x: {} for x in gens}
-        # rows and columns by position: an entry hashes only the labels it stores
-        rows, cols = list(self.rows.values()), list(self.cols.values())
-        for s, t, c in zip(src.tolist(), dst.tolist(), coeff.tolist()):
-            rows[s][gens[t]] = c
-            cols[t][gens[s]] = c
+    @property
+    def grading(self) -> dict:
+        """``grading[x]``, the pair ``(a2, maslov)``, in the order of ``gens``."""
+        return dict(zip(self.gens, zip(self.a2.tolist(), self.maslov.tolist())))
 
-    def collapse(self) -> None:
-        """Cancel, on the arrays, every pair whose cancellation adds no entry.
-
-        Only a complex whose ``rows`` and ``cols`` nothing has read yet is
-        collapsed; any other is left as it is.  A unit entry ``x -> y`` (1
-        over Z/2) is such a pair when it is the only entry into ``y`` or the
-        only one out of ``x``: `cancel_pair` then has no ``u -> y`` and
-        ``x -> v`` to combine, and only drops ``x`` and ``y`` with their
-        entries.  Pairs go in rounds.  In a round, each generator names the
-        first candidate entry it is an end of, and every entry named by
-        both its ends is cancelled: no generator is in two of them, and
-        dropping generators only lowers the others' degrees, so each is
-        still such a pair when its turn comes.  The first candidate of a
-        round is always cancelled, and the rounds end when none is left.
-        The survivors keep their order, and so do their entries.
-        """
-        if self._arrays is None:
-            return
-        gens, src, dst, coeff = self._arrays
-        n = len(gens)
-        alive = np.ones(n, dtype=bool)
-        unit = (coeff == 1) | (coeff == -1)
-        first = np.empty(n, dtype=np.int64)  # read only where just written
-        while True:
-            into = np.bincount(dst, minlength=n)[dst]
-            out = np.bincount(src, minlength=n)[src]
-            cand = np.flatnonzero(unit & ((into == 1) | (out == 1)))
-            if not len(cand):
-                break
-            # candidate k at 2k (its source) and 2k + 1 (its target)
-            ends = np.empty(2 * len(cand), dtype=np.int64)
-            ends[0::2], ends[1::2] = src[cand], dst[cand]
-            order = np.argsort(ends, kind="stable")
-            heads = order[np.flatnonzero(np.diff(ends[order], prepend=-1))]
-            first[ends[heads]] = heads // 2
-            k = np.arange(len(cand))
-            pick = cand[(first[src[cand]] == k) & (first[dst[cand]] == k)]
-            alive[src[pick]] = alive[dst[pick]] = False
-            keep = np.flatnonzero(alive[src] & alive[dst])
-            src, dst, coeff, unit = src[keep], dst[keep], coeff[keep], unit[keep]
-        if alive.all():
-            return
-        index = np.cumsum(alive) - 1
-        gens = [gens[i] for i in np.flatnonzero(alive).tolist()]
-        self.grading = {x: self.grading[x] for x in gens}
-        self._arrays = (gens, index[src], index[dst], coeff)
-
-    def add_generator(self, gen: Hashable, a2: int, m: int) -> None:
-        if gen in self.grading:
-            raise DuplicateGenerator(f"duplicate generator {gen}")
-        self.grading[gen] = (a2, m)
-        self.rows[gen] = {}
-        self.cols[gen] = {}
-
-    def add_entry(self, x: Hashable, y: Hashable, coeff: int) -> None:
-        if self.ring == "Z2":
-            coeff &= 1
-        if not coeff:
-            return
-        row = self.rows[x]
-        new = row.get(y, 0) + coeff
-        if self.ring == "Z2":
-            new &= 1
-        if new:
-            row[y] = new
-            self.cols[y][x] = new
-        else:
-            row.pop(y, None)
-            self.cols[y].pop(x, None)
-
-    # -- inspection
+    @property
+    def rows(self) -> dict:
+        """``rows[x][y]``, the coefficient of ``y`` in the boundary of ``x``,
+        in the order of ``gens`` and of the entries."""
+        gens = self.gens
+        rows = {x: {} for x in gens}
+        at = list(rows.values())  # by position: an entry hashes one label
+        for s, t, c in zip(self.src.tolist(), self.dst.tolist(), self.coeff.tolist()):
+            at[s][gens[t]] = c
+        return rows
 
     @property
     def generator_count(self) -> int:
-        return len(self.grading)
+        return len(self.gens)
 
     @property
     def entry_count(self) -> int:
-        if self._arrays is not None:
-            return len(self._arrays[1])
-        return sum(len(r) for r in self.rows.values())
+        return len(self.src)
 
     def mod2(self) -> "SparseComplex":
         """The same generators and gradings with every entry reduced mod 2."""
-        gens = list(self.grading)
-        at = {x: i for i, x in enumerate(gens)}
-        a2, maslov = np.array(list(self.grading.values()), dtype=np.int64).reshape(-1, 2).T
-        entries = [(at[x], at[y], c & 1) for x, row in self.rows.items() for y, c in row.items()]
-        src, dst, coeff = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-        return SparseComplex.from_arrays("Z2", gens, a2, maslov, src, dst, coeff)
-
-    # -- reduction primitive
-
-    def cancel_pair(self, x: Hashable, y: Hashable) -> None:
-        """Cancel the edge ``x -> y``; its coefficient must be a unit.
-
-        All other incoming edges of ``y`` are pushed through the inverse:
-        for ``u -> y`` and ``x -> v`` the entry ``u -> v`` gains
-        ``-coeff(u,y) * coeff(x,y)^{-1} * coeff(x,v)``.
-        """
-        s = self.rows[x].get(y, 0)
-        # a unit is its own inverse, and a Z/2 entry is stored as 1
-        if s not in (1, -1):
-            raise NonUnitPivot(f"pivot {s} at {x} -> {y}")
-        into_y = [(u, c) for u, c in self.cols[y].items() if u != x]
-        from_x = [(v, c) for v, c in self.rows[x].items() if v != y]
-        self._drop(x)
-        self._drop(y)
-        for u, cu in into_y:
-            for v, cv in from_x:
-                self.add_entry(u, v, -cu * s * cv)
-
-    def _drop(self, gen: Hashable) -> None:
-        for y in self.rows[gen]:
-            del self.cols[y][gen]
-        for u in self.cols[gen]:
-            del self.rows[u][gen]
-        del self.rows[gen]
-        del self.cols[gen]
-        del self.grading[gen]
+        arrays = self.a2, self.maslov, self.src, self.dst, self.coeff & 1
+        return SparseComplex.from_arrays("Z2", self.gens, *arrays)
 
 
 def _check_units(ring: str, gens: list, src, dst, coeff) -> None:

@@ -90,7 +90,7 @@ class InconsistentTensor(GridHfkError):
 
 
 class InconsistentHomology(GridHfkError):
-    """Boundary blocks give a negative free rank or torsion off every generator."""
+    """Boundary blocks give a negative free rank."""
 
 
 class InvalidInvariant(GridHfkError):

@@ -2,14 +2,14 @@
 
 The pipeline stages live here:
 
-* greedy pair-cancellation reduction of a `SparseComplex` (unit pivots
-  anywhere), after a collapse on the arrays of a complex not yet read
-  (`SparseComplex.collapse`: the pairs whose cancellation adds no entry);
+* `reduce_fast`, the one reduction: rounds of unit pivots of a
+  `SparseComplex`, each round cancelled at once on its arrays;
 * exact homology over Z (Smith normal form) or Z/2 (bitset rank);
 * removal of the rank-2 tensor factor that the full-size complexes carry
   once per grid size beyond one, leaving the knot invariant itself: one
-  back-substitution from both ends of each diagonal, which also rebuilds
-  up to n−1 consecutive Alexander slices that were never computed;
+  back-substitution from both ends of each diagonal, per elementary
+  divisor, which also rebuilds up to n−1 consecutive Alexander slices that
+  were never computed;
 * the derived invariants: Seifert genus, fiberedness, torsion-freeness;
 * `slice_groups`, the one slice routine of `hfk_paths` (on a pool of
   forked workers for large inputs) and `top_invariants`.
@@ -21,8 +21,11 @@ point.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, lcm
+
+import numpy as np
 
 from .chains import SparseComplex, mos_complex
 from .domains_paths import PathEngine
@@ -72,30 +75,93 @@ class HFKTable(HomologyResult):
 
 
 def reduce_fast(cx: SparseComplex) -> SparseComplex:
-    """Greedily cancel unit entries until none remain.  In place.
+    """Cancel unit entries on the arrays of ``cx`` until none is left, in
+    rounds of pivots (`_pivots`) cancelled at once (`_cancel`).  In place."""
+    alive = np.ones(len(cx.gens), dtype=bool)
+    while (chosen := _pivots(cx)) is not None:
+        _cancel(cx, alive, *chosen)
+    index = np.cumsum(alive) - 1
+    cx.gens = [cx.gens[i] for i in np.flatnonzero(alive).tolist()]
+    cx.a2, cx.maslov = cx.a2[alive], cx.maslov[alive]
+    cx.src, cx.dst = index[cx.src], index[cx.dst]
+    return cx
 
-    A complex nothing has read yet is first collapsed on its arrays
-    (`SparseComplex.collapse`: the pairs whose cancellation adds no entry,
-    most of a rectangle complex), so only the survivors' rows are filled.
-    Rows are then visited shortest-first, which empirically keeps fill-in
-    flat on these geometric complexes; repeat passes handle entries
-    revealed by earlier cancellations.
+
+def _pivots(cx: SparseComplex) -> tuple[np.ndarray, bool] | None:
+    """The unit entries one round cancels, and whether the round fills in;
+    None when no unit entry is left.
+
+    The candidates are the unit entries alone at one end, in entry order
+    (their cancellation adds no entry), or, when there is none, all unit
+    entries, fewest fill-in products first.  An entry that is the first
+    candidate at both its ends is a pivot; a round that fills in drops each
+    pivot that an entry ``x_i -> y_j`` joins to an earlier one.
     """
-    cx.collapse()
-    first = sorted(cx.rows, key=lambda x: len(cx.rows[x]))
-    while True:
-        done = 0
-        for x in first:
-            row = cx.rows.get(x)
-            if not row:
-                continue
-            pick = next((y for y, c in row.items() if c in (1, -1)), None)
-            if pick is not None:
-                cx.cancel_pair(x, pick)
-                done += 1
-        if not done:
-            return cx
-        first = list(cx.rows)
+    src, dst, n = cx.src, cx.dst, len(cx.gens)
+    unit = (cx.coeff == 1) | (cx.coeff == -1)
+    if not unit.any():
+        return None
+    into = np.bincount(dst, minlength=n)[dst]
+    out = np.bincount(src, minlength=n)[src]
+    lone = unit & ((into == 1) | (out == 1))
+    fill = not lone.any()
+    cand = np.flatnonzero(unit if fill else lone)
+    if fill:
+        cand = cand[np.argsort((into[cand] - 1) * (out[cand] - 1), kind="stable")]
+    k = np.arange(len(cand))
+    first = np.full(n, len(cand))
+    np.minimum.at(first, src[cand], k)
+    np.minimum.at(first, dst[cand], k)
+    pivots = cand[(first[src[cand]] == k) & (first[dst[cand]] == k)]
+    if fill:
+        i, j = _numbered(n, src[pivots])[src], _numbered(n, dst[pivots])[dst]
+        cross = (i >= 0) & (j >= 0) & (i != j)
+        pivots = np.delete(pivots, np.maximum(i[cross], j[cross]))
+    return pivots, fill
+
+
+def _cancel(cx: SparseComplex, alive: np.ndarray, pivots: np.ndarray, fill: bool) -> None:
+    """Cancel the entries ``pivots`` at once; ``alive`` marks the generators
+    not yet cancelled, the only ones entries join.  The pivots' ends go, and
+    with ``fill`` each ``u -> y_i`` with each ``x_i -> v`` adds ``-c(u, y_i)
+    c(x_i, y_i) c(x_i, v)`` to ``u -> v`` (mod 2 over Z/2): as no ``x_i ->
+    y_j`` joins two of these pivots, what cancelling them one by one gives.
+    """
+    src, dst, coeff, n = cx.src, cx.dst, cx.coeff, len(alive)
+    x, y = src[pivots], dst[pivots]
+    alive[x] = alive[y] = False
+    keep = np.flatnonzero(alive[src] & alive[dst])
+    cx.src, cx.dst, cx.coeff = src[keep], dst[keep], coeff[keep]
+    if not fill:
+        return
+    into_y, from_x = _numbered(n, y)[dst], _numbered(n, x)[src]
+    u = np.flatnonzero((into_y >= 0) & alive[src])
+    v = np.flatnonzero((from_x >= 0) & alive[dst])
+    v = v[np.argsort(from_x[v], kind="stable")]
+    # u -> y_i meets the run of v out of x_i
+    per = np.bincount(from_x[v], minlength=len(pivots))
+    run = per[into_y[u]]
+    skip = np.cumsum(per)[into_y[u]] - per[into_y[u]] - np.cumsum(run) + run
+    u, v = np.repeat(u, run), v[np.repeat(skip, run) + np.arange(run.sum())]
+    if coeff.dtype != object and np.abs(coeff).max() >= 2**20:
+        coeff = coeff.astype(object)  # products and their sums stay exact
+    fills = -coeff[u] * coeff[pivots][into_y[u]] * coeff[v]
+    key = np.concatenate([cx.src * n + cx.dst, src[u] * n + dst[v]])
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sums = np.add.reduceat(np.concatenate([coeff[keep], fills])[order], heads)
+    if cx.ring == "Z2":
+        sums &= 1
+    live = np.flatnonzero(sums)
+    cx.src, cx.dst = np.divmod(key[order[heads[live]]], n)
+    cx.coeff = sums[live]
+
+
+def _numbered(n: int, ends: np.ndarray) -> np.ndarray:
+    """Per generator, its place in ``ends`` (no repeats), else -1."""
+    number = np.full(n, -1)
+    number[ends] = np.arange(len(ends))
+    return number
 
 
 # --------------------------------------------------------------------------
@@ -123,9 +189,9 @@ def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
     The pivot is the smallest nonzero entry.  Integer division clears its
     column (row operations), then its row (column operations); a nonzero
     remainder is smaller than the pivot and becomes the next pivot.  A
-    pivot alone in its row and column is set aside with them.  Replacing
-    each pair of set-aside pivots by their gcd and lcm then puts them in
-    divisibility order.  Arithmetic is exact arbitrary-precision integers.
+    pivot alone in its row and column is set aside with them, and
+    `_divisibility_order` orders the set-aside pivots.  Arithmetic is exact
+    arbitrary-precision integers.
     """
     m = [row[:] for row in mat]
     diag: list[int] = []
@@ -152,10 +218,16 @@ def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
             del m[i]
             for row in m:
                 del row[j]
-    for a in range(len(diag)):
-        for b in range(a + 1, len(diag)):
-            diag[a], diag[b] = gcd(diag[a], diag[b]), lcm(diag[a], diag[b])
-    return diag
+    return _divisibility_order(diag)
+
+
+def _divisibility_order(factors: list[int]) -> list[int]:
+    """The cyclic factors of one group, each pair replaced by its gcd and lcm:
+    the same group, each factor dividing the next."""
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            factors[a], factors[b] = gcd(factors[a], factors[b]), lcm(factors[a], factors[b])
+    return factors
 
 
 # --------------------------------------------------------------------------
@@ -163,55 +235,35 @@ def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
 
 
 def homology(cx: SparseComplex) -> HomologyResult:
-    """Exact graded homology of the complex (∂² = 0 assumed)."""
-    by_grading: dict[tuple[int, int], list] = {}
-    for x, gr in cx.grading.items():
-        by_grading.setdefault(gr, []).append(x)
+    """Exact graded homology of the complex (∂² = 0 assumed), from one dense
+    block per grading: `smith_invariant_factors`, or `rank_mod2` over Z/2."""
+    keys = list(zip(cx.a2.tolist(), cx.maslov.tolist()))
+    blocks: dict[tuple[int, int], dict] = {}
+    for s, t, c in zip(cx.src.tolist(), cx.dst.tolist(), cx.coeff.tolist()):
+        blocks.setdefault(keys[s], {}).setdefault(s, {})[t] = c
 
-    # boundary block leaving each grading, with its rank and torsion data
-    block_rank: dict[tuple[int, int], int] = {}
-    block_torsion: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (a2, m), gens in by_grading.items():
-        target = by_grading.get((a2, m - 1))
-        if not target:
-            block_rank[(a2, m)] = 0
-            block_torsion[(a2, m)] = ()
-            continue
-        col_of = {y: i for i, y in enumerate(target)}
+    # the rank of the block out of each grading, and the torsion it leaves below
+    rank: dict[tuple[int, int], int] = {}
+    torsion: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (a2, m), rows in blocks.items():
+        targets = sorted({t for row in rows.values() for t in row})
+        mat = [[row.get(t, 0) for t in targets] for row in rows.values()]
         if cx.ring == "Z2":
-            rows = []
-            for x in gens:
-                bits = 0
-                for y, c in cx.rows[x].items():
-                    if c & 1:
-                        bits |= 1 << col_of[y]
-                rows.append(bits)
-            block_rank[(a2, m)] = rank_mod2(rows)
-            block_torsion[(a2, m)] = ()
+            rank[(a2, m)] = rank_mod2([sum(c << j for j, c in enumerate(row)) for row in mat])
         else:
-            mat = [[0] * len(target) for _ in gens]
-            for i, x in enumerate(gens):
-                for y, c in cx.rows[x].items():
-                    mat[i][col_of[y]] = c
             factors = smith_invariant_factors(mat)
-            block_rank[(a2, m)] = len(factors)
-            block_torsion[(a2, m)] = tuple(f for f in factors if f > 1)
+            rank[(a2, m)] = len(factors)
+            torsion[(a2, m - 1)] = tuple(f for f in factors if f > 1)
 
     groups: dict[tuple[int, int], Group] = {}
-    for (a2, m), gens in by_grading.items():
-        free = len(gens) - block_rank[(a2, m)] - block_rank.get((a2, m + 1), 0)
-        torsion = block_torsion.get((a2, m + 1), ())
+    for (a2, m), count in Counter(keys).items():
+        free = count - rank.get((a2, m), 0) - rank.get((a2, m + 1), 0)
         if free < 0:
             raise InconsistentHomology(
                 f"negative free rank {free} at {(a2, m)}: boundary blocks inconsistent"
             )
-        if free or torsion:
-            groups[(a2, m)] = (free, torsion)
-    # torsion may land in gradings that hold no generators of their own
-    for (a2, m), tor in block_torsion.items():
-        key = (a2, m - 1)
-        if tor and key not in by_grading:
-            raise InconsistentHomology(f"torsion attached to the empty grading {key}")
+        if free or torsion.get((a2, m)):
+            groups[(a2, m)] = (free, torsion.get((a2, m), ()))
     return HomologyResult(cx.ring, groups)
 
 
@@ -253,8 +305,9 @@ def universal_coefficients_consistent(
 def _collect_quantities(groups: dict[tuple[int, int], Group]):
     """Split graded groups into named nonnegative integer quantities.
 
-    Quantity None is the free rank; an integer f > 1 names the multiplicity
-    of the torsion factor Z/f.  Deconvolution treats each independently.
+    Quantity None is the free rank; a prime power q names the multiplicity
+    of Z/q among the elementary divisors, which add under direct sum as
+    invariant factors do not (Z/2 ⊕ Z/3 = Z/6).  Each is deconvolved alone.
     """
     out: dict[tuple[int, int], dict] = {}
     for key, (rank, torsion) in groups.items():
@@ -262,21 +315,34 @@ def _collect_quantities(groups: dict[tuple[int, int], Group]):
         if rank:
             q[None] = rank
         for f in torsion:
-            q[f] = q.get(f, 0) + 1
+            for power in _prime_powers(f):
+                q[power] = q.get(power, 0) + 1
         if q:
             out[key] = q
     return out
 
 
+def _prime_powers(f: int) -> list[int]:
+    """The prime powers whose product is ``f`` > 0, one per prime, by trial division."""
+    powers, p = [], 2
+    while f > 1:
+        p = f if p * p > f else p  # past the square root, what is left is prime
+        if (q := gcd(f, p ** f.bit_length())) > 1:
+            powers.append(q)
+            f //= q
+        p += 1
+    return powers
+
+
 def _groups_from_quantities(quant: dict[tuple[int, int], dict]):
+    """The graded groups with these quantities, torsion as invariant factors."""
     groups: dict[tuple[int, int], Group] = {}
     for key, q in quant.items():
         rank = q.get(None, 0)
-        torsion = []
-        for f, mult in sorted((f, m) for f, m in q.items() if f is not None):
-            torsion.extend([f] * mult)
+        powers = [f for f, mult in q.items() if f is not None for _ in range(mult)]
+        torsion = tuple(f for f in _divisibility_order(powers) if f > 1)
         if rank or torsion:
-            groups[key] = (rank, tuple(torsion))
+            groups[key] = (rank, torsion)
     return groups
 
 
@@ -417,8 +483,8 @@ def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     """The n!-generator rectangle-complex pipeline.
 
     `mos_complex` checks the gradings and ``d^2 = 0`` as it builds the
-    complex, before `reduce_fast` collapses or fills anything, so every run
-    of the oracle verifies its sign assignment.
+    complex, before `reduce_fast` cancels anything, so every run of the
+    oracle verifies its sign assignment.
     """
     cx = mos_complex(g, ring)
     reduce_fast(cx)

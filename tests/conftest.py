@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from references import plus_generator
+
 from gridhfk.domains_paths import PathEngine
 from gridhfk.errors import MultiComponentClosure
 from gridhfk.gridkit import (
@@ -141,7 +143,7 @@ def unmirrored_bottom_slice(monkeypatch):
         cx = short_complex(self, ring, keep_a2)
         lowest = min(self.short_cfg.slice_sizes)
         if keep_a2 is not None and lowest in keep_a2:
-            cx.add_generator((), lowest, 0)
+            cx = plus_generator(cx, (), lowest, 0)
         return cx
 
     monkeypatch.setattr(PathEngine, "short_complex", patched)

@@ -5,6 +5,11 @@ engine pulls short rows lazily.  These references do the slow, direct
 thing on small grids (or single Alexander slices) so the lazy route has
 something independent to agree with:
 
+* `DictComplex` is the dict-of-dicts complex, with row and column views
+  kept in lockstep, filled entry by entry and reduced one `cancel_pair` at
+  a time: the reference that `reducer.reduce_fast`, which cancels on the
+  arrays of a `SparseComplex`, is held against.  `reduce_greedy` cancels
+  its unit entries, shortest rows first, until none is left;
 * `tuple_event_pairs` and `reduce_faithful` cancel the long complex pair by
   pair in the order the retraction schedule prescribes, asserting every
   matched entry is a unit; `faithful_short` applies them to the whole long
@@ -24,7 +29,8 @@ something independent to agree with:
   one small determinant; `enumerated_long_euler` sums it generator by
   generator, which is only affordable on small grids;
 * `short_complex_digest` fingerprints a complex, insertion order included,
-  so a short complex can be pinned bit for bit;
+  so a short complex can be pinned bit for bit, and `columns` reads its
+  entries by target;
 * `mos_generators` spells out the rectangle complex's generators as point
   tuples, so a complex keyed by permutation rank can be compared with one
   keyed by points;
@@ -35,9 +41,9 @@ something independent to agree with:
   `euler_discrepancy` and `validate_periodic_domains` check an oval
   arrangement against the Euler formula and the periodic domains of its
   ovals;
-* `refilled` passes a complex filled entry by entry through
-  `SparseComplex.from_arrays`, the one routine that checks a complex's
-  gradings and ``d^2 = 0``.
+* `refilled` passes a `DictComplex` through `SparseComplex.from_arrays`,
+  the one routine that checks a complex's gradings and ``d^2 = 0``, and
+  `plus_generator` builds a complex with one more generator there.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from gridhfk.chains import (
     long_complex,
     oval_generators,
 )
-from gridhfk.errors import NonUnitPivot, ScheduleAssertionFailed
+from gridhfk.errors import DuplicateGenerator, NonUnitPivot, ScheduleAssertionFailed
 from gridhfk.gridkit import (
     SCALE,
     GridDiagram,
@@ -204,9 +210,113 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> Laurent:
     return Laurent(det(0, (1 << n) - 1))
 
 
+class DictComplex:
+    """A graded boundary matrix over Z or Z/2 with row and column views.
+
+    ``rows[x][y]`` is the coefficient of ``y`` in the boundary of ``x``;
+    ``cols`` is the transpose view kept in lockstep.  ``grading[x]`` is the
+    pair ``(a2, maslov)``.  Gradings and ``d^2 = 0`` are not checked here:
+    `refilled` checks them.
+    """
+
+    def __init__(self, ring: str = "Z"):
+        self.ring = ring
+        self.grading: dict = {}
+        self.rows: dict = {}
+        self.cols: dict = {}
+
+    @classmethod
+    def of(cls, cx: SparseComplex) -> "DictComplex":
+        """A copy of an array complex, in its order of generators and entries."""
+        out = cls(cx.ring)
+        out.grading, out.rows, out.cols = cx.grading, cx.rows, columns(cx)
+        return out
+
+    @property
+    def generator_count(self) -> int:
+        return len(self.grading)
+
+    @property
+    def entry_count(self) -> int:
+        return sum(len(r) for r in self.rows.values())
+
+    def add_generator(self, gen, a2: int, m: int) -> None:
+        if gen in self.grading:
+            raise DuplicateGenerator(f"duplicate generator {gen}")
+        self.grading[gen] = (a2, m)
+        self.rows[gen] = {}
+        self.cols[gen] = {}
+
+    def add_entry(self, x, y, coeff: int) -> None:
+        if self.ring == "Z2":
+            coeff &= 1
+        if not coeff:
+            return
+        row = self.rows[x]
+        new = row.get(y, 0) + coeff
+        if self.ring == "Z2":
+            new &= 1
+        if new:
+            row[y] = new
+            self.cols[y][x] = new
+        else:
+            row.pop(y, None)
+            self.cols[y].pop(x, None)
+
+    def cancel_pair(self, x, y) -> None:
+        """Cancel the edge ``x -> y``; its coefficient must be a unit.
+
+        All other incoming edges of ``y`` are pushed through the inverse:
+        for ``u -> y`` and ``x -> v`` the entry ``u -> v`` gains
+        ``-coeff(u,y) * coeff(x,y)^{-1} * coeff(x,v)``.
+        """
+        s = self.rows[x].get(y, 0)
+        # a unit is its own inverse, and a Z/2 entry is stored as 1
+        if s not in (1, -1):
+            raise NonUnitPivot(f"pivot {s} at {x} -> {y}")
+        into_y = [(u, c) for u, c in self.cols[y].items() if u != x]
+        from_x = [(v, c) for v, c in self.rows[x].items() if v != y]
+        self._drop(x)
+        self._drop(y)
+        for u, cu in into_y:
+            for v, cv in from_x:
+                self.add_entry(u, v, -cu * s * cv)
+
+    def _drop(self, gen) -> None:
+        for y in self.rows[gen]:
+            del self.cols[y][gen]
+        for u in self.cols[gen]:
+            del self.rows[u][gen]
+        del self.rows[gen]
+        del self.cols[gen]
+        del self.grading[gen]
+
+
+def reduce_greedy(cx: DictComplex) -> DictComplex:
+    """Cancel unit entries one at a time until none is left.  In place.
+
+    Rows are visited shortest first; repeat passes handle entries revealed
+    by earlier cancellations.
+    """
+    first = sorted(cx.rows, key=lambda x: len(cx.rows[x]))
+    while True:
+        done = 0
+        for x in first:
+            row = cx.rows.get(x)
+            if not row:
+                continue
+            pick = next((y for y, c in row.items() if c in (1, -1)), None)
+            if pick is not None:
+                cx.cancel_pair(x, pick)
+                done += 1
+        if not done:
+            return cx
+        first = list(cx.rows)
+
+
 def reduce_faithful(
-    cx: SparseComplex, pairs_by_event: list[tuple[list, list]]
-) -> SparseComplex:
+    cx: DictComplex, pairs_by_event: list[tuple[list, list]]
+) -> DictComplex:
     """Cancel the scheduled pairs event by event.  In place.
 
     Every matched entry must be a unit when its turn comes; anything else
@@ -254,10 +364,10 @@ def tuple_event_pairs(gens, events) -> list[tuple[list, list]]:
     return out
 
 
-def faithful_short(g, omit, keep_a2=None) -> SparseComplex:
+def faithful_short(g, omit, keep_a2=None) -> DictComplex:
     """The long complex (or its ``keep_a2`` slices), reduced along the schedule."""
     events = retraction_schedule(g, omit)[2]
-    cx = long_complex(g, omit, keep_a2=keep_a2)
+    cx = DictComplex.of(long_complex(g, omit, keep_a2=keep_a2))
     return reduce_faithful(cx, tuple_event_pairs(list(cx.grading), events))
 
 
@@ -323,8 +433,20 @@ def short_complex_digest(cx: SparseComplex) -> str:
     h = hashlib.sha256()
     h.update(repr(list(cx.grading.items())).encode())
     h.update(repr([(x, list(row.items())) for x, row in cx.rows.items()]).encode())
-    h.update(repr([(y, list(col.items())) for y, col in cx.cols.items()]).encode())
+    h.update(repr([(y, list(col.items())) for y, col in columns(cx).items()]).encode())
     return h.hexdigest()
+
+
+def columns(cx: SparseComplex) -> dict:
+    """``cols[y][x]``, the coefficient of ``y`` in the boundary of ``x``:
+    the transpose of ``cx.rows``, in the order of the generators and of the
+    entries."""
+    gens = cx.gens
+    cols = {y: {} for y in gens}
+    at = list(cols.values())
+    for s, t, c in zip(cx.src.tolist(), cx.dst.tolist(), cx.coeff.tolist()):
+        at[t][gens[s]] = c
+    return cols
 
 
 def mos_generators(g: GridDiagram) -> list[tuple]:
@@ -424,8 +546,9 @@ def validate_periodic_domains(arr: Arrangement) -> None:
                 )
 
 
-def refilled(cx: SparseComplex) -> SparseComplex:
-    """The same complex, insertion order included, built by `SparseComplex.from_arrays`.
+def refilled(cx) -> SparseComplex:
+    """The same complex (any with ``grading`` and ``rows``, a `DictComplex`
+    say), insertion order included, built by `SparseComplex.from_arrays`.
 
     So a complex filled entry by entry is checked as an array-built one
     is: every entry keeping a2 and lowering the Maslov grading by one, and
@@ -437,3 +560,9 @@ def refilled(cx: SparseComplex) -> SparseComplex:
     entries = [(index[x], index[y], c) for x, row in cx.rows.items() for y, c in row.items()]
     src, dst, coeff = np.array(entries, dtype=np.int64).reshape(-1, 3).T
     return SparseComplex.from_arrays(cx.ring, gens, a2, maslov, src, dst, coeff)
+
+
+def plus_generator(cx: SparseComplex, gen, a2: int, m: int) -> SparseComplex:
+    """``cx`` with one more generator, ``gen`` graded ``(a2, m)``, joined by no entry."""
+    a2s, maslovs = np.append(cx.a2, a2), np.append(cx.maslov, m)
+    return SparseComplex.from_arrays(cx.ring, [*cx.gens, gen], a2s, maslovs, cx.src, cx.dst, cx.coeff)

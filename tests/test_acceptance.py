@@ -23,6 +23,7 @@ from references import (
     faithful_short,
     long_euler,
     long_gradings,
+    refilled,
 )
 from test_domains_paths import NONZERO_SHORT
 
@@ -173,7 +174,7 @@ def test_criterion_03_benchmark_knots_three_ways(minimized, two_pipelines):
         assert tables["cells"] == tables["paths"]
         if key != "5_2":
             # the eager faithful reduction of the whole long complex
-            h = homology(faithful_short(g, omit))
+            h = homology(refilled(faithful_short(g, omit)))
             assert make_table(deconvolve(h, g.n), "Z") == tables["cells"]
         else:
             # the long complex has 2.9 million generators: reduce the
@@ -184,7 +185,7 @@ def test_criterion_03_benchmark_knots_three_ways(minimized, two_pipelines):
             faithful = faithful_short(g, omit, set(top))
             short = engine.short_complex("Z", keep_a2=set(top))
             assert set(faithful.grading) == set(short.grading)
-            assert homology(faithful).groups == homology(reduce_fast(short)).groups
+            assert homology(refilled(faithful)).groups == homology(reduce_fast(short)).groups
         expect = EXPECTED[key]
         table = tables["cells"]
         assert table.ranks() == expect["ranks"]
@@ -298,9 +299,9 @@ def test_criterion_08_path_differential_and_prefilter():
         faithful = faithful_short(g, omit)  # exists for every nonzero entry
         gens = list(faithful.grading)
         assert set(gens) == {x for x, _ in oval_generators(engine.short_cfg)}
-        short = engine.short_complex()
+        short_rows = engine.short_complex().rows
         for x in gens:
-            row = short.rows[x]
+            row = short_rows[x]
             assert row == faithful.rows[x], (g, x)
             nonzero_entries += len(row)
         # exhaustive converse on every grading-compatible pair: whenever the

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid
-from references import alexander2_dominance, maslov, mos_generators, refilled
-from gridhfk import chains
+from references import DictComplex, alexander2_dominance, columns, maslov, mos_generators, refilled
+from gridhfk import chains, reducer
 from gridhfk.chains import (
     SparseComplex,
     _cyclic_open,
@@ -143,13 +143,14 @@ def _cyc_in(start: int, end: int, v: int) -> bool:
 
 def reference_mos_complex(g: GridDiagram, ring: str = "Z") -> SparseComplex:
     """The rectangle complex, one edge and one rectangle scan at a time,
-    checked as `mos_complex` is (`refilled`; every entry is a sign, so a
-    unit, by construction)."""
+    filled entry by entry into the reference `DictComplex` and checked as
+    `mos_complex` is (`refilled`; every entry is a sign, so a unit, by
+    construction)."""
     n = g.n
     o_p = g.o_punctures()
     x_p = g.x_punctures()
     cells = [(c, g.xs[c]) for c in range(n)] + [(c, g.os[c]) for c in range(n)]
-    cx = SparseComplex(ring)
+    cx = DictComplex(ring)
     for perm in permutations(range(n)):
         x = tuple((SCALE * i, SCALE * perm[i]) for i in range(n))
         cx.add_generator(x, alexander2_dominance(x, x_p, o_p, n), maslov(x, o_p, 1))
@@ -212,20 +213,16 @@ def assert_same_complex(new: SparseComplex, old: SparseComplex) -> None:
     assert [(x, list(r.items())) for x, r in new.rows.items()] == [
         (x, list(r.items())) for x, r in old.rows.items()
     ]
-    assert [(y, list(c.items())) for y, c in new.cols.items()] == [
-        (y, list(c.items())) for y, c in old.cols.items()
+    assert [(y, list(c.items())) for y, c in columns(new).items()] == [
+        (y, list(c.items())) for y, c in columns(old).items()
     ]
 
 
 def by_points(cx: SparseComplex, g: GridDiagram) -> SparseComplex:
     """A rank-keyed rectangle complex relabelled by point tuples, order kept."""
     gens = mos_generators(g)
-    assert list(cx.grading) == list(range(len(gens)))
-    out = SparseComplex(cx.ring)
-    out.grading = {gens[x]: gr for x, gr in cx.grading.items()}
-    out.rows = {gens[x]: {gens[y]: c for y, c in r.items()} for x, r in cx.rows.items()}
-    out.cols = {gens[y]: {gens[x]: c for x, c in r.items()} for y, r in cx.cols.items()}
-    return out
+    assert cx.gens == list(range(len(gens)))
+    return SparseComplex.from_arrays(cx.ring, gens, cx.a2, cx.maslov, cx.src, cx.dst, cx.coeff)
 
 
 class TestBitIdentity:
@@ -377,15 +374,15 @@ def plant_fault(monkeypatch, ring: str) -> None:
 @pytest.mark.parametrize("ring", ["Z", "Z2"])
 class TestPlantedFault:
     """A broken rectangle complex is refused when it is built, before
-    `reduce_fast` collapses or fills anything."""
+    `reduce_fast` cancels anything."""
 
     def test_hfk_cells_raises(self, monkeypatch, ring):
         plant_fault(monkeypatch, ring)
-        collapsed = []
-        monkeypatch.setattr(SparseComplex, "collapse", collapsed.append)
+        reduced = []
+        monkeypatch.setattr(reducer, "reduce_fast", reduced.append)
         with pytest.raises(BoundarySquareNonzero):
             hfk_cells(parse_braid(BRAIDS["trefoil"]), ring)
-        assert collapsed == []
+        assert reduced == []
 
     def test_crosscheck_run_fails_with_a_typed_error(self, monkeypatch, capsys, ring):
         plant_fault(monkeypatch, ring)

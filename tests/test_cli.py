@@ -28,6 +28,7 @@ from gridhfk.reducer import HomologyResult, PipelineReport, make_table
 from gridhfk.simplifier import minimize
 
 from conftest import BRAIDS, cyclic_col_shift, format_grid_text
+from references import plus_generator
 
 
 class TestWordParsing:
@@ -242,9 +243,7 @@ class TestUniversalCoefficientsCheck:
         mod2 = SparseComplex.mod2
 
         def extra_generator(self):
-            other = mod2(self)
-            other.add_generator(("extra",), 0, 0)
-            return other
+            return plus_generator(mod2(self), ("extra",), 0, 0)
 
         monkeypatch.setattr(SparseComplex, "mod2", extra_generator)
         argv = ["--braid", "1 1 1", "--strategy", "paths", "--crosscheck", "off"]

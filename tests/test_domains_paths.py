@@ -11,6 +11,7 @@ import pytest
 
 from conftest import BRAIDS, random_grid
 from references import (
+    columns,
     corner_index,
     faithful_short,
     long_gradings,
@@ -162,10 +163,11 @@ class TestFindDomain:
             arr = Arrangement(config)
             cx = long_complex(g, omit)
             checked = 0
-            for x, row in cx.rows.items():
+            rows = cx.rows
+            for x, row in rows.items():
                 for y in row:
                     assert find_domain(arr, x, y) is not None
-                    if not cx.rows[y].get(x):
+                    if not rows[y].get(x):
                         assert find_domain(arr, y, x) is None
                         checked += 1
             assert checked
@@ -232,8 +234,9 @@ class TestPathEngine:
         eng = PathEngine(g, omit)
         pcx = eng.short_complex()
         assert cx.grading == pcx.grading
-        for x in cx.rows:
-            assert cx.rows[x] == pcx.rows[x]
+        rows = pcx.rows
+        for x, row in cx.rows.items():
+            assert row == rows[x]
         # its entries are units, keep the gradings and square to zero
         refilled(pcx)
         return cx, eng
@@ -282,16 +285,16 @@ class TestPathEngine:
         eng = PathEngine(NONZERO_SHORT)
         arr = Arrangement(eng.short_cfg)
         pcx = eng.short_complex()
-        gens = list(pcx.grading)
+        grading, rows = pcx.grading, pcx.rows
         discarded = 0
-        for x in gens:
-            a2x, mx = pcx.grading[x]
-            for y in gens:
-                a2y, my = pcx.grading[y]
+        for x in grading:
+            a2x, mx = grading[x]
+            for y in grading:
+                a2y, my = grading[y]
                 if a2x != a2y or my != mx - 1:
                     continue
                 if find_domain(arr, x, y) is None:
-                    assert pcx.rows[x].get(y, 0) == 0
+                    assert rows[x].get(y, 0) == 0
                     discarded += 1
         assert discarded
 
@@ -335,11 +338,11 @@ class TestPathEngine:
         eng = PathEngine(NONZERO_SHORT)
         eng._columns  # the domain solver, which the engine builds once and keeps
         state = engine_state(eng)
-        pcx = eng.short_complex()
+        rows = eng.short_complex().rows
         assert engine_state(eng) == state
         for a2 in eng.short_cfg.slice_sizes:
             for x, row in eng.short_complex("Z", {a2}).rows.items():
-                assert row == pcx.rows[x]
+                assert row == rows[x]
 
     def test_solver_is_built_on_first_use(self, monkeypatch):
         built = []
@@ -469,17 +472,16 @@ class TestShortComplexChecks:
             eng.short_complex("Z2", {cx.grading[x][0]})
 
     def test_mod2_copy_is_checked(self):
-        # a toy filled entry by entry, unchecked, whose boundary does not
+        # a toy stored as it is given, unchecked, whose boundary does not
         # square to zero: its mod-2 copy is built, and checked, by
         # `from_arrays`, and the entry 2 is dropped from it
-        cx = SparseComplex("Z")
-        for x, m in (("a", 2), ("b", 1), ("c", 0), ("d", 1)):
-            cx.add_generator(x, 0, m)
-        for x, y, c in (("a", "b", 1), ("b", "c", 1), ("a", "d", 2)):
-            cx.add_entry(x, y, c)
+        labels, a2, maslov = ["a", "b", "c", "d"], np.zeros(4, int), np.array([2, 1, 0, 1])
+        entries = np.array([0, 1, 0]), np.array([1, 2, 3]), np.array([1, 1, 2])
+        cx = SparseComplex("Z", labels, a2, maslov, *entries)
         with pytest.raises(BoundarySquareNonzero, match=r"^d\^2 has entry 1 from a to c$"):
             cx.mod2()
-        del cx.rows["b"]["c"], cx.cols["c"]["b"]
+        without_b_c = [0, 2]
+        cx = SparseComplex("Z", labels, a2, maslov, *(e[without_b_c] for e in entries))
         assert cx.mod2().rows == {"a": {"b": 1}, "b": {}, "c": {}, "d": {}}
 
 
@@ -489,8 +491,9 @@ class TestMod2Route:
         z_cx = eng.short_complex("Z")
         z2_cx = eng.short_complex("Z2")
         assert z_cx.grading == z2_cx.grading
+        z2_rows = z2_cx.rows
         for x, row in z_cx.rows.items():
-            assert {y for y, c in row.items() if c % 2} == set(z2_cx.rows[x])
+            assert {y for y, c in row.items() if c % 2} == set(z2_rows[x])
 
 
 def dead_ends(link, owner, lengths, targets):
@@ -552,7 +555,7 @@ def ordered(cx):
     return (
         list(cx.grading.items()),
         [(x, list(row.items())) for x, row in cx.rows.items()],
-        [(y, list(col.items())) for y, col in cx.cols.items()],
+        [(y, list(col.items())) for y, col in columns(cx).items()],
     )
 
 

@@ -4,13 +4,21 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import numpy as np
 import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
-from references import decode, reduce_faithful, tuple_event_pairs
+from references import (
+    DictComplex,
+    decode,
+    plus_generator,
+    reduce_faithful,
+    reduce_greedy,
+    refilled,
+    tuple_event_pairs,
+)
 
 from gridhfk import chains, domains_paths, reducer
 from gridhfk.chains import SparseComplex, long_complex, mos_complex, oval_generators
@@ -164,11 +172,8 @@ class TestExactLinearAlgebra:
 
 def toy_complex(ring="Z", coeff=2):
     """One generator pair with ∂b = coeff·a."""
-    cx = SparseComplex(ring)
-    cx.add_generator("a", 0, 0)
-    cx.add_generator("b", 0, 1)
-    cx.add_entry("b", "a", coeff)
-    return cx
+    one = np.array([1]), np.array([0]), np.array([coeff])
+    return SparseComplex.from_arrays(ring, ["a", "b"], np.zeros(2, int), np.array([0, 1]), *one)
 
 
 class TestHomology:
@@ -181,9 +186,9 @@ class TestHomology:
         assert homology(toy_complex(coeff=1)).groups == {}
 
     def test_zero_differential(self):
-        cx = SparseComplex("Z")
-        cx.add_generator("a", 0, 0)
-        cx.add_generator("b", 2, 5)
+        none = np.zeros(0, dtype=np.int64)
+        grading = np.array([0, 2]), np.array([0, 5])
+        cx = SparseComplex.from_arrays("Z", ["a", "b"], *grading, none, none, none)
         h = homology(cx)
         assert h.groups == {(0, 0): (1, ()), (2, 5): (1, ())}
 
@@ -228,12 +233,12 @@ class TestReduction:
         assert cx.generator_count == 3 * 2 ** (g.n - 1)
 
     def test_faithful_needs_units(self):
-        cx = toy_complex(coeff=2)
+        cx = DictComplex.of(toy_complex(coeff=2))
         with pytest.raises(ScheduleAssertionFailed):
             reduce_faithful(cx, [(["b"], ["a"])])
 
     def test_faithful_needs_live_generators(self):
-        cx = toy_complex(coeff=1)
+        cx = DictComplex.of(toy_complex(coeff=1))
         with pytest.raises(ScheduleAssertionFailed):
             reduce_faithful(cx, [(["b"], ["a"]), (["b"], ["a"])])
 
@@ -242,7 +247,7 @@ class TestReduction:
             g = random_grid(rng.randrange(3, 5), rng)
             omit = select_best_config(g).omit
             long_cfg, short_cfg, events = retraction_schedule(g, omit)
-            cx = long_complex(g, omit)
+            cx = DictComplex.of(long_complex(g, omit))
             pairs = tuple_event_pairs(list(cx.grading), events)
             assert sum(len(s) for s, _ in pairs) * 2 + len(
                 list(oval_generators(short_cfg))
@@ -278,14 +283,24 @@ class TestReduction:
                 assert deaths == {x: expected.get(x) for x in gens}
 
 
-def read_first(cx: SparseComplex) -> SparseComplex:
-    """``cx`` with its rows filled, so that `reduce_fast` cannot collapse it."""
-    assert cx.rows is not None
-    return cx
+def read_reduced(cx: SparseComplex) -> HomologyResult:
+    """The homology of ``cx`` read into the reference `DictComplex` and
+    reduced there, one `cancel_pair` at a time (`reduce_greedy`)."""
+    return homology(refilled(reduce_greedy(DictComplex.of(cx))))
+
+
+def degree_one_rounds(cx: SparseComplex) -> np.ndarray:
+    """Run the rounds of `reduce_fast` on ``cx`` until the first that would
+    fill in; the generators left alive."""
+    alive = np.ones(cx.generator_count, dtype=bool)
+    while (chosen := reducer._pivots(cx)) is not None and not chosen[1]:
+        reducer._cancel(cx, alive, *chosen)
+    return alive
 
 
 class TestCollapse:
-    """`reduce_fast` collapses an unread complex on its arrays first."""
+    """`reduce_fast`, on the arrays of an unread complex, against the
+    reference that reads its rows into a `DictComplex` and cancels there."""
 
     @pytest.mark.parametrize("ring", ["Z", "Z2"])
     def test_unread_complexes_match_read_ones_on_random_grids(self, rng, ring):
@@ -299,15 +314,15 @@ class TestCollapse:
                 lambda: long_complex(g, omit, ring, keep_a2=keep),
             ):
                 unread = reduce_fast(build())
-                assert homology(unread).groups == homology(reduce_fast(read_first(build()))).groups
+                assert homology(unread).groups == read_reduced(build()).groups
 
     @pytest.mark.parametrize("ring", ["Z", "Z2"])
     def test_unread_short_complexes_match_read_ones(self, ring):
         for word in BRAIDS.values():
             engine = PathEngine(minimize(parse_braid(word)))
             unread = reduce_fast(engine.short_complex(ring))
-            read = reduce_fast(read_first(engine.short_complex(ring)))
-            assert homology(unread).groups == homology(read).groups, word
+            read = read_reduced(engine.short_complex(ring))
+            assert homology(unread).groups == read.groups, word
 
     def test_a_non_unit_entry_is_never_a_pivot(self):
         # b -> a of 2 is the only entry into a, c -> d of -1 the only one into d
@@ -315,27 +330,71 @@ class TestCollapse:
         a2, maslov = np.zeros(4, dtype=np.int64), np.array([0, 1, 1, 0])
         src, dst, coeff = np.array([1, 2]), np.array([0, 3]), np.array([2, -1])
         cx = SparseComplex.from_arrays("Z", labels, a2, maslov, src, dst, coeff)
-        cx.collapse()
+        assert read_reduced(cx).groups == {(0, 0): (0, (2,))}
+        reduce_fast(cx)
         assert list(cx.grading) == ["a", "b"] and cx.entry_count == 1
-        assert homology(reduce_fast(cx)).groups == {(0, 0): (0, (2,))}
+        assert homology(cx).groups == {(0, 0): (0, (2,))}
 
     def test_counts_of_an_unread_complex_come_from_its_arrays(self):
         cx = mos_complex(parse_braid(BRAIDS["trefoil"]))
         counts = cx.generator_count, cx.entry_count
-        assert counts == (len(read_first(cx).grading), sum(map(len, cx.rows.values())))
+        assert counts == (len(cx.grading), sum(map(len, cx.rows.values())))
 
-    def test_a_read_complex_is_not_collapsed(self):
-        cx = read_first(mos_complex(parse_braid(BRAIDS["trefoil"])))
-        cx.collapse()
-        assert cx.generator_count == 120
+    def test_rows_are_built_on_each_read(self):
+        cx = mos_complex(parse_braid(BRAIDS["trefoil"]))
+        rows = cx.rows
+        rows.clear()
+        assert len(cx.rows) == 120
+        assert reduce_fast(cx).generator_count == 48
 
-    @pytest.mark.parametrize("name, survivors", [("5_2", 448), ("8_19", 1608)])
+    @pytest.mark.parametrize(
+        "name, survivors", [("5_2", 448), ("8_19", 1608), ("8_21", 1938)]
+    )
     @pytest.mark.parametrize("ring", ["Z", "Z2"])
     def test_survivors_of_the_collapse_alone(self, name, survivors, ring):
-        cx = mos_complex(minimize(parse_braid(BRAIDS[name])), ring)
-        assert cx.generator_count == 5040
-        cx.collapse()
-        assert cx.generator_count == survivors
+        g = minimize(parse_braid(BRAIDS[name]))
+        cx = mos_complex(g, ring)
+        assert cx.generator_count == factorial(g.n)
+        assert degree_one_rounds(cx).sum() == survivors
+
+    @pytest.mark.parametrize("ring", ["Z", "Z2"])
+    def test_a_fill_in_round_is_pair_by_pair_cancellation(self, ring):
+        # two blocks {a, b} -> {c, d} and {e, f} -> {g, h}, every source to
+        # every target, joined by b -> g and a -> h: no entry is alone at
+        # either end, so the round fills in, on the pivots a -> c and e -> g,
+        # and b -> h gains a product from each
+        labels = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        a2, maslov = np.zeros(8, dtype=np.int64), np.array([1, 1, 0, 0, 1, 1, 0, 0])
+        entries = [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, -1)]
+        entries += [(s + 4, t + 4, c) for s, t, c in entries] + [(1, 6, 1), (0, 7, 1)]
+        src, dst, coeff = map(np.array, zip(*entries))
+        cx = SparseComplex.from_arrays(ring, labels, a2, maslov, src, dst, coeff)
+        reference = DictComplex.of(cx)
+        pivots, fill = reducer._pivots(cx)
+        pairs = [(labels[cx.src[k]], labels[cx.dst[k]]) for k in pivots.tolist()]
+        assert fill and pairs == [("a", "c"), ("e", "g")]
+        alive = np.ones(len(labels), dtype=bool)
+        reducer._cancel(cx, alive, pivots, fill)
+        for x, y in pairs:
+            reference.cancel_pair(x, y)
+        assert [labels[i] for i in np.flatnonzero(alive)] == list(reference.grading)
+        rows = cx.rows
+        assert {x: rows[x] for x in reference.grading} == reference.rows
+        if ring == "Z":
+            assert reference.rows["b"] == {"d": -2, "h": -2}
+
+    def test_fill_in_stays_exact_past_int64(self):
+        # a -> c cancels with a fill-in round (every entry has a second one at
+        # each end), and b -> d gains -2^40 * 2^40: 1 - 2^80 fits no int64
+        big = 2**40
+        grading = np.zeros(4, dtype=np.int64), np.array([1, 1, 0, 0])
+        entries = np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3]), np.array([1, big, big, 1])
+        cx = SparseComplex.from_arrays("Z", list("abcd"), *grading, *entries)
+        reference = reduce_greedy(DictComplex.of(cx))
+        reduce_fast(cx)
+        assert cx.rows == reference.rows == {"b": {"d": 1 - 2**80}, "d": {}}
+        assert homology(cx).groups == {(0, 0): (0, (2**80 - 1,))}
+        assert homology(cx.mod2()).groups == {}
 
 
 class TestDeconvolve:
@@ -373,6 +432,17 @@ class TestDeconvolve:
             },
         )
         assert deconvolve(h, 2) == {(0, 0): (1, (2,))}
+
+    def test_torsion_splits_into_prime_powers_and_recombines(self):
+        assert reducer._collect_quantities({(0, 0): (1, (12,))}) == {(0, 0): {None: 1, 4: 1, 3: 1}}
+        groups = reducer._groups_from_quantities({(0, 0): {None: 1, 2: 1, 3: 1}})
+        assert groups == {(0, 0): (1, (6,))}
+
+    def test_coprime_torsion_deconvolves(self):
+        # Z/2 at (0, 0) and Z/3 at (-2, -1), tensored with V: Z/2 ⊕ Z/3 meet
+        # at (-2, -1), whose Smith form reads Z/6
+        h = HomologyResult("Z", {(0, 0): (0, (2,)), (-2, -1): (0, (6,)), (-4, -2): (0, (3,))})
+        assert deconvolve(h, 2) == {(0, 0): (0, (2,)), (-2, -1): (0, (3,))}
 
     def test_negative_multiplicity_rejected(self):
         h = HomologyResult("Z", {(2, 1): (2, ()), (0, 0): (1, ())})
@@ -662,8 +732,7 @@ class TestTopInvariants:
         copies = []
 
         def extra_generator(self):
-            other = mod2(self)
-            other.add_generator(("extra",), 0, 0)
+            other = plus_generator(mod2(self), ("extra",), 0, 0)
             copies.append(other)
             return other
 
