@@ -15,9 +15,15 @@ later construction (intersection points of auxiliary curves, sub-cell
 evaluation points for winding numbers) then has exact integer coordinates and
 no floating point enters any computation.
 
-Besides the moves generating grid equivalence (commutation of adjacent
-parallel lines, destabilization; cyclic permutation through `canonical_key`),
-the module computes the Alexander polynomial from the matrix of winding
+Grid equivalence is generated by castling (exchanging adjacent parallel
+lines), stabilization and its inverse, and cyclic permutation, which
+`canonical_key` absorbs.  `moves` yields, lazily and in one fixed order,
+the diagrams a search may step to without enlarging the grid: castlings,
+direct destabilizations, then the destabilizations that sliding one line
+unlocks.  The braid parser's peel follows the first smaller one it yields;
+`simplifier.minimize` searches them all.
+
+The module also computes the Alexander polynomial from the matrix of winding
 numbers, used throughout the test-suite as an independent oracle: with
 ``w(i, j)`` the winding number of the curve around the lattice point
 ``(i, j)``,
@@ -435,27 +441,27 @@ def canonical_key(g: GridDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return min(translate(dc) for dc in range(n))
 
 
-def generalized_destabilizations(g: GridDiagram) -> list[GridDiagram]:
-    """Destabilizations unlocked by sliding one line monotonically via castlings.
+def moves(g: GridDiagram) -> Iterator[GridDiagram]:
+    """The diagrams a search may step to from ``g``, lazily, in a fixed order.
 
-    Each returned diagram is the result of sliding a single column (or row)
-    left/right (down/up) through legal castlings and destabilizing at a site
-    that appears along the way.  Results are deduplicated by canonical key in
-    a deterministic order.
+    First the legal castlings, of columns then of rows.  Then, for ``n > 2``,
+    the direct destabilizations, at column sites then row sites.  Then the
+    destabilizations a slide unlocks: from each start in turn, one column
+    (then one row) slides right and left (up and down) one legal castling at
+    a time, and every site of each slid diagram is destabilized.  Duplicates
+    are kept, and cyclic shifts, which keep the `canonical_key`, are not moves.
     """
-    seen: dict[tuple, GridDiagram] = {}
-
-    def record(h: GridDiagram) -> None:
-        if h.n <= 2:
-            return
-        for c in column_destabilization_sites(h):
-            d = destabilize_column(h, c)
-            seen.setdefault(canonical_key(d), d)
-        for r in row_destabilization_sites(h):
-            d = destabilize_row(h, r)
-            seen.setdefault(canonical_key(d), d)
-
     n = g.n
+    for castle in (castle_columns, castle_rows):
+        for i in range(n - 1):
+            try:
+                h = castle(g, i)
+            except IllegalCastling:
+                continue
+            yield h
+    if n <= 2:
+        return
+    yield from _destabilizations(g)
     for castle in (castle_columns, castle_rows):
         for start in range(n):
             for step in (1, -1):
@@ -467,8 +473,14 @@ def generalized_destabilizations(g: GridDiagram) -> list[GridDiagram]:
                     except IllegalCastling:
                         break
                     pos += step
-                    record(h)
-    return list(seen.values())
+                    yield from _destabilizations(h)
+
+
+def _destabilizations(g: GridDiagram) -> Iterator[GridDiagram]:
+    for c in column_destabilization_sites(g):
+        yield destabilize_column(g, c)
+    for r in row_destabilization_sites(g):
+        yield destabilize_row(g, r)
 
 
 # --------------------------------------------------------------------------
@@ -562,20 +574,10 @@ def _cycle_count(perm: Sequence[int]) -> int:
 
 
 def greedy_destabilize(g: GridDiagram) -> GridDiagram:
-    """Destabilize repeatedly, using castling-assisted sites when no direct one exists."""
-    while g.n > 2:
-        sites = column_destabilization_sites(g)
-        if sites:
-            g = destabilize_column(g, sites[0])
-            continue
-        rows = row_destabilization_sites(g)
-        if rows:
-            g = destabilize_row(g, rows[0])
-            continue
-        assisted = generalized_destabilizations(g)
-        if not assisted:
-            break
-        g = assisted[0]
+    """Follow the first smaller diagram `moves` yields until there is none:
+    a direct destabilization when there is one, else a slide-assisted one."""
+    while (h := next((m for m in moves(g) if m.n < g.n), None)) is not None:
+        g = h
     return g
 
 
@@ -600,25 +602,3 @@ def parse_grid_text(text: str) -> GridDiagram:
     validate(g)
     return g
 
-
-def grids_related_by_moves(g: GridDiagram) -> Iterator[GridDiagram]:
-    """All diagrams one castling or destabilization away.
-
-    Cyclic shifts are left out: they keep the `canonical_key`.
-    """
-    n = g.n
-    for c in range(n - 1):
-        try:
-            yield castle_columns(g, c)
-        except IllegalCastling:
-            pass
-    for r in range(n - 1):
-        try:
-            yield castle_rows(g, r)
-        except IllegalCastling:
-            pass
-    if n > 2:
-        for c in column_destabilization_sites(g):
-            yield destabilize_column(g, c)
-        for r in row_destabilization_sites(g):
-            yield destabilize_row(g, r)

@@ -29,10 +29,13 @@ intersection points.
 The :class:`Arrangement` refines the square by all wall and cap coordinates,
 labels the connected pieces of the oval complement, and provides the corner
 multiplicities and puncture incidences from which flow domains are
-reconstructed.  Its internal consistency check is the Euler count for a
-system of closed curves meeting transversally in double points:
+reconstructed.  The Euler count for a system of closed curves meeting
+transversally in double points,
 
-    pieces = crossings + curve components + 1.
+    pieces = crossings + curve components + 1,
+
+checks its labelling; nothing here runs it, the tests do
+(`references.euler_discrepancy`).
 """
 
 from __future__ import annotations

@@ -1,33 +1,24 @@
 """Budgeted search for a smaller presentation of the same knot.
 
 The moves that preserve the knot type never need to enlarge the grid to
-expose a destabilization in practice, so the search explores legal
-castlings and (castling-assisted) destabilizations only.  It runs
-breadth-first from the current diagram, deduplicating positions by their
-canonical key, which every cyclic translate shares (so shifts are not
-moves here); whenever a strictly smaller grid is found the search restarts
+expose a destabilization in practice, so the search explores the neighbours
+`gridkit.moves` yields: legal castlings and (slide-assisted)
+destabilizations.  It runs breadth-first from the current diagram,
+deduplicating positions by their canonical key, which every cyclic
+translate shares (so shifts are not moves here); whenever a strictly
+smaller grid is found the search stops reading neighbours and restarts
 from it with a fresh visited set, which keeps the frontier from filling up
 with large diagrams once progress has been made.
 
 The budget counts node expansions.  The result is deterministic: frontiers
-are expanded in canonical-key order and the returned diagram is the canonical
-representative of the best ``(size, key)`` pair encountered.
+are expanded in canonical-key order (each position keeps its key beside it)
+and the returned diagram is the canonical representative of the best
+``(size, key)`` pair encountered.
 """
 
 from __future__ import annotations
 
-from .gridkit import (
-    GridDiagram,
-    canonical_key,
-    generalized_destabilizations,
-    grids_related_by_moves,
-)
-
-
-def _neighbors(g: GridDiagram) -> list[GridDiagram]:
-    out = list(grids_related_by_moves(g))
-    out.extend(generalized_destabilizations(g))
-    return out
+from .gridkit import GridDiagram, canonical_key, moves
 
 
 def minimize(g: GridDiagram, budget: int = 20000) -> GridDiagram:
@@ -40,19 +31,19 @@ def minimize(g: GridDiagram, budget: int = 20000) -> GridDiagram:
         return g
     best_key = canonical_key(g)
     best_n = g.n
-    start = GridDiagram(*best_key)
+    start = best_key
     while budget > 0:
-        visited = {canonical_key(start)}
-        frontier = [start]
-        restart: GridDiagram | None = None
+        visited = {start}
+        frontier = [(start, GridDiagram(*start))]
+        restart: tuple | None = None
         while frontier and budget > 0 and restart is None:
-            frontier.sort(key=canonical_key)
-            successors: list[GridDiagram] = []
-            for node in frontier:
+            frontier.sort(key=lambda entry: entry[0])
+            successors: list[tuple[tuple, GridDiagram]] = []
+            for _, node in frontier:
                 if budget <= 0 or restart is not None:
                     break
                 budget -= 1
-                for nb in _neighbors(node):
+                for nb in moves(node):
                     key = canonical_key(nb)
                     if key in visited:
                         continue
@@ -60,9 +51,9 @@ def minimize(g: GridDiagram, budget: int = 20000) -> GridDiagram:
                     if (nb.n, key) < (best_n, best_key):
                         best_n, best_key = nb.n, key
                     if nb.n < node.n:
-                        restart = GridDiagram(*key)
+                        restart = key
                         break
-                    successors.append(nb)
+                    successors.append((key, nb))
             frontier = successors
         if restart is None:
             break

@@ -237,7 +237,8 @@ class TestPathEngine:
         rows = pcx.rows
         for x, row in cx.rows.items():
             assert row == rows[x]
-        # its entries are units, keep the gradings and square to zero
+        # its entries keep the gradings and square to zero; units are not
+        # checked: a short entry sums paths and need not be +-1
         refilled(pcx)
         return cx, eng
 
