@@ -58,11 +58,13 @@ from .gridkit import (
     SCALE,
     GridDiagram,
     Point,
+    column_span,
     grading_constants,
     grading_terms,
+    row_span,
     southwest_counts,
 )
-from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config, column_span, row_span
+from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config
 
 #: An oval generator: the sorted tuple of its points (scaled coordinates).
 Gen = tuple[Point, ...]

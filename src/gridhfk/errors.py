@@ -45,10 +45,6 @@ class DegenerateDeterminant(GridHfkError):
     """The winding matrix determinant vanished or failed to normalize."""
 
 
-class PointOnDiagram(GridHfkError):
-    """A winding-number query for a point lying on the curve itself."""
-
-
 class InvalidOmission(GridHfkError):
     """A vertical/horizontal line omission that no valid configuration allows."""
 
@@ -71,10 +67,6 @@ class SignAssignmentFailed(GridHfkError):
 
 class DuplicateGenerator(GridHfkError):
     """A generator was added twice to the same complex."""
-
-
-class NonUnitPivot(GridHfkError):
-    """A cancellation was requested on an entry that is not a unit."""
 
 
 class ScheduleAssertionFailed(GridHfkError):

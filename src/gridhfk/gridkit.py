@@ -20,8 +20,8 @@ lines), stabilization and its inverse, and cyclic permutation, which
 `canonical_key` absorbs.  `moves` yields, lazily and in one fixed order,
 the diagrams a search may step to without enlarging the grid: castlings,
 direct destabilizations, then the destabilizations that sliding one line
-unlocks.  The braid parser's peel follows the first smaller one it yields;
-`simplifier.minimize` searches them all.
+unlocks.  The braid parser's peel follows the first smaller one, reading
+the destabilizations alone; `simplifier.minimize` searches them all.
 
 The module also computes the Alexander polynomial from the matrix of winding
 numbers, used throughout the test-suite as an independent oracle: with
@@ -54,7 +54,6 @@ from .errors import (
     MultiComponent,
     MultiComponentClosure,
     NotPermutation,
-    PointOnDiagram,
     TooSmall,
 )
 
@@ -118,64 +117,37 @@ def component_count(g: GridDiagram) -> int:
 
 
 # --------------------------------------------------------------------------
-# The curve in scaled coordinates and winding numbers around off-curve points.
+# The span of each line's markings, and winding numbers around lattice points.
 
 
-def vertical_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
-    """Per column: ``(x, y_low, y_high, goes_down)`` oriented from X to O."""
-    out = []
-    for c in range(g.n):
-        yx = SCALE * g.xs[c] + CENTER
-        yo = SCALE * g.os[c] + CENTER
-        out.append((SCALE * c + CENTER, min(yx, yo), max(yx, yo), yo < yx))
-    return out
+def column_span(g: GridDiagram, c: int) -> tuple[int, int]:
+    """(min, max) row of the two markings in column ``c``."""
+    a, b = g.xs[c], g.os[c]
+    return (a, b) if a < b else (b, a)
 
 
-def horizontal_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
-    """Per row: ``(y, x_low, x_high, goes_left)`` oriented from O to X."""
-    t = transpose(g)
-    out = []
-    for r in range(g.n):
-        xx = SCALE * t.xs[r] + CENTER
-        xo = SCALE * t.os[r] + CENTER
-        out.append((SCALE * r + CENTER, min(xx, xo), max(xx, xo), xx < xo))
-    return out
-
-
-def winding_number(g: GridDiagram, point: Point) -> int:
-    """Winding number of the oriented curve around a point off the curve.
-
-    Counted by intersecting the horizontal ray running left from ``point``
-    with the vertical segments of the curve: a downward segment crossing the
-    ray contributes ``+1``, an upward one ``-1``.
-    """
-    px, py = point
-    w = 0
-    for x, ylo, yhi, down in vertical_segments(g):
-        if x == px and ylo <= py <= yhi:
-            raise PointOnDiagram(f"point {point} lies on a vertical segment")
-        if x < px and ylo < py < yhi:
-            w += 1 if down else -1
-    for y, xlo, xhi, _left in horizontal_segments(g):
-        if y == py and xlo <= px <= xhi:
-            raise PointOnDiagram(f"point {point} lies on a horizontal segment")
-    return w
+def row_span(g: GridDiagram, r: int) -> tuple[int, int]:
+    """(min, max) column of the two markings in row ``r``."""
+    return column_span(transpose(g), r)
 
 
 def winding_matrix(g: GridDiagram) -> list[list[int]]:
     """``w[i][j]``: the winding number around the lattice point ``(SCALE*i, SCALE*j)``.
 
-    The same numbers as `winding_number`, from one sweep over the columns:
+    The same numbers as a ray count at each point (the tests hold them
+    against `references.winding_number`), from one sweep over the columns:
     the ray running left from a point in column ``i`` crosses exactly the
     vertical segments of the columns before ``i``, so row ``i + 1`` is row
-    ``i`` plus what segment ``i`` adds at each height.  Lattice points lie
-    off the curve, whose lines sit at ``CENTER`` mod ``SCALE``.
+    ``i`` plus what segment ``i`` adds at each height: ``+1`` for a segment
+    running down from X to O, ``-1`` up, at the heights ``j`` its markings
+    straddle (``lo < j <= hi`` for its `column_span`, as the curve's lines
+    sit at ``CENTER`` mod ``SCALE`` and lattice points lie off them).
     """
-    heights = [SCALE * j for j in range(g.n)]
     w = [[0] * g.n]
-    for _x, ylo, yhi, down in vertical_segments(g)[:-1]:
-        step = 1 if down else -1
-        w.append([v + step if ylo < y < yhi else v for v, y in zip(w[-1], heights)])
+    for c in range(g.n - 1):
+        lo, hi = column_span(g, c)
+        step = 1 if g.os[c] < g.xs[c] else -1
+        w.append([v + step if lo < j <= hi else v for j, v in enumerate(w[-1])])
     return w
 
 
@@ -349,10 +321,6 @@ def transpose(g: GridDiagram) -> GridDiagram:
     return GridDiagram(tuple(xs), tuple(os))
 
 
-def _span(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def castle_columns(g: GridDiagram, c: int) -> GridDiagram:
     """Exchange adjacent columns ``c`` and ``c+1``.
 
@@ -363,8 +331,8 @@ def castle_columns(g: GridDiagram, c: int) -> GridDiagram:
     n = g.n
     if not 0 <= c <= n - 2:
         raise ValueError(f"column index {c} out of range for size {n}")
-    a1, b1 = _span(g.xs[c], g.os[c])
-    a2, b2 = _span(g.xs[c + 1], g.os[c + 1])
+    a1, b1 = column_span(g, c)
+    a2, b2 = column_span(g, c + 1)
     if len({a1, b1, a2, b2}) < 4:
         raise IllegalCastling(f"columns {c},{c + 1} share a marking row")
     disjoint = b1 < a2 or b2 < a1
@@ -444,21 +412,29 @@ def canonical_key(g: GridDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def moves(g: GridDiagram) -> Iterator[GridDiagram]:
     """The diagrams a search may step to from ``g``, lazily, in a fixed order.
 
-    First the legal castlings, of columns then of rows.  Then, for ``n > 2``,
-    the direct destabilizations, at column sites then row sites.  Then the
-    destabilizations a slide unlocks: from each start in turn, one column
-    (then one row) slides right and left (up and down) one legal castling at
-    a time, and every site of each slid diagram is destabilized.  Duplicates
-    are kept, and cyclic shifts, which keep the `canonical_key`, are not moves.
+    First the legal castlings, of columns then of rows, then `_shrinking_moves`.
+    Duplicates are kept; cyclic shifts, which keep the `canonical_key`, are not moves.
     """
-    n = g.n
     for castle in (castle_columns, castle_rows):
-        for i in range(n - 1):
+        for i in range(g.n - 1):
             try:
                 h = castle(g, i)
             except IllegalCastling:
                 continue
             yield h
+    yield from _shrinking_moves(g)
+
+
+def _shrinking_moves(g: GridDiagram) -> Iterator[GridDiagram]:
+    """The moves of ``g`` to a smaller grid, as `moves` yields them.
+
+    For ``n > 2``, the direct destabilizations, at column sites then row
+    sites.  Then the destabilizations a slide unlocks: from each start in
+    turn, one column (then one row) slides right and left (up and down) one
+    legal castling at a time, and every site of each slid diagram is
+    destabilized.
+    """
+    n = g.n
     if n <= 2:
         return
     yield from _destabilizations(g)
@@ -574,9 +550,9 @@ def _cycle_count(perm: Sequence[int]) -> int:
 
 
 def greedy_destabilize(g: GridDiagram) -> GridDiagram:
-    """Follow the first smaller diagram `moves` yields until there is none:
+    """Follow the first diagram `_shrinking_moves` yields until there is none:
     a direct destabilization when there is one, else a slide-assisted one."""
-    while (h := next((m for m in moves(g) if m.n < g.n), None)) is not None:
+    while (h := next(_shrinking_moves(g), None)) is not None:
         g = h
     return g
 

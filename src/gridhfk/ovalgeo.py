@@ -45,7 +45,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlexanderConstantInvalid, InvalidOmission, ScheduleAssertionFailed
-from .gridkit import CENTER, SCALE, GridDiagram, Point, grading_constants, grading_terms
+from .gridkit import (
+    CENTER,
+    SCALE,
+    GridDiagram,
+    Point,
+    column_span,
+    grading_constants,
+    grading_terms,
+    row_span,
+)
 
 #: Half-widths of the vertical / horizontal ovals in scaled coordinates.
 V_HALF = 2
@@ -179,19 +188,6 @@ def line_walls(k: int, half: int) -> tuple[int, int]:
     """The two walls of an oval around grid line ``k`` with half-width ``half``."""
     mid = SCALE * k + CENTER
     return mid - half, mid + half
-
-
-def column_span(g: GridDiagram, c: int) -> tuple[int, int]:
-    """(min, max) row of the two markings in column ``c``."""
-    a, b = g.xs[c], g.os[c]
-    return (a, b) if a < b else (b, a)
-
-
-def row_span(g: GridDiagram, r: int) -> tuple[int, int]:
-    """(min, max) column of the two markings in row ``r``."""
-    a = g.xs.index(r)
-    b = g.os.index(r)
-    return (a, b) if a < b else (b, a)
 
 
 def omission_candidates(g: GridDiagram) -> list[tuple[int, int]]:
@@ -366,7 +362,8 @@ def retraction_schedule(
 # --------------------------------------------------------------------------
 # The planar arrangement cut out by the ovals.
 
-_REFINE = (0, 3, 4, 6, 7)
+#: Offsets inside a cell of the refinement: its edge and the walls of both oval kinds.
+_REFINE = (0, *line_walls(0, V_HALF), *line_walls(0, H_HALF))
 
 
 class Arrangement:

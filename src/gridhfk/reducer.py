@@ -479,16 +479,28 @@ class PipelineReport:
     checks: tuple[str, ...] = ()
 
 
+def _reduced_homology(cx: SparseComplex) -> HomologyResult:
+    """`homology` after `reduce_fast`, for both pipelines; over Z the reduced
+    complex's mod-2 homology must satisfy universal coefficients with it."""
+    reduce_fast(cx)
+    h = homology(cx)
+    if cx.ring == "Z" and not universal_coefficients_consistent(h, homology(cx.mod2())):
+        raise CrosscheckFailed(
+            "integer and mod-2 homology of a reduced complex break the "
+            "universal coefficient theorem"
+        )
+    return h
+
+
 def hfk_cells(g: GridDiagram, ring: str = "Z") -> PipelineReport:
     """The n!-generator rectangle-complex pipeline.
 
     `mos_complex` checks the gradings and ``d^2 = 0`` as it builds the
     complex, before `reduce_fast` cancels anything, so every run of the
-    oracle verifies its sign assignment.
+    oracle verifies its sign assignment; over Z its reduced complex is
+    also held to the universal coefficient theorem (`_reduced_homology`).
     """
-    cx = mos_complex(g, ring)
-    reduce_fast(cx)
-    h = homology(cx)
+    h = _reduced_homology(mos_complex(g, ring))
     table = make_table(deconvolve(h, g.n), ring)
     return PipelineReport(table, h, "cells")
 
@@ -502,19 +514,10 @@ def slice_groups(engine: PathEngine, ring: str, keep_a2: set[int] | None) -> dic
     """The homology groups of some Alexander slices of the short complex.
 
     The kept slices (None keeps all) are assembled in this process, reduced,
-    and their homology taken.  Over Z the reduced complex is also taken mod
-    2, and the two homologies must satisfy the universal coefficient theorem,
-    which holds slice by slice.
+    and their homology taken, over Z with the universal-coefficients check
+    (`_reduced_homology`), which holds slice by slice.
     """
-    cx = engine.short_complex(ring, keep_a2)
-    reduce_fast(cx)
-    h = homology(cx)
-    if ring == "Z" and not universal_coefficients_consistent(h, homology(cx.mod2())):
-        raise CrosscheckFailed(
-            "integer and mod-2 homology of the short complex break the "
-            "universal coefficient theorem"
-        )
-    return h.groups
+    return _reduced_homology(engine.short_complex(ring, keep_a2)).groups
 
 
 #: in a forked worker, the engine and ring of its pool, set as it starts

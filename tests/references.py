@@ -43,12 +43,23 @@ something independent to agree with:
   ovals;
 * `refilled` passes a `DictComplex` through `SparseComplex.from_arrays`,
   the one routine that checks a complex's gradings and ``d^2 = 0``, and
-  `plus_generator` builds a complex with one more generator there.
+  `plus_generator` builds a complex with one more generator there;
+* `winding_number` counts one point's winding number along a ray, over
+  the curve's `vertical_segments` and `horizontal_segments` (raising
+  `PointOnDiagram` on the curve): the reference that
+  `gridkit.winding_matrix` is held against; `NonUnitPivot` is what
+  `DictComplex.cancel_pair` raises on a pivot that is not a unit;
+* `convolve` tensors a graded table with the rank-2 factor n−1 times,
+  each grading's torsion in Smith form (`smith_form`): what
+  `reducer.deconvolve` and `reducer.reconstruct_skipped` undo;
+* `staircase_table` is a torus knot's table read off its Alexander
+  polynomial, as for every L-space knot.
 """
 
 from __future__ import annotations
 
 import hashlib
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -60,12 +71,14 @@ from gridhfk.chains import (
     long_complex,
     oval_generators,
 )
-from gridhfk.errors import DuplicateGenerator, NonUnitPivot, ScheduleAssertionFailed
+from gridhfk.errors import DuplicateGenerator, GridHfkError, ScheduleAssertionFailed
 from gridhfk.gridkit import (
+    CENTER,
     SCALE,
     GridDiagram,
     LaurentPoly,
     Point,
+    transpose,
 )
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -74,6 +87,56 @@ from gridhfk.ovalgeo import (
     build_config,
     retraction_schedule,
 )
+
+
+class PointOnDiagram(GridHfkError):
+    """A winding-number query for a point lying on the curve itself."""
+
+
+class NonUnitPivot(GridHfkError):
+    """A cancellation was requested on an entry that is not a unit."""
+
+
+def vertical_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
+    """Per column: ``(x, y_low, y_high, goes_down)`` oriented from X to O."""
+    out = []
+    for c in range(g.n):
+        yx = SCALE * g.xs[c] + CENTER
+        yo = SCALE * g.os[c] + CENTER
+        out.append((SCALE * c + CENTER, min(yx, yo), max(yx, yo), yo < yx))
+    return out
+
+
+def horizontal_segments(g: GridDiagram) -> list[tuple[int, int, int, bool]]:
+    """Per row: ``(y, x_low, x_high, goes_left)`` oriented from O to X."""
+    t = transpose(g)
+    out = []
+    for r in range(g.n):
+        xx = SCALE * t.xs[r] + CENTER
+        xo = SCALE * t.os[r] + CENTER
+        out.append((SCALE * r + CENTER, min(xx, xo), max(xx, xo), xx < xo))
+    return out
+
+
+def winding_number(g: GridDiagram, point: Point) -> int:
+    """Winding number of the oriented curve around a point off the curve.
+
+    Counted by intersecting the horizontal ray running left from ``point``
+    with the vertical segments of the curve: a downward segment crossing the
+    ray contributes ``+1``, an upward one ``-1``.  The reference that
+    `gridkit.winding_matrix` is held against.
+    """
+    px, py = point
+    w = 0
+    for x, ylo, yhi, down in vertical_segments(g):
+        if x == px and ylo <= py <= yhi:
+            raise PointOnDiagram(f"point {point} lies on a vertical segment")
+        if x < px and ylo < py < yhi:
+            w += 1 if down else -1
+    for y, xlo, xhi, _left in horizontal_segments(g):
+        if y == py and xlo <= px <= xhi:
+            raise PointOnDiagram(f"point {point} lies on a horizontal segment")
+    return w
 
 
 def dominance_count(first: Iterable[Point], second: Iterable[Point]) -> int:
@@ -566,3 +629,69 @@ def plus_generator(cx: SparseComplex, gen, a2: int, m: int) -> SparseComplex:
     """``cx`` with one more generator, ``gen`` graded ``(a2, m)``, joined by no entry."""
     a2s, maslovs = np.append(cx.a2, a2), np.append(cx.maslov, m)
     return SparseComplex.from_arrays(cx.ring, [*cx.gens, gen], a2s, maslovs, cx.src, cx.dst, cx.coeff)
+
+
+def smith_form(orders: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors (> 1, each dividing the next) of the direct sum
+    of the cyclic groups Z/f, f in ``orders``: the Smith form of their
+    diagonal relation matrix.  Per prime, the i-th largest of its exponents
+    among the orders goes to the i-th largest factor."""
+    exponents: dict[int, list[int]] = {}
+    for f in orders:
+        p = 2
+        while f > 1:
+            e = 0
+            while f % p == 0:
+                f //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[-1 - i] *= p**e
+    return tuple(factors)
+
+
+def convolve(table: dict, n: int) -> dict:
+    """A graded table (doubled keys) tensored with V^{n−1}, where V has one
+    generator at (0, 0) and one at (−2, −1): at each grading the direct sum
+    of C(n−1, k) copies of ``table[a2 + 2k, m + k]`` for each k, its torsion
+    in Smith form (`smith_form`).  What `reducer.deconvolve` undoes."""
+    free: dict = {}
+    torsion: dict = {}
+    for (a2, m), (rank, factors) in table.items():
+        for k in range(n):
+            key, copies = (a2 - 2 * k, m - k), comb(n - 1, k)
+            free[key] = free.get(key, 0) + copies * rank
+            torsion.setdefault(key, []).extend(factors * copies)
+    out = {}
+    for key, rank in free.items():
+        factors = smith_form(torsion[key])
+        if rank or factors:
+            out[key] = (rank, factors)
+    return out
+
+
+def staircase_table(delta: LaurentPoly) -> dict:
+    """The table of a torus knot from its Alexander polynomial alone.
+
+    Torus knots are L-space knots (Ozsváth–Szabó, *On knot Floer homology
+    and lens space surgeries*): Δ has coefficients ±1, alternating in sign,
+    and the table is one Z at each exponent, on a staircase.  In the
+    package's grading of a positive braid's closure, the mirror (a, m) →
+    (−a, −m) of the staircase whose top group sits in Maslov grading 0, the
+    lowest exponent sits in Maslov grading 0, and a step of length ℓ up to
+    the next exponent raises the grading by 2ℓ − 1 into a −1 coefficient
+    and by 1 into a +1.  Keys are (Alexander, Maslov), as in `HFKTable`.
+    """
+    exponents = sorted(delta.terms)
+    if [delta.coeff(e) for e in exponents] != [(-1) ** i for i in range(len(exponents))]:
+        raise ValueError(f"{delta!r} is not the Alexander polynomial of an L-space knot")
+    table, m = {}, 0
+    for i, a in enumerate(exponents):
+        if i:
+            m += 2 * (a - exponents[i - 1]) - 1 if i % 2 else 1
+        table[a, m] = (1, ())
+    return table

@@ -22,7 +22,9 @@ from references import (
     maslov,
     mos_generators,
     DictComplex,
+    NonUnitPivot,
     refilled,
+    winding_number,
 )
 from test_cells_oracle import reference_sign, table_sign
 from gridhfk import chains, domains_paths, ovalgeo
@@ -39,7 +41,6 @@ from gridhfk.errors import (
     BoundarySquareNonzero,
     GradingViolation,
     InvalidOmission,
-    NonUnitPivot,
     ScheduleAssertionFailed,
     SignAssignmentFailed,
 )
@@ -49,7 +50,6 @@ from gridhfk.gridkit import (
     LaurentPoly,
     alexander_polynomial,
     parse_braid,
-    winding_number,
 )
 from gridhfk.ovalgeo import (
     build_config,

@@ -12,7 +12,7 @@ from conftest import (
     random_grid,
     stabilize,
 )
-from references import Laurent, laurent_determinant
+from references import Laurent, PointOnDiagram, laurent_determinant, winding_number
 from gridhfk import gridkit
 from gridhfk.errors import (
     CoincidentDecorations,
@@ -22,7 +22,6 @@ from gridhfk.errors import (
     MultiComponent,
     MultiComponentClosure,
     NotPermutation,
-    PointOnDiagram,
     TooSmall,
 )
 from gridhfk.gridkit import (
@@ -45,7 +44,6 @@ from gridhfk.gridkit import (
     transpose,
     validate,
     winding_matrix,
-    winding_number,
 )
 from gridhfk.simplifier import minimize
 

@@ -13,15 +13,13 @@ from references import (
     validate_periodic_domains,
 )
 from gridhfk.errors import InvalidOmission
-from gridhfk.gridkit import GridDiagram, parse_braid
+from gridhfk.gridkit import GridDiagram, column_span, parse_braid, row_span
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
-    column_span,
     omission_candidates,
     on_boundary,
     retraction_schedule,
-    row_span,
     select_best_config,
 )
 from gridhfk.simplifier import minimize

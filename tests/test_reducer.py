@@ -12,11 +12,13 @@ import pytest
 from conftest import BRAIDS, random_grid, random_knot_grid
 from references import (
     DictComplex,
+    convolve,
     decode,
     plus_generator,
     reduce_faithful,
     reduce_greedy,
     refilled,
+    smith_form,
     tuple_event_pairs,
 )
 
@@ -861,3 +863,65 @@ class TestOneCountPerConfiguration:
             assert sorted(config.omit for config in built) == candidates, run
             assert all(config.style == "short" for config in built)
         assert len(scanned) == scans  # slices the genus scan read
+
+
+def random_torsion_table(rng):
+    """A random doubled-key table whose groups carry random torsion, each
+    in Smith form."""
+    table = {}
+    while not table:
+        for _ in range(rng.randrange(1, 6)):
+            orders = [rng.choice((2, 3, 4, 5, 8, 9)) for _ in range(rng.randrange(3))]
+            group = (rng.randrange(3), smith_form(orders))
+            if group != (0, ()):
+                table[2 * rng.randrange(-4, 5), rng.randrange(-4, 5)] = group
+    return table
+
+
+class TestTorsionRoundTrip:
+    """Random tables with torsion, tensored with V^{n−1} in Smith form
+    (`references.convolve`) and taken back apart."""
+
+    def test_probe_is_pinned(self):
+        # Z/2 ⊕ Z/3 meet at (−2, −1), whose Smith form reads Z/6
+        f = {(0, 0): (0, (2,)), (-2, -1): (0, (3,))}
+        h = convolve(f, 2)
+        assert h == {(0, 0): (0, (2,)), (-2, -1): (0, (6,)), (-4, -2): (0, (3,))}
+        assert deconvolve(HomologyResult("Z", h), 2) == f
+        for a2 in (0, -2, -4):
+            partial = {key: grp for key, grp in h.items() if key[0] != a2}
+            assert reconstruct_skipped(HomologyResult("Z", partial), {a2}, 2) == f
+
+    def test_random_tables_round_trip(self, rng):
+        # every window of n−1 consecutive gradings that starts at a grading
+        # present, whole or cut to the gradings present (as `auto_skip`
+        # draws them), is rebuilt
+        cases = 0
+        for n in range(2, 12):
+            for _ in range(25):
+                f = random_torsion_table(rng)
+                h = convolve(f, n)
+                assert deconvolve(HomologyResult("Z", h), n) == f
+                present = {a2 for a2, _ in h}
+                for start in sorted(present):
+                    window = {start + 2 * k for k in range(n - 1)}
+                    partial = {key: grp for key, grp in h.items() if key[0] not in window}
+                    for skipped in (window, window & present):
+                        assert reconstruct_skipped(HomologyResult("Z", partial), skipped, n) == f
+                        cases += 1
+        assert cases > 4000
+
+
+class TestOracleUniversalCoefficients:
+    def test_wrong_mod2_homology_fails_the_oracle(self, monkeypatch):
+        # a free generator added to the mod-2 copy of the reduced rectangle
+        # complex breaks universal coefficients, which `hfk_cells` checks
+        mod2 = SparseComplex.mod2
+        monkeypatch.setattr(
+            SparseComplex, "mod2", lambda cx: plus_generator(mod2(cx), ("extra",), 0, 0)
+        )
+        g = minimize(parse_braid(BRAIDS["trefoil"]))
+        with pytest.raises(CrosscheckFailed, match="universal coefficient"):
+            hfk_cells(g, "Z")
+        # over Z/2 there is no second ring to compare with
+        assert hfk_cells(g, "Z2").table.ranks() == {(-1, 0): 1, (0, 1): 1, (1, 2): 1}

@@ -94,3 +94,39 @@ def test_benchmark_imports_exist():
                 except ImportError as exc:
                     missing.append(f"{path.name}:{node.lineno} {exc}")
     assert not missing, f"benchmark imports the package lacks: {missing}"
+
+
+def _named(node: ast.AST) -> str | None:
+    """The name a node refers to: a name read or an attribute access."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_no_definition_only_the_tests_use():
+    # code that only the tests run belongs in tests/references.py: every
+    # function, class and method of the package must be named in the
+    # package outside its own body (re-exports in __init__.py aside), or in
+    # the code of the benchmark or the scripts (a name inside a string, as
+    # the benchmark's error tally has, does not count)
+    trees = [(name, tree) for name, tree in _package_trees() if name != "__init__.py"]
+    used = Counter(_named(n) for _, tree in trees for n in ast.walk(tree))
+    outside = {
+        _named(n)
+        for d in ("hfkbench", "scripts")
+        for p in (REPO / d).rglob("*.py")
+        for n in ast.walk(ast.parse(p.read_text("utf-8")))
+    }
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    test_only = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not node.name.startswith("__")
+        and node.name not in outside
+        and used[node.name] <= sum(_named(n) == node.name for n in ast.walk(node))
+    ]
+    assert not test_only, f"definitions only the tests use: {test_only}"
