@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     BoundarySquareNonzero,
     DuplicateGenerator,
+    FlipTargetMissing,
     GradingViolation,
     GridTooLarge,
     RectangleCornerMissing,
@@ -61,8 +62,8 @@ from .gridkit import (
     column_span,
     grading_constants,
     grading_terms,
-    row_span,
     southwest_counts,
+    transpose,
 )
 from .ovalgeo import H_HALF, V_HALF, OvalConfig, build_config
 
@@ -529,35 +530,24 @@ def a2_range(config: OvalConfig) -> tuple[int, int]:
     return a2s[0], a2s[-1]
 
 
-def _bigon_targets(config: OvalConfig, p: Point) -> list[tuple[Point, str, int]]:
-    """Flip moves available to the single point ``p``.
-
-    Returns ``(new_point, kind, oval_key)`` triples where ``kind`` names the
-    cap swept over and ``oval_key`` identifies the oval whose cap it is
-    (column index for vertical ovals, row index for horizontal ones).
-    An entry appears only if the swept region contains no puncture.
+def _cap_flips(
+    grid: GridDiagram, w: np.ndarray, t: np.ndarray, caps: dict, half: int
+) -> np.ndarray:
+    """Where each point ``(w, t) = (x, y)`` flips across its vertical oval
+    (``caps[c]`` the two ends of column ``c``'s, of half-width ``half``): its
+    new ``x``, or -1.  From the first wall it flips to the other across the
+    far cap, from the second across the near cap; a marking of its column
+    (`column_span`) strictly inside the swept cap blocks the flip.  Read on
+    ``(y, x)`` against the transposed grid, the rule flips across horizontal ovals.
     """
-    px, py = p
-    c, r = px // SCALE, py // SCALE
-    vo = config.v_ovals[c]
-    ho = config.h_ovals[r]
-    # the heights of the punctures in column c, the abscissae of those in row r
-    ys = [SCALE * row + CENTER for row in column_span(config.grid, c)]
-    xs = [SCALE * col + CENTER for col in row_span(config.grid, r)]
-    out = []
-    if px == vo.x1:  # left wall: may flip right across the top cap
-        if all(not (py < q < vo.y2) for q in ys):
-            out.append(((vo.x2, py), "top", c))
-    else:  # right wall: may flip left across the bottom cap
-        if all(not (vo.y1 < q < py) for q in ys):
-            out.append(((vo.x1, py), "bottom", c))
-    if py == ho.y1:  # bottom wall: may flip up across the right cap
-        if all(not (px < q < ho.x2) for q in xs):
-            out.append(((px, ho.y2), "right", r))
-    else:  # top wall: may flip down across the left cap
-        if all(not (ho.x1 < q < px) for q in xs):
-            out.append(((px, ho.y1), "left", r))
-    return out
+    line = w // SCALE
+    first = w % SCALE == CENTER - half
+    ends = np.array([caps.get(k, (0, 0)) for k in range(grid.n)])[line]
+    marks = SCALE * np.array([column_span(grid, k) for k in range(grid.n)])[line] + CENTER
+    lo = np.where(first, t, ends[:, 0])
+    hi = np.where(first, ends[:, 1], t)
+    blocked = ((lo[:, None] < marks) & (marks < hi[:, None])).any(axis=1)
+    return np.where(blocked, -1, np.where(first, w + 2 * half, w - 2 * half))
 
 
 class LongMoves:
@@ -589,10 +579,21 @@ class LongMoves:
         self._bit = (1 << ys // SCALE).astype(np.int32)
         self._top = ys % SCALE == CENTER + H_HALF
         self._right = xs % SCALE == CENTER + V_HALF
-        self._flips = np.full((len(self.points), 2), -1, dtype=np.int16)
-        for i, p in enumerate(self.points):
-            for q, kind, _ in _bigon_targets(config, p):
-                self._flips[i, int(kind not in ("top", "bottom"))] = self.id_of[q]
+        g = config.grid
+        to_x = _cap_flips(g, xs, ys, {c: (o.y1, o.y2) for c, o in config.v_ovals.items()}, V_HALF)
+        to_y = _cap_flips(
+            transpose(g), ys, xs, {r: (o.x1, o.x2) for r, o in config.h_ovals.items()}, H_HALF
+        )
+        # the flips' ids, by the keys x * span + y, which ascend with the ids; a
+        # free flip onto no point of the configuration is an error, not blocked
+        span = SCALE * g.n + 1
+        keys, want = xs * span + ys, np.stack([to_x * span + ys, xs * span + to_y], 1)
+        live = np.stack([to_x, to_y], 1) >= 0
+        found = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+        if (missing := live & (keys[found] != want)).any():
+            p = self.points[np.argwhere(missing)[0, 0]]
+            raise FlipTargetMissing(f"a cap flip of {p}: target missing from config")
+        self._flips = np.where(live, found, -1).astype(np.int16)
         #: per column, its first id; the digit weights of `pack`
         column = xs // SCALE
         self._first = np.searchsorted(column, config.kept_cols())
@@ -714,7 +715,7 @@ class LongMoves:
         parity = np.empty(len(owner), dtype=np.int64)
 
         # odd: an odd number of points lies southwest of the point
-        odd = southwest_counts(bit) & 1
+        odd = southwest_counts(bit, upto) & 1
         odd_bits = (odd * bit).sum(axis=1)
         total = odd.sum(axis=1)  # has the parity of I(x, x)
         right = self._right[x]

@@ -178,7 +178,6 @@ class PathEngine:
                 f"{g.n - 1} or in row 0 or {g.n - 1}"
             )
         self.grid = g
-        self.omit = omit
         long_cfg, short_cfg, events = retraction_schedule(g, omit)
         self.short_cfg = short_cfg = short_cfg if chosen is None else chosen
         self.moves = LongMoves(long_cfg)

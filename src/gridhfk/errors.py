@@ -97,6 +97,10 @@ class RectangleCornerMissing(GridHfkError):
     """An empty rectangle's new corners are not crossings of the configuration."""
 
 
+class FlipTargetMissing(GridHfkError):
+    """A cap flip's new point is not a crossing of the configuration."""
+
+
 class DomainSystemSingular(GridHfkError):
     """Some domain multiplicity has no ±1 pivot in the corner constraints."""
 

@@ -22,6 +22,9 @@ the diagrams a search may step to without enlarging the grid: castlings,
 direct destabilizations, then the destabilizations that sliding one line
 unlocks.  The braid parser's peel follows the first smaller one, reading
 the destabilizations alone; `simplifier.minimize` searches them all.
+Each rule is written once, for columns: a row of a diagram is a column of
+its `transpose`, so the moves of rows are those of columns on the
+transpose, taken once per diagram, and transposed back.
 
 The module also computes the Alexander polynomial from the matrix of winding
 numbers, used throughout the test-suite as an independent oracle: with
@@ -126,11 +129,6 @@ def column_span(g: GridDiagram, c: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def row_span(g: GridDiagram, r: int) -> tuple[int, int]:
-    """(min, max) column of the two markings in row ``r``."""
-    return column_span(transpose(g), r)
-
-
 def winding_matrix(g: GridDiagram) -> list[list[int]]:
     """``w[i][j]``: the winding number around the lattice point ``(SCALE*i, SCALE*j)``.
 
@@ -183,14 +181,15 @@ def grading_constants(g: GridDiagram) -> tuple[int, int]:
     return o_pairs, o_pairs - int(marking_counts(x, x).sum()) // 2 - (g.n - 1)
 
 
-def southwest_counts(bits: np.ndarray) -> np.ndarray:
+def southwest_counts(bits: np.ndarray, upto: np.ndarray | None = None) -> np.ndarray:
     """Per point of each row, the earlier points of the row that lie lower.
 
     A row holds one generator's points in column order, each as the bit of
-    its own row, so the earlier bits sum to their union.  Summed, ``I(x, x)``.
+    its own row, so the prefix sums ``upto`` (formed unless given) are the
+    unions of the points up to each, none below its own.  Summed, ``I(x, x)``.
     """
-    earlier = np.cumsum(bits, axis=1, dtype=bits.dtype) - bits
-    return np.bitwise_count(earlier & (bits - 1)).astype(bits.dtype)
+    upto = np.cumsum(bits, axis=1, dtype=bits.dtype) if upto is None else upto
+    return np.bitwise_count(upto & (bits - 1)).astype(bits.dtype)
 
 
 # --------------------------------------------------------------------------
@@ -346,48 +345,22 @@ def castle_columns(g: GridDiagram, c: int) -> GridDiagram:
     return GridDiagram(tuple(xs), tuple(os))
 
 
-def castle_rows(g: GridDiagram, r: int) -> GridDiagram:
-    """Exchange adjacent rows ``r`` and ``r+1`` under the same legality rule."""
-    return transpose(castle_columns(transpose(g), r))
-
-
 def column_destabilization_sites(g: GridDiagram) -> list[int]:
     """Columns whose X and O sit in adjacent rows."""
     return [c for c in range(g.n) if abs(g.xs[c] - g.os[c]) == 1]
 
 
-def row_destabilization_sites(g: GridDiagram) -> list[int]:
-    """Rows whose X and O sit in adjacent columns."""
-    return column_destabilization_sites(transpose(g))
-
-
 def destabilize_column(g: GridDiagram, c: int) -> GridDiagram:
     """Delete column ``c`` (whose markings are vertically adjacent) and merge its two rows."""
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
         raise TooSmall("cannot destabilize a grid of size 2")
     if abs(g.xs[c] - g.os[c]) != 1:
         raise ValueError(f"column {c} is not a destabilization site")
     m = min(g.xs[c], g.os[c])
-
-    def remap(r: int) -> int:
-        if r > m + 1:
-            return r - 1
-        if r >= m:
-            return m
-        return r
-
-    xs = tuple(remap(g.xs[d]) for d in range(n) if d != c)
-    os = tuple(remap(g.os[d]) for d in range(n) if d != c)
+    # rows m and m + 1 become row m, and every row above moves down one
+    xs = tuple(r - (r > m) for d, r in enumerate(g.xs) if d != c)
+    os = tuple(r - (r > m) for d, r in enumerate(g.os) if d != c)
     return GridDiagram(xs, os)
-
-
-def destabilize_row(g: GridDiagram, r: int) -> GridDiagram:
-    """Delete row ``r`` (whose markings are horizontally adjacent) and merge its two columns."""
-    t = transpose(g)
-    if abs(t.xs[r] - t.os[r]) != 1:
-        raise ValueError(f"row {r} is not a destabilization site")
-    return transpose(destabilize_column(t, r))
 
 
 def canonical_key(g: GridDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -415,48 +388,63 @@ def moves(g: GridDiagram) -> Iterator[GridDiagram]:
     First the legal castlings, of columns then of rows, then `_shrinking_moves`.
     Duplicates are kept; cyclic shifts, which keep the `canonical_key`, are not moves.
     """
-    for castle in (castle_columns, castle_rows):
-        for i in range(g.n - 1):
-            try:
-                h = castle(g, i)
-            except IllegalCastling:
-                continue
-            yield h
-    yield from _shrinking_moves(g)
+    t = transpose(g)
+    yield from _both(g, t, _castlings)
+    yield from _shrinking_moves(g, t)
 
 
-def _shrinking_moves(g: GridDiagram) -> Iterator[GridDiagram]:
-    """The moves of ``g`` to a smaller grid, as `moves` yields them.
+def _shrinking_moves(g: GridDiagram, t: GridDiagram | None = None) -> Iterator[GridDiagram]:
+    """The moves of ``g`` (whose transpose ``t`` a caller may hand over) to
+    a smaller grid, as `moves` yields them.
 
     For ``n > 2``, the direct destabilizations, at column sites then row
-    sites.  Then the destabilizations a slide unlocks: from each start in
-    turn, one column (then one row) slides right and left (up and down) one
-    legal castling at a time, and every site of each slid diagram is
-    destabilized.
+    sites.  Then the destabilizations a slide unlocks: each diagram that
+    sliding one column (then one row) reaches is destabilized at every site.
     """
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
         return
-    yield from _destabilizations(g)
-    for castle in (castle_columns, castle_rows):
-        for start in range(n):
-            for step in (1, -1):
-                h = g
-                pos = start
-                while 0 <= pos + step <= n - 1:
-                    try:
-                        h = castle(h, pos if step > 0 else pos - 1)
-                    except IllegalCastling:
-                        break
-                    pos += step
-                    yield from _destabilizations(h)
+    t = transpose(g) if t is None else t
+    yield from _both(g, t, _destabilizations)
+    for h in _slides(g):
+        yield from _both(h, transpose(h), _destabilizations)
+    for h in _slides(t):  # h is the transpose of the slid diagram
+        yield from _both(transpose(h), h, _destabilizations)
+
+
+def _both(g: GridDiagram, t: GridDiagram, rule) -> Iterator[GridDiagram]:
+    """The diagrams ``rule`` makes from the columns of ``g``, then from its
+    rows: the columns of its transpose ``t``, each result transposed back."""
+    yield from rule(g)
+    yield from map(transpose, rule(t))
+
+
+def _castlings(g: GridDiagram) -> Iterator[GridDiagram]:
+    for c in range(g.n - 1):
+        try:
+            h = castle_columns(g, c)
+        except IllegalCastling:
+            continue
+        yield h
 
 
 def _destabilizations(g: GridDiagram) -> Iterator[GridDiagram]:
-    for c in column_destabilization_sites(g):
-        yield destabilize_column(g, c)
-    for r in row_destabilization_sites(g):
-        yield destabilize_row(g, r)
+    return (destabilize_column(g, c) for c in column_destabilization_sites(g))
+
+
+def _slides(g: GridDiagram) -> Iterator[GridDiagram]:
+    """The diagrams that sliding one column of ``g`` reaches: from each start
+    in turn, right then left, one legal castling at a time."""
+    n = g.n
+    for start in range(n):
+        for step in (1, -1):
+            h, pos = g, start
+            while 0 <= pos + step <= n - 1:
+                try:
+                    h = castle_columns(h, pos if step > 0 else pos - 1)
+                except IllegalCastling:
+                    break
+                pos += step
+                yield h
 
 
 # --------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .gridkit import (
     column_span,
     grading_constants,
     grading_terms,
-    row_span,
+    transpose,
 )
 
 #: Half-widths of the vertical / horizontal ovals in scaled coordinates.
@@ -65,8 +65,6 @@ H_HALF = 1
 class Oval:
     """Boundary of the thin rectangle ``[x1, x2] x [y1, y2]``."""
 
-    kind: str  # "V" or "H"
-    index: int  # column (V) or row (H)
     x1: int
     x2: int
     y1: int
@@ -96,11 +94,6 @@ class OvalConfig:
 
     def kept_rows(self) -> list[int]:
         return sorted(self.h_ovals)
-
-    def ovals(self) -> list[Oval]:
-        return [self.v_ovals[c] for c in self.kept_cols()] + [
-            self.h_ovals[r] for r in self.kept_rows()
-        ]
 
     def all_points(self) -> list[Point]:
         return sorted(p for pts in self.points.values() for p in pts)
@@ -217,29 +210,21 @@ def build_config(g: GridDiagram, omit: tuple[int, int], style: str) -> OvalConfi
         raise InvalidOmission(f"cell {omit} carries no marking")
     if style not in ("long", "short"):
         raise ValueError(f"unknown style {style!r}")
-    hi = SCALE * n
 
-    v_ovals: dict[int, Oval] = {}
-    for c in range(n):
-        if c == c0:
-            continue
+    def caps(grid: GridDiagram, k: int, half: int) -> tuple[int, int]:
+        """Where the oval around column ``k`` of ``grid`` ends: at the sides
+        of the square, or just past the two markings of its column."""
         if style == "long":
-            y1, y2 = 0, hi
-        else:
-            rmin, rmax = column_span(g, c)
-            y1, y2 = line_walls(rmin, V_HALF)[0], line_walls(rmax, V_HALF)[1]
-        v_ovals[c] = Oval("V", c, *line_walls(c, V_HALF), y1, y2)
+            return 0, SCALE * n
+        lo, up = column_span(grid, k)
+        return line_walls(lo, half)[0], line_walls(up, half)[1]
 
-    h_ovals: dict[int, Oval] = {}
-    for r in range(n):
-        if r == r0:
-            continue
-        if style == "long":
-            x1, x2 = 0, hi
-        else:
-            cmin, cmax = row_span(g, r)
-            x1, x2 = line_walls(cmin, H_HALF)[0], line_walls(cmax, H_HALF)[1]
-        h_ovals[r] = Oval("H", r, x1, x2, *line_walls(r, H_HALF))
+    # a row of g is a column of its transpose
+    t = transpose(g)
+    v_ovals = {c: Oval(*line_walls(c, V_HALF), *caps(g, c, V_HALF))
+               for c in range(n) if c != c0}
+    h_ovals = {r: Oval(*caps(t, r, H_HALF), *line_walls(r, H_HALF))
+               for r in range(n) if r != r0}
 
     points: dict[tuple[int, int], tuple[Point, ...]] = {}
     for c, vo in v_ovals.items():
@@ -386,7 +371,7 @@ class Arrangement:
         # wall_h[i][j] blocks (i,j-1)<->(i,j).
         wall_v = [[False] * m for _ in range(m + 1)]
         wall_h = [[False] * (m + 1) for _ in range(m)]
-        for oval in config.ovals():
+        for oval in (*config.v_ovals.values(), *config.h_ovals.values()):
             ix1, ix2 = self._index(oval.x1), self._index(oval.x2)
             iy1, iy2 = self._index(oval.y1), self._index(oval.y2)
             for ix in (ix1, ix2):
@@ -407,18 +392,15 @@ class Arrangement:
                 piece[i0][j0] = count
                 while stack:
                     i, j = stack.pop()
-                    if i > 0 and not wall_v[i][j] and piece[i - 1][j] < 0:
-                        piece[i - 1][j] = count
-                        stack.append((i - 1, j))
-                    if i + 1 < m and not wall_v[i + 1][j] and piece[i + 1][j] < 0:
-                        piece[i + 1][j] = count
-                        stack.append((i + 1, j))
-                    if j > 0 and not wall_h[i][j] and piece[i][j - 1] < 0:
-                        piece[i][j - 1] = count
-                        stack.append((i, j - 1))
-                    if j + 1 < m and not wall_h[i][j + 1] and piece[i][j + 1] < 0:
-                        piece[i][j + 1] = count
-                        stack.append((i, j + 1))
+                    for a, b, is_open in (
+                        (i - 1, j, i > 0 and not wall_v[i][j]),
+                        (i + 1, j, i + 1 < m and not wall_v[i + 1][j]),
+                        (i, j - 1, j > 0 and not wall_h[i][j]),
+                        (i, j + 1, j + 1 < m and not wall_h[i][j + 1]),
+                    ):
+                        if is_open and piece[a][b] < 0:
+                            piece[a][b] = count
+                            stack.append((a, b))
                 count += 1
         self._piece = piece
         self.piece_count = count

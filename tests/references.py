@@ -552,15 +552,22 @@ def corner_index(arr: Arrangement, domain: dict[int, int], p) -> int:
     return get(ne, 0) + get(sw, 0) - get(nw, 0) - get(se, 0)
 
 
+def named_ovals(config) -> list[tuple[str, Oval]]:
+    """The ovals of a configuration, vertical then horizontal, each named by
+    its kind and line: ``"V3"`` around column 3, ``"H2"`` around row 2."""
+    return [(f"V{c}", config.v_ovals[c]) for c in config.kept_cols()] + [
+        (f"H{r}", config.h_ovals[r]) for r in config.kept_rows()
+    ]
+
+
 def euler_discrepancy(arr: Arrangement) -> int:
     """Zero when the piece count satisfies the transversal-curves Euler formula.
 
     The formula: pieces = crossings + connected components of the union of
     the ovals + 1.
     """
-    ovals = arr.config.ovals()
-    ids = {(o.kind, o.index): k for k, o in enumerate(ovals)}
-    parent = list(range(len(ovals)))
+    ids = {name: k for k, (name, _) in enumerate(named_ovals(arr.config))}
+    parent = list(range(len(ids)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -569,10 +576,10 @@ def euler_discrepancy(arr: Arrangement) -> int:
         return a
 
     for c, r in arr.config.points:
-        a, b = find(ids[("V", c)]), find(ids[("H", r)])
+        a, b = find(ids[f"V{c}"]), find(ids[f"H{r}"])
         if a != b:
             parent[a] = b
-    components = len({find(k) for k in range(len(ovals))})
+    components = len({find(k) for k in range(len(ids))})
     return arr.piece_count - (len(arr.config.all_points()) + components + 1)
 
 
@@ -593,19 +600,19 @@ def validate_periodic_domains(arr: Arrangement) -> None:
     """Each oval's inside has zero corner indices and exactly two punctures."""
     punctures = arr.config.grid.punctures()
     crossings = arr.config.all_points()
-    for oval in arr.config.ovals():
+    for name, oval in named_ovals(arr.config):
         domain = periodic_domain(arr, oval)
         inside = [
             q for q in punctures if oval.x1 < q[0] < oval.x2 and oval.y1 < q[1] < oval.y2
         ]
         if len(inside) != 2:
             raise ScheduleAssertionFailed(
-                f"{oval.kind}{oval.index} contains {len(inside)} punctures, expected 2"
+                f"{name} contains {len(inside)} punctures, expected 2"
             )
         for p in crossings:
             if corner_index(arr, domain, p) != 0:
                 raise ScheduleAssertionFailed(
-                    f"periodic domain of {oval.kind}{oval.index} has a corner at {p}"
+                    f"periodic domain of {name} has a corner at {p}"
                 )
 
 

@@ -40,8 +40,8 @@ from gridhfk.gridkit import (
     LaurentPoly,
     alexander_polynomial,
     castle_columns,
-    castle_rows,
     parse_braid,
+    transpose,
 )
 from gridhfk.ovalgeo import (
     Arrangement,
@@ -261,7 +261,7 @@ def _random_representation(g, rng, moves=8, max_n=9):
                 pass
         elif kind == "castle_r":
             try:
-                h = castle_rows(h, rng.randrange(h.n - 1))
+                h = transpose(castle_columns(transpose(h), rng.randrange(h.n - 1)))
             except IllegalCastling:
                 pass
         elif h.n < max_n:

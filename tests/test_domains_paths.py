@@ -258,7 +258,7 @@ class TestPathEngine:
         state = engine_state(eng)
         eng.short_complex()
         assert engine_state(eng) == state
-        long_count = len(oval_generators(build_config(eng.grid, eng.omit, "long")))
+        long_count = len(oval_generators(build_config(eng.grid, eng.short_cfg.omit, "long")))
         closure = eng._closure(eng.moves.encode(list(cx.rows)))
         assert len(cx.rows) < len(closure.bounds) - 1 < long_count // 20
 

@@ -32,15 +32,12 @@ from gridhfk.gridkit import (
     bareiss_determinant,
     canonical_key,
     castle_columns,
-    castle_rows,
     column_destabilization_sites,
     component_count,
     destabilize_column,
-    destabilize_row,
     greedy_destabilize,
     parse_braid,
     parse_grid_text,
-    row_destabilization_sites,
     transpose,
     validate,
     winding_matrix,
@@ -258,7 +255,7 @@ class TestMoves:
             assert alexander_polynomial(h) == p
         for r in range(g.n - 1):
             try:
-                h = castle_rows(g, r)
+                h = transpose(castle_columns(transpose(g), r))
             except IllegalCastling:
                 continue
             hit += 1
@@ -315,9 +312,9 @@ class TestMoves:
         g = self.trefoil()
         h = stabilize(g, 1, 3, "XO")
         ht = transpose(h)
-        sites = row_destabilization_sites(ht)
+        sites = column_destabilization_sites(transpose(ht))
         assert sites
-        back = destabilize_row(ht, sites[0])
+        back = transpose(destabilize_column(transpose(ht), sites[0]))
         validate(back)
         assert alexander_polynomial(back) == alexander_polynomial(ht)
 

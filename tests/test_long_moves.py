@@ -18,16 +18,38 @@ import pytest
 
 from conftest import BRAIDS, random_grid, random_knot_grid
 from references import decode, dominance_count
-from gridhfk.chains import Gen, LongMoves, _bigon_targets, oval_generators
-from gridhfk.errors import GridTooLarge, RectangleCornerMissing
-from gridhfk.gridkit import SCALE, parse_braid
+from gridhfk.chains import Gen, LongMoves, oval_generators
+from gridhfk.errors import FlipTargetMissing, GridTooLarge, RectangleCornerMissing
+from gridhfk.gridkit import SCALE, Point, parse_braid
 from gridhfk.ovalgeo import build_config, select_best_config
 from gridhfk.simplifier import minimize
 
 
+def reference_flips(config, p: Point) -> list[tuple[Point, str, int]]:
+    """The cap flips of the point ``p``, each ``(new point, which oval it
+    crosses, that oval's column or row)``, across its vertical oval first.
+
+    From the first (left, lower) wall a point flips across the far cap, from
+    the second across the near one; any puncture inside the swept part of
+    the oval blocks the flip.
+    """
+    px, py = p
+    c, r = px // SCALE, py // SCALE
+    vo, ho = config.v_ovals[c], config.h_ovals[r]
+    punctures = config.grid.punctures()
+    out = []
+    lo, hi, q = (py, vo.y2, (vo.x2, py)) if px == vo.x1 else (vo.y1, py, (vo.x1, py))
+    if not any(vo.x1 < u < vo.x2 and lo < v < hi for u, v in punctures):
+        out.append((q, "vertical", c))
+    lo, hi, q = (px, ho.x2, (px, ho.y2)) if py == ho.y1 else (ho.x1, px, (px, ho.y1))
+    if not any(lo < u < hi and ho.y1 < v < ho.y2 for u, v in punctures):
+        out.append((q, "horizontal", r))
+    return out
+
+
 def reference_bigon_sign(x: Gen, kind: str, key: int) -> int:
     e = dominance_count(x, x)
-    if kind in ("top", "bottom"):  # across vertical oval `key`
+    if kind == "vertical":  # across vertical oval `key`
         for p in x:
             if p[0] // SCALE < key and p[0] % SCALE == 7:
                 e += 1
@@ -57,7 +79,7 @@ def reference_row(moves: LongMoves, x: Gen) -> dict[Gen, int]:
     xs = set(x)
     out: dict[Gen, int] = {}
     for idx, p in enumerate(x):
-        for q, kind, key in _bigon_targets(config, p):
+        for q, kind, key in reference_flips(config, p):
             y = list(x)
             y[idx] = q
             out[tuple(sorted(y))] = reference_bigon_sign(x, kind, key)
@@ -197,3 +219,14 @@ def test_missing_corner_is_a_typed_failure(rng):
     moves.id_of = {}
     with pytest.raises(RectangleCornerMissing):
         moves.rows(np.array([x]))
+
+
+def test_missing_flip_target_is_a_typed_failure():
+    # a short vertical oval meets only the horizontal ovals that reach its
+    # walls, so some free flip of a short configuration has no target
+    g = parse_braid(BRAIDS["trefoil"])
+    config = build_config(g, select_best_config(g).omit, "short")
+    points = config.all_points()
+    assert any(q not in points for p in points for q, _, _ in reference_flips(config, p))
+    with pytest.raises(FlipTargetMissing):
+        LongMoves(config)

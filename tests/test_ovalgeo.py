@@ -13,7 +13,7 @@ from references import (
     validate_periodic_domains,
 )
 from gridhfk.errors import InvalidOmission
-from gridhfk.gridkit import GridDiagram, column_span, parse_braid, row_span
+from gridhfk.gridkit import GridDiagram, column_span, parse_braid, transpose
 from gridhfk.ovalgeo import (
     Arrangement,
     build_config,
@@ -100,7 +100,7 @@ class TestZeroTwoFourRule:
         for c in cfg.kept_cols():
             rmin, rmax = column_span(g, c)
             for r in cfg.kept_rows():
-                cmin, cmax = row_span(g, r)
+                cmin, cmax = column_span(transpose(g), r)
                 pts = cfg.points.get((c, r), ())
                 if (c, r) in decorated:
                     assert len(pts) == 2

@@ -507,7 +507,7 @@ class TestReconstructSkipped:
         for _ in range(300):
             n = rng.randrange(2, 8)
             f = random_invariant(rng)
-            h = tensor_factor_applied(f, n)
+            h = convolve(f, n)
             slices = sorted({a2 for a2, _ in h})
             start = rng.choice(slices)
             skipped = {start + 2 * k for k in range(rng.randrange(0, n))}
@@ -519,7 +519,7 @@ class TestReconstructSkipped:
     def test_corrupted_homology_rejected(self, rng):
         for _ in range(100):
             n = rng.randrange(2, 8)
-            h = tensor_factor_applied(random_invariant(rng), n)
+            h = convolve(random_invariant(rng), n)
             key = rng.choice(sorted(h))
             rank, torsion = h[key]
             h[key] = (rank + rng.choice((-1, 1)) if rank else 1, torsion)
@@ -530,7 +530,7 @@ class TestReconstructSkipped:
         # n−1 gradings or fewer, but spread over n slices or more
         for _ in range(50):
             n = rng.randrange(3, 8)
-            h = tensor_factor_applied(random_invariant(rng), n)
+            h = convolve(random_invariant(rng), n)
             low = rng.choice(sorted({a2 for a2, _ in h}))
             skipped = {low, low + 2 * (n - 1)}
             partial = HomologyResult(
@@ -549,17 +549,6 @@ def random_invariant(rng):
         if group != (0, ()):
             f[2 * rng.randrange(-3, 4), rng.randrange(-3, 4)] = group
     return f or {(0, 0): (1, ())}
-
-
-def tensor_factor_applied(f, n):
-    """The table tensored with n−1 copies of the rank-2 factor."""
-    h = {}
-    for (a2, m), (rank, torsion) in f.items():
-        for k in range(n):
-            c = comb(n - 1, k)
-            r, t = h.get((a2 - 2 * k, m - k), (0, ()))
-            h[a2 - 2 * k, m - k] = (r + c * rank, tuple(sorted(t + torsion * c)))
-    return h
 
 
 def largest_slices(sizes, n):

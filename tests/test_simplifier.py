@@ -12,7 +12,7 @@ from gridhfk.gridkit import (
     column_destabilization_sites,
     moves,
     parse_braid,
-    row_destabilization_sites,
+    transpose,
     validate,
 )
 from gridhfk.simplifier import minimize
@@ -70,7 +70,7 @@ class TestGeneralizedDestabilizations:
         g = GridDiagram((0, 1, 2, 3, 4, 5), (5, 4, 0, 1, 2, 3))
         validate(g)
         assert not column_destabilization_sites(g)
-        assert not row_destabilization_sites(g)
+        assert not column_destabilization_sites(transpose(g))
         out = [h for h in moves(g) if h.n < g.n]
         assert out
         p = alexander_polynomial(g)
@@ -178,7 +178,21 @@ UNPEELED_DIGESTS = {
 }
 
 
+#: ``keys_digest`` of every diagram `moves` yields, in order and duplicates
+#: kept, from each `BRAIDS` grid and then from ten `random_grid`s of sizes
+#: 5, 6, 7, 8, 9, 5, ... drawn from ``Random(2901)``: 745 diagrams.
+MOVES_DIGEST = "bb6e62646c652588ef8ff18bdc1964e102b5ac28d55bb7f2d1ff72b114c05dda"
+
+
 class TestChosenGrids:
+    def test_moves_in_order(self):
+        grids = [parse_braid(w) for w in BRAIDS.values()]
+        rng = random.Random(2901)
+        grids += [random_grid(5 + i % 5, rng) for i in range(10)]
+        out = [h for g in grids for h in moves(g)]
+        assert len(out) == 745
+        assert keys_digest(out) == MOVES_DIGEST
+
     def test_named_words(self):
         for (name, mirror), pinned in CHOSEN_GRIDS.items():
             word = {**BRAIDS, **TORUS}[name]
